@@ -100,11 +100,7 @@ class AnalysisReport:
         return dataclasses.replace(self, fiber_audit=audit)
 
     def distinct_contractions(self) -> tuple[Poly, ...]:
-        seen: list[Poly] = []
-        for datum in self.ramification:
-            if datum.contraction not in seen:
-                seen.append(datum.contraction)
-        return tuple(seen)
+        return tuple(dict.fromkeys(d.contraction for d in self.ramification))
 
 
 def analyze(spec: ExtensionSpec) -> AnalysisReport:
@@ -147,10 +143,7 @@ def analyze(spec: ExtensionSpec) -> AnalysisReport:
     r_poly = canonical(r_poly, vars)
 
     tags = tag_table(spec)
-    contractions: list[Poly] = []
-    for datum in data:
-        if datum.contraction not in contractions:
-            contractions.append(datum.contraction)
+    contractions = list(dict.fromkeys(d.contraction for d in data))
     s_tilde = Poly.const(len(tags.names), 1)
     for p in contractions:
         s_tilde = lcm(s_tilde, p, tags)
@@ -306,11 +299,8 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
             continue
         check("jacobian exponents", valuation(datum.prime, pullback) == datum.index)
         check("jacobian exponents", datum.jac_multiplicity == datum.index - 1)
-        check(
-            "contraction irreducible",
-            len(factor(datum.contraction, tags).factors) == 1
-            and factor(datum.contraction, tags).factors[0][1] == 1,
-        )
+        factors = factor(datum.contraction, tags).factors
+        check("contraction irreducible", [m for _, m in factors] == [1])
 
     s_poly = Poly.const(vars.n, 1)
     r_poly = Poly.const(vars.n, 1)

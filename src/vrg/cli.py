@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 I/O failure, 2 invalid spec (file schema,
-expression syntax, inhomogeneous generators, or probe limits), 3 the
-extension is not finite, 4 internal cross-check failure (theorem
-violation, non-principal contraction, or the intermediate degree cap).
+Exit codes: 0 success, 1 I/O failure, 2 invalid input (spec file schema,
+expression syntax, inhomogeneous generators, probe limits, option values,
+or ``VRG_MAX_DEGREE``), 3 the extension is not finite, 4 internal
+cross-check failure (theorem violation, non-principal contraction, or the
+intermediate degree cap).
 ``wellramified`` exits 10 for a sound "no".
 """
 
@@ -19,10 +20,8 @@ from .errors import (
     ContractionError,
     DegreeCapExceededError,
     FiberProbeError,
+    InputError,
     NotFiniteError,
-    NotHomogeneousError,
-    ParseError,
-    SpecFileError,
     TheoremViolationError,
 )
 from .extension import ExtensionSpec, generator_weights, validate
@@ -134,6 +133,18 @@ def _print_report(report: AnalysisReport, spec: ExtensionSpec, labels: dict) -> 
         print(f"note: {warning}")
 
 
+def _count(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {text!r}")
+    return int(text)
+
+
+def _tolerance(text: str) -> float:
+    if not 0 < float(text) < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return float(text)
+
+
 def _cmd_analyze(args) -> int:
     spec, labels = load_spec(args.spec)
     report = analyze(spec)
@@ -232,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
             " property, and the discriminant when it exists."
         ),
         epilog=(
-            "exit codes: 0 ok, 1 I/O, 2 invalid spec, 3 not finite,"
+            "exit codes: 0 ok, 1 I/O, 2 invalid input, 3 not finite,"
             " 4 internal cross-check failure, 10 not well-ramified"
             " (wellramified only)"
         ),
@@ -243,12 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="spec JSON file")
     p.add_argument("--json", metavar="PATH", help="also write a JSON report")
     p.add_argument(
-        "--fiber", type=int, metavar="N", help="run a fiber audit with N samples"
+        "--fiber", type=_count, metavar="N", help="run a fiber audit with N samples"
     )
     p.add_argument("--seed", type=int, default=0, help="audit RNG seed")
     p.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=DEFAULT_CLUSTER_TOL,
         help="solution clustering tolerance",
     )
@@ -267,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", required=True, help="comma-separated base point")
     p.add_argument(
         "--tol",
-        type=float,
+        type=_tolerance,
         default=DEFAULT_CLUSTER_TOL,
         help="solution clustering tolerance",
     )
@@ -286,7 +297,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"error: spec file is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (SpecFileError, ParseError, NotHomogeneousError, FiberProbeError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except NotFiniteError as exc:

@@ -10,7 +10,11 @@ class VrgError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ParseError(VrgError):
+class InputError(VrgError):
+    """Malformed input: a spec, a report, an option value or a setting."""
+
+
+class ParseError(InputError):
     """Malformed polynomial expression. Carries the offending position."""
 
     def __init__(self, message: str, position: int):
@@ -22,7 +26,7 @@ class NotDivisibleError(VrgError):
     """Exact division was requested but the remainder is nonzero."""
 
 
-class NotHomogeneousError(VrgError):
+class NotHomogeneousError(InputError):
     """A generator is not weighted-homogeneous for the declared weights."""
 
 
@@ -30,7 +34,7 @@ class NotFiniteError(VrgError):
     """The generators do not define a finite extension (V(f) != {0})."""
 
 
-class SpecFileError(VrgError):
+class SpecFileError(InputError):
     """An extension spec file is structurally invalid."""
 
 
@@ -51,5 +55,5 @@ class TheoremViolationError(VrgError):
     """
 
 
-class FiberProbeError(VrgError):
+class FiberProbeError(InputError):
     """The numeric fiber probe was asked something it cannot do."""

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import NotDivisibleError
 from .poly import Poly, VarTable, canonical, format_poly, weighted_degree
 
 __all__ = [
@@ -43,12 +44,6 @@ class Factorization:
         for f, m in self.factors:
             out = out * f ** m
         return out
-
-    def multiplicity_of(self, q: Poly) -> int:
-        for f, m in self.factors:
-            if f == q:
-                return m
-        return 0
 
 
 def _sort_factors(factors, vars: VarTable):
@@ -245,8 +240,9 @@ def valuation(q: Poly, p: Poly) -> int:
     if q.is_zero() or q.is_constant():
         raise ValueError("valuation requires a nonconstant divisor")
     k = 0
-    rest = p
-    while q.divides(rest):
-        rest = rest.exact_div(q)
-        k += 1
-    return k
+    try:
+        while True:
+            p = p.exact_div(q)
+            k += 1
+    except NotDivisibleError:
+        return k

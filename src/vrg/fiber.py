@@ -28,9 +28,9 @@ import mpmath
 from .errors import FiberProbeError
 from .extension import ExtensionSpec, validate
 from .groebner import GroebnerBasis, groebner
-from .ideals import _tag_generators, combined_table, tag_table
+from .ideals import tag_table
 from .orders import lex
-from .poly import Poly, format_poly
+from .poly import Poly, VarTable, format_poly
 
 DEFAULT_CLUSTER_TOL = 1e-8
 DEFAULT_RESIDUAL_TOL = 1e-6
@@ -57,10 +57,19 @@ class _SolveFailed(Exception):
     pass
 
 
+def combined_table(spec: ExtensionSpec) -> VarTable:
+    """The original variables followed by the tag variables."""
+    tags = tag_table(spec)
+    return VarTable(spec.vars.names + tags.names, spec.vars.weights + tags.weights)
+
+
 @lru_cache(maxsize=32)
 def _symbolic_basis(spec: ExtensionSpec) -> GroebnerBasis:
-    table = combined_table(spec)
-    return groebner(_tag_generators(spec), lex(table.n), table)
+    """Lex basis of the y_i - f_i, original variables first."""
+    n, fs = spec.n, spec.generators
+    lifted = [Poly(2 * n, {e + (0,) * n: c for e, c in f.items()}) for f in fs]
+    gens = [Poly.variable(2 * n, n + i) - f for i, f in enumerate(lifted)]
+    return groebner(gens, lex(2 * n), combined_table(spec))
 
 
 def _exact_basis(spec: ExtensionSpec, u: tuple[Fraction, ...]) -> GroebnerBasis:
@@ -97,9 +106,11 @@ def _coerce_component(value) -> Component:
         return value
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, (mpmath.mpf, mpmath.mpc)):
-        return value
-    return complex(value)
+    if not isinstance(value, (mpmath.mpf, mpmath.mpc)):
+        value = complex(value)
+    if not mpmath.isfinite(value):
+        raise FiberProbeError(f"base point component {value} is not finite")
+    return value
 
 
 def _poly_roots(coeffs_low_to_high: list, degree: int):

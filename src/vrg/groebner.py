@@ -6,8 +6,8 @@ criteria, normal selection, and full interreduction is enough and keeps
 the code auditable.
 
 The total degree of every intermediate polynomial is capped (environment
-variable ``VRG_MAX_DEGREE``, default 200) so runaway inputs fail fast
-instead of consuming the machine.
+variable ``VRG_MAX_DEGREE``, a positive integer, default 200) so runaway
+inputs fail fast instead of consuming the machine.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DegreeCapExceededError
+from .errors import DegreeCapExceededError, InputError
 from .orders import MonomialOrder
 from .poly import Exponent, Poly, VarTable, canonical
 
@@ -25,11 +25,10 @@ DEFAULT_MAX_DEGREE = 200
 
 
 def max_degree_cap() -> int:
-    raw = os.environ.get("VRG_MAX_DEGREE", "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_DEGREE
-    except ValueError:
-        return DEFAULT_MAX_DEGREE
+    raw = os.environ.get("VRG_MAX_DEGREE") or str(DEFAULT_MAX_DEGREE)
+    if not raw.strip().isdecimal() or int(raw) < 1:
+        raise InputError(f"VRG_MAX_DEGREE must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
-"""Monomial orders: weighted grevlex, lex, and block elimination orders.
+"""Monomial orders: weighted grevlex and lex.
 
 An order exposes ``key(exp)`` returning a tuple; Python's tuple comparison
-then realizes the order (larger key = larger monomial).  All three kinds
-are total orders compatible with monomial multiplication, and the block
-order has the elimination property for its leading block.
+then realizes the order (larger key = larger monomial).  Both are total
+orders compatible with monomial multiplication, and lex eliminates its
+leading variables.
 """
 
 from __future__ import annotations
@@ -36,28 +36,7 @@ class LexOrder:
         return tuple(exp)
 
 
-@dataclass(frozen=True)
-class BlockOrder:
-    """Eliminates the first ``k`` variables.
-
-    Monomials are compared by weighted grevlex on the first block, ties by
-    weighted grevlex on the second block.  Any monomial that involves an
-    eliminated variable therefore exceeds every monomial free of them,
-    which is the elimination property.
-    """
-
-    k: int
-    weights: tuple[int, ...]
-    kind: str = "block-elimination"
-
-    def key(self, exp: Exponent):
-        head, tail = exp[: self.k], exp[self.k :]
-        return grevlex_key(head, self.weights[: self.k]) + grevlex_key(
-            tail, self.weights[self.k :]
-        )
-
-
-MonomialOrder = GrevlexOrder | LexOrder | BlockOrder
+MonomialOrder = GrevlexOrder | LexOrder
 
 
 def grevlex(weights: Sequence[int]) -> GrevlexOrder:
@@ -67,8 +46,3 @@ def grevlex(weights: Sequence[int]) -> GrevlexOrder:
 def lex(nvars: int) -> LexOrder:
     return LexOrder(nvars)
 
-
-def block_elimination(k: int, weights: Sequence[int]) -> BlockOrder:
-    if not 0 < k < len(weights):
-        raise ValueError("block order needs 0 < k < number of variables")
-    return BlockOrder(k, tuple(weights))

@@ -434,13 +434,6 @@ def canonical(p: Poly, vars: VarTable) -> Poly:
     return canonicalize(p, vars)[0]
 
 
-def associates(p: Poly, q: Poly, vars: VarTable) -> bool:
-    """True when p and q agree up to a nonzero rational scalar."""
-    if p.is_zero() or q.is_zero():
-        return p.is_zero() and q.is_zero()
-    return canonical(p, vars) == canonical(q, vars)
-
-
 # ---------------------------------------------------------------------------
 # Jacobian determinant
 # ---------------------------------------------------------------------------

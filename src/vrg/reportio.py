@@ -69,19 +69,6 @@ def load_spec(path: str | Path) -> tuple[ExtensionSpec, dict]:
     return spec_from_dict(data)
 
 
-def spec_to_dict(spec: ExtensionSpec, labels: dict | None = None) -> dict:
-    out = {
-        "variables": [
-            {"name": n, "weight": w}
-            for n, w in zip(spec.vars.names, spec.vars.weights)
-        ],
-        "generators": [format_poly(f, spec.vars) for f in spec.generators],
-    }
-    if labels:
-        out["labels"] = labels
-    return out
-
-
 # ---------------------------------------------------------------------------
 # report files
 # ---------------------------------------------------------------------------
@@ -139,60 +126,75 @@ def report_to_dict(report: AnalysisReport, spec: ExtensionSpec) -> dict:
     return out
 
 
+def _field(data, key: str, kind: type = str, optional: bool = False):
+    """``data[key]``, of exactly the JSON type ``kind``; errors name the key."""
+    value = data.get(key) if type(data) is dict else None
+    if optional and value is None:
+        return None
+    if type(value) is not kind:
+        raise SpecFileError(f'report field "{key}" is missing or not a {kind.__name__}')
+    return value
+
+
+def _poly(data, key: str, ring: VarTable):
+    return parse(_field(data, key), ring)
+
+
 def _witness_from_dict(data: dict, vars: VarTable, tags: VarTable) -> Witness:
     kind = data.get("kind")
     if kind == "discriminant_representation":
-        return Witness(kind=kind, representation=parse(data["representation"], tags))
+        return Witness(kind=kind, representation=_poly(data, "representation", tags))
     if kind == "mixed_prime":
         return Witness(
             kind=kind,
-            contraction=parse(data["contraction"], tags),
+            contraction=_poly(data, "contraction", tags),
             pullback_factors=tuple(
-                (parse(entry["factor"], vars), bool(entry["ramified"]))
-                for entry in data.get("pullback_factors", [])
+                (_poly(entry, "factor", vars), _field(entry, "ramified", bool))
+                for entry in _field(data, "pullback_factors", list, optional=True) or ()
             ),
         )
     raise SpecFileError(f"unknown witness kind {kind!r}")
 
 
 def report_from_dict(data: dict, spec: ExtensionSpec) -> AnalysisReport:
+    """Rebuild a report; a missing or mistyped field raises SpecFileError."""
     vars = spec.vars
     tags = tag_table(spec)
     ramification = tuple(
         RamificationDatum(
-            prime=parse(entry["Q"], vars),
-            jac_multiplicity=int(entry["e"]) - 1,
-            contraction=parse(entry["contraction"], tags),
-            index=int(entry["e"]),
+            prime=_poly(entry, "Q", vars),
+            jac_multiplicity=_field(entry, "e", int) - 1,
+            contraction=_poly(entry, "contraction", tags),
+            index=_field(entry, "e", int),
         )
-        for entry in data["ramification"]
+        for entry in _field(data, "ramification", list)
     )
-    well = bool(data["well_ramified"])
+    well = _field(data, "well_ramified", bool)
     discriminant = None
-    if data.get("discriminant") is not None:
-        discriminant = (
-            parse(data["discriminant"]["D"], vars),
-            parse(data["discriminant"]["D_rep"], tags),
-        )
-    quotient = None
-    if data.get("quotient_DJ") is not None:
-        quotient = parse(data["quotient_DJ"], vars)
+    disc = _field(data, "discriminant", dict, optional=True)
+    if disc is not None:
+        discriminant = (_poly(disc, "D", vars), _poly(disc, "D_rep", tags))
+    quotient = _field(data, "quotient_DJ", optional=True)
+    try:
+        unit = Fraction(_field(data, "discarded_unit"))
+    except (ValueError, ZeroDivisionError):
+        raise SpecFileError('report field "discarded_unit" is not a rational') from None
     return AnalysisReport(
-        degree=int(data["degree"]),
-        jacobian=parse(data["jacobian"], vars),
-        discarded_unit=Fraction(data["discarded_unit"]),
+        degree=_field(data, "degree", int),
+        jacobian=_poly(data, "jacobian", vars),
+        discarded_unit=unit,
         ramification=ramification,
-        S=parse(data["S"], vars),
-        R=parse(data["R"], vars),
-        S_tilde=parse(data["S_tilde"], tags),
+        S=_poly(data, "S", vars),
+        R=_poly(data, "R", vars),
+        S_tilde=_poly(data, "S_tilde", tags),
         well_ramified=well,
         by_membership=well,
         by_factor_pattern=well,
-        witness=_witness_from_dict(data["witness"], vars, tags),
+        witness=_witness_from_dict(_field(data, "witness", dict), vars, tags),
         discriminant=discriminant,
-        quotient_DJ=quotient,
-        warnings=tuple(data.get("warnings", ())),
-        fiber_audit=data.get("fiber_audit"),
+        quotient_DJ=None if quotient is None else parse(quotient, vars),
+        warnings=tuple(_field(data, "warnings", list, optional=True) or ()),
+        fiber_audit=_field(data, "fiber_audit", dict, optional=True),
     )
 
 

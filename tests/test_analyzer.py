@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from vrg import (
@@ -7,6 +9,7 @@ from vrg import (
     canonical,
     degree,
     is_well_ramified,
+    load_report,
     parse,
     report_from_dict,
     report_to_dict,
@@ -14,7 +17,12 @@ from vrg import (
     validate,
     verify_report,
 )
-from vrg.errors import NotFiniteError, NotHomogeneousError, TheoremViolationError
+from vrg.errors import (
+    NotFiniteError,
+    NotHomogeneousError,
+    SpecFileError,
+    TheoremViolationError,
+)
 
 
 def assoc(p, q, vars):
@@ -147,6 +155,16 @@ def test_analyze_unramified_linear_change(xy11):
     assert report.R == parse("1", xy11)
 
 
+def test_analyze_cyclic_quadrics():
+    vars = VarTable(("X1", "X2", "X3"), (1, 1, 1))
+    gens = ("X1^2+X2*X3", "X2^2+X1*X3", "X3^2+X1*X2")
+    spec = ExtensionSpec(vars, tuple(parse(g, vars) for g in gens))
+    report = analyze(spec)
+    assert report.degree == 8
+    assert not report.well_ramified
+    assert verify_report(report, spec).ok
+
+
 def test_is_well_ramified_results(cusp_spec, mixed_spec, sym2_spec):
     res = is_well_ramified(cusp_spec)
     assert res.verdict and res.by_membership and res.by_factor_pattern
@@ -174,6 +192,27 @@ def test_verify_round_trips_through_json(cusp_spec):
     data = report_to_dict(report, cusp_spec)
     loaded = report_from_dict(data, cusp_spec)
     assert verify_report(loaded, cusp_spec).ok
+
+
+@pytest.mark.parametrize(
+    "mutate, key",
+    [
+        (lambda d: d.pop("ramification"), "ramification"),
+        (lambda d: d.update(degree="12"), "degree"),
+        (lambda d: d["ramification"][0].pop("Q"), "Q"),
+        (lambda d: d["ramification"][0].update(e=None), "e"),
+        (lambda d: d.update(witness=[]), "witness"),
+        (lambda d: d.update(discriminant={"D": "X"}), "D_rep"),
+        (lambda d: d.update(discarded_unit="six"), "discarded_unit"),
+    ],
+)
+def test_malformed_report_names_the_key(cusp_spec, tmp_path, mutate, key):
+    data = report_to_dict(analyze(cusp_spec), cusp_spec)
+    mutate(data)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    with pytest.raises(SpecFileError, match=f'"{key}"'):
+        load_report(path, cusp_spec)
 
 
 def _tampered(spec, mutate):

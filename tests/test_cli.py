@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from vrg import load_spec, report_from_dict, verify_report
 from vrg.cli import main
 
@@ -155,3 +157,33 @@ def test_report_matches_golden_file(tmp_path, capsys):
     capsys.readouterr()
     assert rc == 0
     assert out.read_bytes() == (DATA_DIR / "golden_sym2.json").read_bytes()
+
+
+def test_non_finite_base_point_is_invalid(capsys):
+    for u in ("nan,2", "inf,2"):
+        rc = main(["fiber", str(SPEC_DIR / "sym2.json"), "--u", u])
+        assert rc == 2, u
+        assert "error" in capsys.readouterr().err
+
+
+def test_bad_option_values_are_invalid(capsys):
+    spec = str(SPEC_DIR / "sym2.json")
+    cases = [
+        ["analyze", spec, "--fiber", "-3"],
+        ["analyze", spec, "--tol", "-1"],
+        ["analyze", spec, "--tol", "0"],
+        ["analyze", spec, "--tol", "nan"],
+        ["fiber", spec, "--u", "1,2", "--tol", "inf"],
+    ]
+    for argv in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "error" in capsys.readouterr().err
+
+
+def test_bad_degree_cap_setting_is_invalid(capsys, monkeypatch):
+    monkeypatch.setenv("VRG_MAX_DEGREE", "abc")
+    rc = main(["analyze", str(SPEC_DIR / "sym2.json")])
+    assert rc == 2
+    assert "VRG_MAX_DEGREE" in capsys.readouterr().err

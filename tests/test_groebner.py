@@ -6,7 +6,7 @@ import pytest
 
 from vrg import Poly, VarTable, canonical, groebner, normal_form, parse
 from vrg.errors import DegreeCapExceededError
-from vrg.orders import block_elimination, grevlex, lex
+from vrg.orders import grevlex, lex
 
 
 def basis_set(gb, vars):
@@ -90,16 +90,6 @@ def test_buchberger_on_nontrivial_system(xy11):
     gb = groebner([parse("X^2+Y^2-1", xy11), parse("X-Y", xy11)], lex(2), xy11)
     assert normal_form(parse("2*Y^2-1", xy11), gb).is_zero()
     assert basis_set(gb, xy11) == {parse("X-Y", xy11), parse("2*Y^2-1", xy11)}
-
-
-def test_block_order_eliminates_leading_block():
-    vars = VarTable(("X", "y"), (1, 1))
-    order = block_elimination(1, (1, 1))
-    # any monomial containing X must dominate any pure-y monomial
-    assert order.key((1, 0)) > order.key((0, 5))
-    gb = groebner([parse("y-X^2", vars)], order, vars)
-    nf = normal_form(parse("X^2", vars), gb)
-    assert nf == parse("y", vars)
 
 
 def test_degree_cap(xy11):

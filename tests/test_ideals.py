@@ -7,14 +7,22 @@ from vrg import (
     ExtensionSpec,
     Poly,
     VarTable,
+    analyze,
     canonical,
     check_finite,
     contract_prime,
+    gcd,
+    groebner,
+    normal_form,
     parse,
     subalgebra_membership,
     tag_table,
 )
-from vrg.ideals import combined_table
+from vrg.errors import ContractionError
+from vrg.fiber import _symbolic_basis, combined_table
+from vrg.orders import lex
+
+from corpus import CORPUS
 
 
 def test_check_finite_pure_powers(xy11):
@@ -136,3 +144,60 @@ def test_contraction_pullback_divisible_by_prime(cusp_spec, mixed_spec):
 def test_contract_rejects_constant(cusp_spec):
     with pytest.raises(ValueError):
         contract_prime(parse("3", cusp_spec.vars), cusp_spec)
+
+
+def test_contract_rejects_inhomogeneous(cusp_spec):
+    with pytest.raises(ContractionError):
+        contract_prime(parse("X+Y", cusp_spec.vars), cusp_spec)
+
+
+# ---------------------------------------------------------------------------
+# differential check against tag-variable elimination
+# ---------------------------------------------------------------------------
+
+
+def _lift(p, n):
+    return Poly(2 * n, {exp + (0,) * n: c for exp, c in p.items()})
+
+
+def _tag_part(polys, n):
+    """The elements free of the original variables, in the tag ring."""
+    return [
+        Poly(n, {exp[n:]: c for exp, c in g.items()})
+        for g in polys
+        if not any(any(exp[:n]) for exp, _ in g.items())
+    ]
+
+
+def _oracle_membership(p, spec):
+    # lex with the original variables first eliminates them from (y - f)
+    nf = normal_form(_lift(p, spec.n), _symbolic_basis(spec))
+    tag = _tag_part([nf], spec.n)
+    return tag[0] if tag else None
+
+
+def _oracle_contraction(q, spec):
+    n = spec.n
+    gens = [_lift(q, n), *_symbolic_basis(spec)]
+    gb = groebner(gens, lex(2 * n), combined_table(spec))
+    tags = tag_table(spec)
+    members = _tag_part(gb, n)
+    g = members[0]
+    for m in members[1:]:
+        g = gcd(g, m, tags)
+    return canonical(g, tags)
+
+
+@pytest.mark.parametrize(
+    "entry", [e for e in CORPUS if e.spec.n <= 3], ids=lambda e: e.name
+)
+def test_graded_linear_algebra_matches_elimination(entry):
+    spec = entry.spec
+    report = analyze(spec)
+    s_tilde_pullback = report.S_tilde.compose(spec.generators)
+    for p in (report.R, s_tilde_pullback, s_tilde_pullback * report.S):
+        assert subalgebra_membership(p, spec) == _oracle_membership(p, spec)
+    for datum in report.ramification:
+        assert contract_prime(datum.prime, spec) == _oracle_contraction(
+            datum.prime, spec
+        )
