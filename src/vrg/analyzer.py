@@ -285,6 +285,14 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
         "ramified primes",
         {q for q, _ in jac_factors.factors} == {d.prime for d in report.ramification},
     )
+    # the checks below raise on indices below 1 and on constant primes or
+    # contractions, which no analysis produces
+    if not all(
+        d.index >= 1 and not d.prime.is_constant() and not d.contraction.is_constant()
+        for d in report.ramification
+    ):
+        failures.append("ramification data")
+        return VerificationResult(False, tuple(failures))
 
     rebuilt = Poly.const(vars.n, 1)
     for datum in report.ramification:
@@ -356,6 +364,7 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
             check(
                 "quotient D/J",
                 report.quotient_DJ is not None
+                and not report.jacobian.is_zero()
                 and report.jacobian.divides(report.R)
                 and canonical(report.R.exact_div(report.jacobian), vars)
                 == report.quotient_DJ

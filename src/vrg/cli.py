@@ -199,7 +199,7 @@ def _parse_point(text: str, n: int):
         try:
             out.append(Fraction(part))
             continue
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             pass
         try:
             out.append(complex(part.replace("i", "j")))

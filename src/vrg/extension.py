@@ -13,7 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NotFiniteError, NotHomogeneousError, VrgError
+from .errors import (
+    InputError,
+    NotFiniteError,
+    NotHomogeneousError,
+    TheoremViolationError,
+)
 from .poly import Poly, VarTable, format_poly, weighted_degree
 
 
@@ -25,13 +30,13 @@ class ExtensionSpec:
     def __post_init__(self) -> None:
         n = self.vars.n
         if len(self.generators) != n:
-            raise VrgError(
+            raise InputError(
                 f"need exactly {n} generators for {n} variables,"
                 f" got {len(self.generators)}"
             )
         for f in self.generators:
             if f.n != n:
-                raise VrgError("generator arity does not match the variable table")
+                raise InputError("generator arity does not match the variable table")
 
     @property
     def n(self) -> int:
@@ -59,7 +64,7 @@ def degree(spec: ExtensionSpec) -> int:
     a = math.prod(generator_weights(spec))
     b = math.prod(spec.vars.weights)
     if a % b != 0:
-        raise VrgError(
+        raise TheoremViolationError(
             f"degree not integral: {a}/{b};"
             " this cannot happen for a finite extension"
         )

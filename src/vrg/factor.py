@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import NotDivisibleError
+from .errors import NotDivisibleError, TheoremViolationError
 from .poly import Poly, VarTable, canonical, format_poly, weighted_degree
 
 __all__ = [
@@ -223,13 +223,16 @@ def factor(p: Poly, vars: VarTable) -> Factorization:
             for monom, c in f.terms()
         }
         parts.append((canonical(Poly(p.n, terms), vars), mult))
-    rebuilt = Poly.const(p.n, 1)
+    # leading coefficients multiply under lex, so this is the unit whenever
+    # the factors are right, and the re-multiplication below checks that
+    lead = Fraction(1)
     for f, m in parts:
-        rebuilt = rebuilt * f ** m
-    unit = p.exact_div(rebuilt).constant_value()
-    result = Factorization(unit=unit, factors=_sort_factors(parts, vars))
+        lead *= f.leading()[1] ** m
+    result = Factorization(p.leading()[1] / lead, _sort_factors(parts, vars))
     if result.expand(p.n) != p:
-        raise AssertionError("factorization failed re-multiplication")
+        raise TheoremViolationError(
+            f"factorization of {format_poly(p, vars)} failed re-multiplication"
+        )
     return result
 
 

@@ -29,7 +29,6 @@ from .errors import FiberProbeError
 from .extension import ExtensionSpec, validate
 from .groebner import GroebnerBasis, groebner
 from .ideals import tag_table
-from .orders import lex
 from .poly import Poly, VarTable, format_poly
 
 DEFAULT_CLUSTER_TOL = 1e-8
@@ -69,20 +68,19 @@ def _symbolic_basis(spec: ExtensionSpec) -> GroebnerBasis:
     n, fs = spec.n, spec.generators
     lifted = [Poly(2 * n, {e + (0,) * n: c for e, c in f.items()}) for f in fs]
     gens = [Poly.variable(2 * n, n + i) - f for i, f in enumerate(lifted)]
-    return groebner(gens, lex(2 * n), combined_table(spec))
+    return groebner(gens, combined_table(spec))
 
 
 def _exact_basis(spec: ExtensionSpec, u: tuple[Fraction, ...]) -> GroebnerBasis:
     gens = [f - Poly.const(spec.n, ui) for f, ui in zip(spec.generators, u)]
-    return groebner(gens, lex(spec.n), spec.vars)
+    return groebner(gens, spec.vars)
 
 
 def _triangular(gb: GroebnerBasis, n_unknowns: int) -> list[Poly]:
     """One basis element per unknown whose leading term is a pure power."""
-    key = gb.order.key
     best: dict[int, tuple[int, Poly]] = {}
     for g in gb:
-        exp, _ = g.leading(key)
+        exp, _ = g.leading()
         nonzero = [i for i, e in enumerate(exp) if e]
         if len(nonzero) == 1 and nonzero[0] < n_unknowns:
             j, k = nonzero[0], exp[nonzero[0]]
@@ -195,7 +193,6 @@ def fiber_count(
     u: Sequence[Component],
     tol_cluster: float = DEFAULT_CLUSTER_TOL,
     tol_residual: float = DEFAULT_RESIDUAL_TOL,
-    dps: int = DEFAULT_DPS,
     contractions: Sequence[Poly] | None = None,
 ) -> FiberSample:
     """Count the distinct solutions of f(x) = u.
@@ -212,9 +209,9 @@ def fiber_count(
     u = tuple(_coerce_component(ui) for ui in u)
     exact = all(isinstance(ui, Fraction) for ui in u)
 
-    on_branch = _branch_membership(spec, u, contractions, dps)
+    on_branch = _branch_membership(spec, u, contractions)
 
-    with mpmath.workdps(dps):
+    with mpmath.workdps(DEFAULT_DPS):
         try:
             reps, gap, residual = _solve_fiber(spec, u, exact, tol_cluster)
         except _SolveFailed:
@@ -246,7 +243,7 @@ def fiber_count(
     )
 
 
-def _branch_membership(spec, u, contractions, dps) -> tuple[int, ...]:
+def _branch_membership(spec, u, contractions) -> tuple[int, ...]:
     if not contractions:
         return ()
     hits = []
@@ -256,7 +253,7 @@ def _branch_membership(spec, u, contractions, dps) -> tuple[int, ...]:
             if p.evaluate(u) == 0:
                 hits.append(idx)
         else:
-            with mpmath.workdps(dps):
+            with mpmath.workdps(DEFAULT_DPS):
                 value = p.evaluate([_to_mp(ui) for ui in u])
                 if abs(value) < 1e-9:
                     hits.append(idx)
@@ -331,7 +328,7 @@ def _generic_point(spec, contractions, rng) -> tuple[Fraction, ...]:
     raise FiberProbeError("could not sample a point off the branch locus")
 
 
-def _point_on_hypersurface(p: Poly, n: int, rng: random.Random, dps: int):
+def _point_on_hypersurface(p: Poly, n: int, rng: random.Random):
     """A point with p = 0: exact when p is linear in some coordinate,
     otherwise numeric via high-precision root finding."""
     linear = [j for j in range(n) if p.degree_in(j) == 1]
@@ -366,7 +363,7 @@ def _point_on_hypersurface(p: Poly, n: int, rng: random.Random, dps: int):
         # keep the solved coordinate at (beyond) working precision; collapsing
         # it to a double would push the point ~1e-16 off the hypersurface and
         # split the multiple fiber roots right at the clustering tolerance
-        with mpmath.workdps(2 * dps):
+        with mpmath.workdps(2 * DEFAULT_DPS):
             assign = {k: _to_mp(v) for k, v in others.items()}
             coeffs, degree = _univariate(p, j, assign)
             while degree > 0 and abs(coeffs[degree]) == 0:
@@ -394,7 +391,6 @@ def branch_audit(
     seed: int = 0,
     tol_cluster: float = DEFAULT_CLUSTER_TOL,
     tol_residual: float = DEFAULT_RESIDUAL_TOL,
-    dps: int = DEFAULT_DPS,
 ) -> dict:
     """Sampled evidence for the fiber-cardinality statements.
 
@@ -417,7 +413,6 @@ def branch_audit(
             u,
             tol_cluster=tol_cluster,
             tol_residual=tol_residual,
-            dps=dps,
             contractions=contractions,
         )
         if sample.count > r:
@@ -449,7 +444,7 @@ def branch_audit(
             "violations": [],
         }
         for _ in range(samples):
-            u = _point_on_hypersurface(contraction, spec.n, rng, dps)
+            u = _point_on_hypersurface(contraction, spec.n, rng)
             sample = run(u)
             if sample.classification == "indeterminate":
                 entry["indeterminate"] += 1

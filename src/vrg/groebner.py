@@ -1,9 +1,14 @@
-"""Buchberger's algorithm with the two standard pair-elimination criteria.
+"""Buchberger's algorithm under lex, with the two standard pair criteria.
 
 Desk-scale inputs (few variables, moderate degrees) do not need F4/F5;
 plain Buchberger with the product (coprime leading terms) and chain
 criteria, normal selection, and full interreduction is enough and keeps
 the code auditable.
+
+Lex (plain tuple order on exponents, the first variable largest) is the
+only monomial order.  Bases serve two jobs: the finiteness test, which any
+order decides, and the fiber probe's triangular sets, which need lex.  So
+the leading term is ``max(terms)`` and no order key is threaded through.
 
 The total degree of every intermediate polynomial is capped (environment
 variable ``VRG_MAX_DEGREE``, a positive integer, default 200) so runaway
@@ -18,7 +23,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegreeCapExceededError, InputError
-from .orders import MonomialOrder
 from .poly import Exponent, Poly, VarTable, canonical
 
 DEFAULT_MAX_DEGREE = 200
@@ -36,7 +40,6 @@ class GroebnerBasis:
     """Reduced Groebner basis; generators in canonical associate form."""
 
     generators: tuple[Poly, ...]
-    order: MonomialOrder
     ambient: VarTable
 
     def __iter__(self):
@@ -54,17 +57,17 @@ def _divides_exp(a: Exponent, b: Exponent) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
-def _monic(p: Poly, key) -> Poly:
-    _, c = p.leading(key)
+def _monic(p: Poly) -> Poly:
+    _, c = p.leading()
     return p / c
 
 
-def _reduce(p: Poly, basis: list[tuple[Exponent, Poly]], key) -> Poly:
+def _reduce(p: Poly, basis: list[tuple[Exponent, Poly]]) -> Poly:
     """Full normal form of p modulo the listed (leading exponent, poly) pairs."""
     work = p.terms_dict()
     out: dict[Exponent, Fraction] = {}
     while work:
-        exp = max(work, key=key)
+        exp = max(work)
         coeff = work.pop(exp)
         for lt, g in basis:
             if _divides_exp(lt, exp):
@@ -85,9 +88,9 @@ def _reduce(p: Poly, basis: list[tuple[Exponent, Poly]], key) -> Poly:
     return Poly(p.n, out)
 
 
-def _spoly(f: Poly, g: Poly, key) -> Poly:
-    ef, cf = f.leading(key)
-    eg, cg = g.leading(key)
+def _spoly(f: Poly, g: Poly) -> Poly:
+    ef, cf = f.leading()
+    eg, cg = g.leading()
     l = _lcm_exp(ef, eg)
     mf = tuple(a - b for a, b in zip(l, ef))
     mg = tuple(a - b for a, b in zip(l, eg))
@@ -98,18 +101,16 @@ def _spoly(f: Poly, g: Poly, key) -> Poly:
 
 def groebner(
     gens: Sequence[Poly],
-    order: MonomialOrder,
     ambient: VarTable,
     max_degree: int | None = None,
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by ``gens``.
+    """Reduced lex Groebner basis of the ideal generated by ``gens``.
 
     The zero ideal yields an empty basis.  Output generators are sorted by
     decreasing leading term and normalized to canonical associates, which
-    makes the basis unique for a given ideal and order.
+    makes the basis unique for a given ideal.
     """
     cap = max_degree_cap() if max_degree is None else max_degree
-    key = order.key
     G: list[Poly] = []
     for g in gens:
         if g.is_zero():
@@ -118,16 +119,16 @@ def groebner(
             raise DegreeCapExceededError(
                 f"input degree {g.total_degree()} exceeds cap {cap}"
             )
-        G.append(_monic(g, key))
+        G.append(_monic(g))
     if not G:
-        return GroebnerBasis((), order, ambient)
+        return GroebnerBasis((), ambient)
 
-    lts: list[Exponent] = [g.leading(key)[0] for g in G]
+    lts: list[Exponent] = [g.leading()[0] for g in G]
     pairs = {(i, j) for i in range(len(G)) for j in range(i + 1, len(G))}
 
     def pair_key(ij):
         i, j = ij
-        return (key(_lcm_exp(lts[i], lts[j])), ij)
+        return (_lcm_exp(lts[i], lts[j]), ij)
 
     while pairs:
         i, j = min(pairs, key=pair_key)
@@ -152,16 +153,16 @@ def groebner(
         if skip:
             continue
         basis = list(zip(lts, G))
-        h = _reduce(_spoly(G[i], G[j], key), basis, key)
+        h = _reduce(_spoly(G[i], G[j]), basis)
         if h.is_zero():
             continue
         if h.total_degree() > cap:
             raise DegreeCapExceededError(
                 f"intermediate degree {h.total_degree()} exceeds cap {cap}"
             )
-        h = _monic(h, key)
+        h = _monic(h)
         G.append(h)
-        lts.append(h.leading(key)[0])
+        lts.append(h.leading()[0])
         new = len(G) - 1
         pairs.update((m, new) for m in range(new))
 
@@ -183,15 +184,13 @@ def groebner(
     # interreduce: fully reduce each generator against the others
     reduced: list[Poly] = []
     for i, g in enumerate(minimal):
-        others = [
-            (p.leading(key)[0], p) for k, p in enumerate(minimal) if k != i
-        ]
-        r = _reduce(g, others, key)
+        others = [(p.leading()[0], p) for k, p in enumerate(minimal) if k != i]
+        r = _reduce(g, others)
         if not r.is_zero():
-            reduced.append(_monic(r, key))
-    reduced.sort(key=lambda p: key(p.leading(key)[0]), reverse=True)
+            reduced.append(_monic(r))
+    reduced.sort(key=lambda p: p.leading()[0], reverse=True)
     final = tuple(canonical(p, ambient) for p in reduced)
-    return GroebnerBasis(final, order, ambient)
+    return GroebnerBasis(final, ambient)
 
 
 def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
@@ -200,6 +199,5 @@ def normal_form(p: Poly, gb: GroebnerBasis) -> Poly:
         raise ValueError("polynomial and basis live over different variables")
     if not gb.generators:
         return p
-    key = gb.order.key
-    basis = [(g.leading(key)[0], g) for g in gb.generators]
-    return _reduce(p, basis, key)
+    basis = [(g.leading()[0], g) for g in gb.generators]
+    return _reduce(p, basis)

@@ -5,6 +5,11 @@ For a finite extension the generators are algebraically independent, so
 ``deg f_i`` stands for ``f_i``) whose graded piece ``A_d`` has the basis
 ``{f^a : sum(a_i * deg f_i) = d}``.  Membership in A and the contraction
 ``(q) ∩ A`` are therefore linear algebra over Q in one graded piece at a time.
+
+Every monomial order here is lex, plain tuple order on exponents.  A linear
+solve needs only some total order, and finiteness is decided by the pure
+powers among the leading terms of a Groebner basis under any order, so the
+lex basis of :mod:`vrg.groebner` serves and no order key is needed.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from typing import Callable
 from .errors import ContractionError
 from .extension import ExtensionSpec, degree
 from .groebner import GroebnerBasis, groebner, normal_form
-from .orders import grevlex, lex
 from .poly import Exponent, Poly, VarTable, canonical, weighted_degree
 
 
@@ -23,13 +27,12 @@ def check_finite(spec: ExtensionSpec) -> bool:
     """True iff the generators only vanish simultaneously at the origin.
 
     Zero-dimensionality test: every variable must appear as a pure power
-    among the leading terms of a Groebner basis of the generator ideal.
+    among the leading terms of the lex Groebner basis of the generator ideal.
     """
-    gb = groebner(spec.generators, grevlex(spec.vars.weights), spec.vars)
-    key = gb.order.key
+    gb = groebner(spec.generators, spec.vars)
     pure = [False] * spec.n
     for g in gb:
-        exp, _ = g.leading(key)
+        exp, _ = g.leading()
         nonzero = [j for j, e in enumerate(exp) if e]
         if len(nonzero) == 1:
             pure[nonzero[0]] = True
@@ -104,8 +107,7 @@ def _reduce(rows: dict, image: dict, tag: dict) -> None:
 def _graded_piece(image: Callable, weights: tuple[int, ...], d: int) -> tuple:
     """Gaussian elimination over Q on the pairs ``(image(a), y^a)`` of A_d.
 
-    Rows are keyed by the leading exponent of their image under lex: any
-    total order serves a linear solve, and tuple order needs no key.
+    Rows are keyed by the lex-leading exponent of their image.
     Returns the rows and the tags whose image reduced to zero, a basis of
     the kernel of ``tag -> image`` in degree d.
     """
@@ -152,8 +154,8 @@ def contract_prime(q: Poly, spec: ExtensionSpec) -> Poly:
         raise ValueError("contraction requires a nonconstant polynomial")
     low = weighted_degree(q, spec.vars).degree
     tags = tag_table(spec)
-    # q alone is a Groebner basis of (q) under any order
-    modulus = GroebnerBasis((canonical(q, spec.vars),), lex(spec.n), spec.vars)
+    # q alone is a Groebner basis of (q)
+    modulus = GroebnerBasis((canonical(q, spec.vars),), spec.vars)
     image = _power_images(spec, lambda g: normal_form(g, modulus))
     for d in range(low, degree(spec) * low + 1):
         kernel = _graded_piece(image, tags.weights, d)[1]

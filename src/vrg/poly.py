@@ -160,8 +160,8 @@ class Poly:
     def coefficient(self, exp: Exponent) -> Fraction:
         return self._terms.get(tuple(exp), Fraction(0))
 
-    def leading(self, key) -> tuple[Exponent, Fraction]:
-        """Leading (exponent, coefficient) under the given monomial key."""
+    def leading(self, key=None) -> tuple[Exponent, Fraction]:
+        """Leading (exponent, coefficient) under lex, or under ``key``."""
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
         exp = max(self._terms, key=key)
@@ -276,19 +276,22 @@ class Poly:
         return result
 
     def exact_div(self, q: "Poly") -> "Poly":
-        """Exact quotient self/q; raises NotDivisibleError otherwise."""
+        """Exact quotient self/q; raises NotDivisibleError otherwise.
+
+        Leading terms are taken under lex: the exact quotient is unique, so
+        any monomial order gives the same result.
+        """
         if not isinstance(q, Poly) or q.n != self.n:
             raise ValueError("exact_div expects a polynomial over the same variables")
         if q.is_zero():
             raise ZeroDivisionError("exact division by the zero polynomial")
         if self.is_zero():
             return Poly.zero(self.n)
-        key = lambda exp: grevlex_key(exp, (1,) * self.n)
-        q_exp, q_c = q.leading(key)
+        q_exp, q_c = q.leading()
         rem = dict(self._terms)
         quot: dict[Exponent, Fraction] = {}
         while rem:
-            exp = max(rem, key=key)
+            exp = max(rem)
             c = rem[exp]
             diff = tuple(a - b for a, b in zip(exp, q_exp))
             if any(d < 0 for d in diff):

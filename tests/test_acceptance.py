@@ -283,6 +283,10 @@ def test_criterion_7_mutation_check():
         "verdict flipped": lambda d: d.update(well_ramified=False),
         "S_tilde scaled": lambda d: d.update(S_tilde="y1*(" + d["S_tilde"] + ")"),
         "quotient scaled": lambda d: d.update(quotient_DJ="X*(" + d["quotient_DJ"] + ")"),
+        "index zero": lambda d: d["ramification"][0].update(e=0),
+        "index negative": lambda d: d["ramification"][0].update(e=-1),
+        "contraction zero": lambda d: d["ramification"][0].update(contraction="0"),
+        "prime constant": lambda d: d["ramification"][0].update(Q="1"),
     }
     assert len(modes) >= 5
     for name, mutate in modes.items():

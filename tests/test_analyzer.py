@@ -4,6 +4,7 @@ import pytest
 
 from vrg import (
     ExtensionSpec,
+    Poly,
     VarTable,
     analyze,
     canonical,
@@ -18,6 +19,7 @@ from vrg import (
     verify_report,
 )
 from vrg.errors import (
+    InputError,
     NotFiniteError,
     NotHomogeneousError,
     SpecFileError,
@@ -51,6 +53,13 @@ def test_validate_rejects_nonfinite(xy11):
     spec = ExtensionSpec(xy11, (parse("X", xy11), parse("X*Y", xy11)))
     with pytest.raises(NotFiniteError):
         validate(spec)
+
+
+def test_spec_arity_is_input_error(xy11):
+    with pytest.raises(InputError):
+        ExtensionSpec(xy11, (parse("X", xy11),))
+    with pytest.raises(InputError):
+        ExtensionSpec(xy11, (parse("X", xy11), Poly.variable(3, 0)))
 
 
 def test_degree_helper(cusp_spec):

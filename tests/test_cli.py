@@ -122,6 +122,19 @@ def test_degree_cap_exit_code(tmp_path, capsys, monkeypatch):
     assert "error" in capsys.readouterr().err
 
 
+def test_failed_factor_remultiplication_exits_4(capsys, monkeypatch):
+    from vrg import Factorization, factor, parse
+    from vrg.errors import TheoremViolationError
+
+    real_expand = Factorization.expand
+    monkeypatch.setattr(Factorization, "expand", lambda self, n: real_expand(self, n) + 1)
+    spec, _ = load_spec(SPEC_DIR / "cusp.json")
+    with pytest.raises(TheoremViolationError):
+        factor(parse("X^2-Y^3", spec.vars), spec.vars)
+    assert main(["analyze", str(SPEC_DIR / "cusp.json")]) == 4
+    assert "re-multiplication" in capsys.readouterr().err
+
+
 def test_golden_report_verifies_with_audit():
     spec, _ = load_spec(SPEC_DIR / "sym2.json")
     data = json.loads((DATA_DIR / "golden_sym2.json").read_text())
@@ -160,7 +173,7 @@ def test_report_matches_golden_file(tmp_path, capsys):
 
 
 def test_non_finite_base_point_is_invalid(capsys):
-    for u in ("nan,2", "inf,2"):
+    for u in ("nan,2", "inf,2", "1/0,1"):
         rc = main(["fiber", str(SPEC_DIR / "sym2.json"), "--u", u])
         assert rc == 2, u
         assert "error" in capsys.readouterr().err

@@ -20,7 +20,6 @@ from vrg import (
 )
 from vrg.errors import ContractionError
 from vrg.fiber import _symbolic_basis, combined_table
-from vrg.orders import lex
 
 from corpus import CORPUS
 
@@ -37,6 +36,38 @@ def test_check_finite_rejects_axis(xy11):
 
 def test_check_finite_mixed(mixed_spec):
     assert check_finite(mixed_spec)
+
+
+def _spec(names, weights, gens):
+    vars = VarTable(tuple(names), tuple(weights))
+    return ExtensionSpec(vars, tuple(parse(g, vars) for g in gens))
+
+
+XYZ = ("X", "Y", "Z")
+FINITENESS_CASES = [pytest.param(e.spec, True, id=e.name) for e in CORPUS] + [
+    pytest.param(
+        _spec(("X1", "X2", "X3"), (1, 1, 1), ("X1^2+X2*X3", "X2^2+X1*X3", "X3^2+X1*X2")),
+        True,
+        id="cyclic-quadrics",
+    ),
+    pytest.param(
+        _spec(XYZ, (1, 2, 3), ("X^2+Y", "Y^3+Z^2", "X^6+X^3*Z+Z^2")),
+        True,
+        id="mixedw-cross",
+    ),
+    pytest.param(_spec(XYZ, (1, 1, 1), ("X*Y", "Y*Z", "X*Z")), False, id="axes"),
+    pytest.param(
+        _spec(XYZ, (1, 1, 1), ("X^2-Y^2", "Y^2-Z^2", "X^2-Z^2")), False, id="lines"
+    ),
+    pytest.param(
+        _spec(("X", "Y"), (2, 3), ("X^3-Y^2", "X^3*Y^2-Y^4")), False, id="curve"
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, finite", FINITENESS_CASES)
+def test_check_finite_verdicts(spec, finite):
+    assert check_finite(spec) is finite
 
 
 def test_tag_table_weights_and_collision(cusp_spec):
@@ -179,7 +210,7 @@ def _oracle_membership(p, spec):
 def _oracle_contraction(q, spec):
     n = spec.n
     gens = [_lift(q, n), *_symbolic_basis(spec)]
-    gb = groebner(gens, lex(2 * n), combined_table(spec))
+    gb = groebner(gens, combined_table(spec))
     tags = tag_table(spec)
     members = _tag_part(gb, n)
     g = members[0]
