@@ -382,11 +382,15 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
 
     if report.fiber_audit is not None:
         audit = report.fiber_audit
+        generic = audit.get("generic")
+        branch = audit.get("branch", [])
         structural = (
-            audit.get("all_counts_at_most_r", False)
-            and not audit.get("generic", {}).get("violations", [True])
-            and all(not b.get("violations", [True]) for b in audit.get("branch", []))
+            audit.get("all_counts_at_most_r") is True
+            and isinstance(generic, dict)
+            and generic.get("violations") == []
+            and isinstance(branch, list)
+            and all(isinstance(b, dict) and b.get("violations") == [] for b in branch)
         )
-        check("fiber audit", bool(structural))
+        check("fiber audit", structural)
 
     return VerificationResult(not failures, tuple(failures))

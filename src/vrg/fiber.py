@@ -8,6 +8,13 @@ parameters, cached per spec) and the base point is substituted into the
 resulting triangular set afterwards, which avoids running Buchberger on
 floating-point coefficients.
 
+On the exact route, a triangular element that is univariate in its own
+unknown is divided by its gcd with its derivative before root finding.
+That keeps its distinct roots and drops their multiplicities: a branch
+point's fewer preimages are repeated roots, where Durand-Kerner converges
+only linearly, often fails within its step budget, and at the origin of a
+weighted-homogeneous system (one root of full multiplicity) fails outright.
+
 Root extraction works at high working precision (mpmath, default 50
 digits) so that clustered roots on the branch locus stay well inside the
 reporting tolerance; candidate points are filtered against every basis
@@ -27,6 +34,7 @@ import mpmath
 
 from .errors import FiberProbeError
 from .extension import ExtensionSpec, validate
+from .factor import gcd
 from .groebner import GroebnerBasis, groebner
 from .ideals import tag_table
 from .poly import Poly, VarTable, format_poly
@@ -273,6 +281,10 @@ def _solve_fiber(spec, u, exact, tol_cluster):
     candidates: list[dict[int, mpmath.mpc]] = [dict(fixed)]
     for j in reversed(range(n)):
         g = tri[j]
+        if exact and g.variables_used() == {j}:
+            h = gcd(g, g.derivative(j), spec.vars)
+            if not h.is_constant():
+                g = g.exact_div(h)
         extended = []
         for cand in candidates:
             coeffs, degree = _univariate(g, j, cand)

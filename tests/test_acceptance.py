@@ -271,6 +271,17 @@ def test_criterion_7_mutation_check():
         mutate(data)
         return verify_report(report_from_dict(data, spec), spec)
 
+    def with_audit(**fields):
+        audit = {
+            "all_counts_at_most_r": True,
+            "generic": {"violations": []},
+            "branch": [{"violations": []}],
+        }
+        audit.update(fields)
+        return lambda d: d.update(fiber_audit=audit)
+
+    assert tampered(with_audit()).ok
+
     modes = {
         "index bump": lambda d: d["ramification"].__getitem__(0).update(
             e=d["ramification"][0]["e"] + 1
@@ -287,11 +298,16 @@ def test_criterion_7_mutation_check():
         "index negative": lambda d: d["ramification"][0].update(e=-1),
         "contraction zero": lambda d: d["ramification"][0].update(contraction="0"),
         "prime constant": lambda d: d["ramification"][0].update(Q="1"),
+        "audit generic not an object": with_audit(generic=[]),
+        "audit branch entry not an object": with_audit(branch=[1]),
+        "audit branch not a list": with_audit(branch=1),
     }
     assert len(modes) >= 5
     for name, mutate in modes.items():
         result = tampered(mutate)
         assert not result.ok, name
+        if name.startswith("audit"):
+            assert result.failures == ("fiber audit",), name
     index_failure = tampered(modes["index bump"])
     assert "jacobian exponents" in index_failure.failures
 

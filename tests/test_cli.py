@@ -69,6 +69,15 @@ def test_fiber_command(capsys):
     assert "count = 2" in out
 
 
+def test_fiber_command_at_cusp_origin(capsys):
+    # the only preimage of u = 0 is the origin, a root of multiplicity 12
+    rc = main(["fiber", str(SPEC_DIR / "cusp.json"), "--u", "0,0"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "count = 1" in out
+    assert "classification = branch" in out
+
+
 def test_missing_file_is_io_error(tmp_path, capsys):
     rc = main(["analyze", str(tmp_path / "nope.json")])
     assert rc == 1

@@ -1,9 +1,13 @@
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from vrg import ExtensionSpec, VarTable, analyze, branch_audit, fiber_count, parse
 from vrg.errors import FiberProbeError
+
+from corpus import spec_of
 
 
 def test_fiber_sym2_regular_point(sym2_spec):
@@ -107,3 +111,82 @@ def test_branch_audit_without_linear_coordinate(xy11):
     assert entry["below_r"] == 6
     assert entry["indeterminate"] == 0
     assert audit["all_counts_at_most_r"]
+
+
+def _distinct_rationals(rng, k):
+    values = []
+    while len(values) < k:
+        q = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        if q and q not in values:
+            values.append(q)
+    return values
+
+
+def _sym3_at_roots(a, b, c):
+    return (a + b + c, a * b + a * c + b * c, a * b * c)
+
+
+def _cusp_at(s, t):
+    # u = (s+t, s*t) is hit exactly where {X^2, Y^3} = {s, t}
+    return (s + t, s * t)
+
+
+ZERO = Fraction(0)
+
+# (corpus spec, base point from a random source, known fiber count)
+KNOWN_FIBERS = {
+    "sym3-aaa": ("sym3", lambda a, b, c: _sym3_at_roots(a, a, a), 1),
+    "sym3-111": ("sym3", lambda a, b, c: (Fraction(3), Fraction(3), Fraction(1)), 1),
+    "sym3-aab": ("sym3", lambda a, b, c: _sym3_at_roots(a, a, b), 3),
+    "sym3-abc": ("sym3", lambda a, b, c: _sym3_at_roots(a, b, c), 6),
+    "sym2-aa": ("sym2", lambda a, b, c: (2 * a, a * a), 1),
+    "sym2-ab": ("sym2", lambda a, b, c: (a + b, a * b), 2),
+    "powers-00": ("powers23", lambda a, b, c: (ZERO, ZERO), 1),
+    "powers-a0": ("powers23", lambda a, b, c: (a, ZERO), 2),
+    "powers-0b": ("powers23", lambda a, b, c: (ZERO, b), 3),
+    "powers-ab": ("powers23", lambda a, b, c: (a, b), 6),
+    "cusp-st": ("cusp3", lambda a, b, c: _cusp_at(a, b), 12),
+    "cusp-ss": ("cusp3", lambda a, b, c: _cusp_at(a, a), 6),
+    "cusp-s0": ("cusp3", lambda a, b, c: _cusp_at(a, ZERO), 5),
+    "cusp-00": ("cusp3", lambda a, b, c: (ZERO, ZERO), 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KNOWN_FIBERS))
+def test_exact_fiber_counts_known_answers(case):
+    name, base_point, expected = KNOWN_FIBERS[case]
+    spec = spec_of(name)
+    rng = random.Random(f"known-{case}")
+    points = {base_point(*_distinct_rationals(rng, 3)) for _ in range(8)}
+    for u in sorted(points):
+        sample = fiber_count(spec, u)
+        assert sample.classification != "indeterminate", u
+        assert sample.count == expected, u
+
+
+def test_repeated_root_eliminants_skip_the_retry(monkeypatch):
+    # repeated roots of an exact univariate eliminant are removed before
+    # root finding, so the long polyroots retry is never needed here
+    retries = []
+    polyroots = mpmath.polyroots
+
+    def recording(coeffs, **kwargs):
+        if kwargs.get("maxsteps") == 400:
+            retries.append(len(coeffs) - 1)
+        return polyroots(coeffs, **kwargs)
+
+    monkeypatch.setattr(mpmath, "polyroots", recording)
+    rng = random.Random(5)
+    points = []
+    for _ in range(4):
+        a, b = _distinct_rationals(rng, 2)
+        points += [
+            ("powers23", (ZERO, ZERO)),
+            ("powers23", (a, ZERO)),
+            ("powers23", (ZERO, b)),
+            ("sym2", (2 * a, a * a)),
+        ]
+    for name, u in points:
+        sample = fiber_count(spec_of(name), u)
+        assert sample.classification == "branch", (name, u)
+    assert retries == []
