@@ -12,6 +12,13 @@ assumed:
   factors raised to their indices) must agree with the per-prime factor
   pattern (no contraction may pull back with an unramified factor).
 
+The factor pattern is checked by division, not by factoring: a prime q'
+that divides ``P~(f)`` puts ``P~`` in ``(q') ∩ A``, so a ramified q' divides
+``P~(f)`` only if it lies over ``P~``.  Dividing ``P~(f)`` by every ramified
+prime over ``P~`` as often as it goes therefore leaves a constant exactly
+when every prime over ``P~`` is ramified.  Only a failing contraction is
+factored, to name its unramified primes in the witness.
+
 A failure of either is reported as :class:`TheoremViolationError`; with
 exact arithmetic it can only come from a bug or from a factor that is
 irreducible over the rationals but not over the complex numbers in a
@@ -23,11 +30,11 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .errors import TheoremViolationError
+from .errors import NotDivisibleError, TheoremViolationError
 from .extension import ExtensionSpec, generator_weights, validate
-from .factor import factor, lcm, valuation
+from .factor import _sort_factors, factor, lcm, valuation
 from .ideals import contract_prime, subalgebra_membership, tag_table
 from .poly import (
     Poly,
@@ -185,18 +192,9 @@ def _decide_well_ramified(
     representation = subalgebra_membership(r_poly, spec)
     by_membership = representation is not None
 
-    ramified = {datum.prime for datum in data}
-    by_factor_pattern = True
-    mixed: tuple[Poly, tuple[tuple[Poly, bool], ...]] | None = None
-    for contraction in contractions:
-        pullback = contraction.compose(spec.generators)
-        flags = tuple(
-            (q, q in ramified) for q, _ in factor(pullback, spec.vars).factors
-        )
-        if not all(ok for _, ok in flags):
-            by_factor_pattern = False
-            if mixed is None:
-                mixed = (contraction, flags)
+    rests = [(p, _unramified_part(p, data, spec)) for p in contractions]
+    mixed = next(((p, rest) for p, rest in rests if not rest.is_constant()), None)
+    by_factor_pattern = mixed is None
 
     if by_membership != by_factor_pattern:
         raise TheoremViolationError(
@@ -210,9 +208,13 @@ def _decide_well_ramified(
             kind="discriminant_representation", representation=representation
         )
     else:
-        assert mixed is not None
+        contraction, rest = mixed
+        flags = [(d.prime, True) for d in data if d.contraction == contraction]
+        flags += [(q, False) for q, _ in factor(rest, spec.vars).factors]
         witness = Witness(
-            kind="mixed_prime", contraction=mixed[0], pullback_factors=mixed[1]
+            kind="mixed_prime",
+            contraction=contraction,
+            pullback_factors=_sort_factors(flags, spec.vars),
         )
     return WellRamifiedResult(
         verdict=by_membership,
@@ -220,6 +222,24 @@ def _decide_well_ramified(
         by_factor_pattern=by_factor_pattern,
         witness=witness,
     )
+
+
+def _unramified_part(
+    contraction: Poly, data: Sequence[RamificationDatum], spec: ExtensionSpec
+) -> Poly:
+    """``P~(f)`` divided by each ramified prime over ``P~`` while it divides.
+
+    Constant exactly when every prime over ``P~`` is ramified.
+    """
+    rest = contraction.compose(spec.generators)
+    for datum in data:
+        if datum.contraction == contraction:
+            try:
+                while rest:  # a zero rest would divide forever
+                    rest = rest.exact_div(datum.prime)
+            except NotDivisibleError:
+                pass
+    return rest
 
 
 def is_well_ramified(spec: ExtensionSpec) -> WellRamifiedResult:
@@ -338,11 +358,9 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
 
     representation = subalgebra_membership(report.R, spec)
     by_membership = representation is not None
-    ramified = {d.prime for d in report.ramification}
     by_factor_pattern = all(
-        q in ramified
-        for contraction in report.distinct_contractions()
-        for q, _ in factor(contraction.compose(spec.generators), vars).factors
+        _unramified_part(p, report.ramification, spec).is_constant()
+        for p in report.distinct_contractions()
     )
     check("characterizations agree", by_membership == by_factor_pattern)
     check("well-ramified verdict", report.well_ramified == by_membership)

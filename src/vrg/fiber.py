@@ -208,12 +208,16 @@ def fiber_count(
     ``contractions`` (tag-variable polynomials) are only used to annotate
     which branch hypersurfaces the base point lies on.
     """
+    return _fiber_sample(spec, u, validate(spec), tol_cluster, tol_residual, contractions)
+
+
+def _fiber_sample(spec, u, r, tol_cluster, tol_residual, contractions) -> FiberSample:
+    """:func:`fiber_count` for a spec already validated to have degree r."""
     n = spec.n
     if n > MAX_DIMENSION:
         raise FiberProbeError(f"dimension exceeded: n={n} > {MAX_DIMENSION}")
     if len(u) != n:
         raise FiberProbeError(f"base point needs {n} components")
-    r = validate(spec)
     u = tuple(_coerce_component(ui) for ui in u)
     exact = all(isinstance(ui, Fraction) for ui in u)
 
@@ -420,13 +424,7 @@ def branch_audit(
 
     def run(u) -> FiberSample:
         nonlocal all_at_most_r, max_residual
-        sample = fiber_count(
-            spec,
-            u,
-            tol_cluster=tol_cluster,
-            tol_residual=tol_residual,
-            contractions=contractions,
-        )
+        sample = _fiber_sample(spec, u, r, tol_cluster, tol_residual, contractions)
         if sample.count > r:
             all_at_most_r = False
         if sample.residual == sample.residual:  # skip NaN

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegreeCapExceededError, InputError
-from .poly import Exponent, Poly, VarTable, canonical
+from .poly import Coeff, Exponent, Poly, VarTable, canonical, coeff_div
 
 DEFAULT_MAX_DEGREE = 200
 
@@ -65,19 +64,19 @@ def _monic(p: Poly) -> Poly:
 def _reduce(p: Poly, basis: list[tuple[Exponent, Poly]]) -> Poly:
     """Full normal form of p modulo the listed (leading exponent, poly) pairs."""
     work = p.terms_dict()
-    out: dict[Exponent, Fraction] = {}
+    out: dict[Exponent, Coeff] = {}
     while work:
         exp = max(work)
         coeff = work.pop(exp)
         for lt, g in basis:
             if _divides_exp(lt, exp):
                 shift = tuple(a - b for a, b in zip(exp, lt))
-                factor = coeff / g.coefficient(lt)
+                factor = coeff_div(coeff, g.coefficient(lt))
                 for eg, cg in g.items():
                     t = tuple(a + b for a, b in zip(shift, eg))
                     if t == exp:
                         continue
-                    s = work.get(t, Fraction(0)) - factor * cg
+                    s = work.get(t, 0) - factor * cg
                     if s:
                         work[t] = s
                     else:
@@ -94,8 +93,8 @@ def _spoly(f: Poly, g: Poly) -> Poly:
     l = _lcm_exp(ef, eg)
     mf = tuple(a - b for a, b in zip(l, ef))
     mg = tuple(a - b for a, b in zip(l, eg))
-    tf = Poly(f.n, {mf: 1 / cf})
-    tg = Poly(g.n, {mg: 1 / cg})
+    tf = Poly(f.n, {mf: coeff_div(1, cf)})
+    tg = Poly(g.n, {mg: coeff_div(1, cg)})
     return tf * f - tg * g
 
 

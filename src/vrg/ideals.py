@@ -14,13 +14,20 @@ lex basis of :mod:`vrg.groebner` serves and no order key is needed.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable
 
 from .errors import ContractionError
 from .extension import ExtensionSpec, degree
 from .groebner import GroebnerBasis, groebner, normal_form
-from .poly import Exponent, Poly, VarTable, canonical, weighted_degree
+from .poly import (
+    Exponent,
+    Poly,
+    VarTable,
+    canonical,
+    coeff_div,
+    format_poly,
+    weighted_degree,
+)
 
 
 def check_finite(spec: ExtensionSpec) -> bool:
@@ -94,7 +101,7 @@ def _reduce(rows: dict, image: dict, tag: dict) -> None:
     zero or its leading exponent has no row; ``image - tag(f)`` is kept."""
     while image and (lead := max(image)) in rows:
         row = rows[lead]
-        c = image[lead] / row[0][lead]
+        c = coeff_div(image[lead], row[0][lead])
         for target, part in zip((image, tag), row):
             for e, v in part.items():
                 s = target.get(e, 0) - c * v
@@ -114,7 +121,7 @@ def _graded_piece(image: Callable, weights: tuple[int, ...], d: int) -> tuple:
     rows: dict = {}
     kernel = []
     for a in _tag_monomials(weights, d):
-        pair = (image(a).terms_dict(), {a: Fraction(1)})
+        pair = (image(a).terms_dict(), {a: 1})
         _reduce(rows, *pair)
         if pair[0]:
             rows[max(pair[0])] = pair
@@ -157,10 +164,17 @@ def contract_prime(q: Poly, spec: ExtensionSpec) -> Poly:
     # q alone is a Groebner basis of (q)
     modulus = GroebnerBasis((canonical(q, spec.vars),), spec.vars)
     image = _power_images(spec, lambda g: normal_form(g, modulus))
-    for d in range(low, degree(spec) * low + 1):
+    top = degree(spec) * low
+    for d in range(low, top + 1):
         kernel = _graded_piece(image, tags.weights, d)[1]
         if len(kernel) == 1:
             return canonical(Poly(tags.n, kernel[0]), tags)
         if kernel:
-            raise ContractionError(f"contraction not principal in degree {d}")
-    raise ContractionError("contraction not principal: none up to the norm's degree")
+            raise ContractionError(
+                f"contraction of {format_poly(q, spec.vars)} is not principal:"
+                f" its kernel in degree {d} has dimension {len(kernel)}"
+            )
+    raise ContractionError(
+        f"contraction of {format_poly(q, spec.vars)} is not principal:"
+        f" no kernel up to the norm's degree {top}"
+    )

@@ -1,9 +1,16 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial is a finite map from exponent vectors (one non-negative
-integer per variable) to nonzero ``Fraction`` coefficients.  The zero
+integer per variable) to nonzero rational coefficients.  The zero
 polynomial is the empty map.  Values are immutable after construction and
 all operations are pure, so they are safe to share between threads.
+
+An integral coefficient is stored as an ``int`` and any other as a
+``Fraction``: most polynomials here are integer-primitive, and ``int``
+arithmetic is far cheaper.  ``int / int`` is a float, so coefficients are
+divided with :func:`coeff_div`, and a ``float`` or ``complex`` coefficient
+raises ``TypeError`` so that a division that skipped it fails loudly
+instead of rounding.
 
 Printing and "canonical associate" normalization use a weighted
 graded-reverse-lexicographic order: terms are compared first by weighted
@@ -25,6 +32,7 @@ from typing import Iterator, Mapping, Sequence
 from .errors import NotDivisibleError, ParseError
 
 Exponent = tuple[int, ...]
+Coeff = int | Fraction
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -73,6 +81,22 @@ def grevlex_key(exp: Exponent, weights: Sequence[int]):
     )
 
 
+def coeff_div(a: Coeff, b: Coeff) -> Coeff:
+    """Exact quotient of two coefficients, an ``int`` when it is integral."""
+    if type(a) is int and type(b) is int:
+        return a // b if a % b == 0 else Fraction(a, b)
+    return a / b
+
+
+def _coefficient(c) -> Coeff:
+    """A coefficient in stored form: an ``int``, or a non-integral ``Fraction``."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    raise TypeError(f"polynomial coefficients must be int or Fraction, got {c!r}")
+
+
 class Poly:
     """Immutable sparse polynomial with rational coefficients.
 
@@ -83,11 +107,11 @@ class Poly:
 
     __slots__ = ("n", "_terms", "_hash")
 
-    def __init__(self, n: int, terms: Mapping[Exponent, Fraction] | None = None):
-        clean: dict[Exponent, Fraction] = {}
+    def __init__(self, n: int, terms: Mapping[Exponent, Coeff] | None = None):
+        clean: dict[Exponent, Coeff] = {}
         if terms:
             for exp, coeff in terms.items():
-                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
+                c = _coefficient(coeff)
                 if c == 0:
                     continue
                 if len(exp) != n or any(e < 0 for e in exp):
@@ -105,20 +129,20 @@ class Poly:
 
     @classmethod
     def const(cls, n: int, value) -> "Poly":
-        return cls(n, {(0,) * n: Fraction(value)})
+        return cls(n, {(0,) * n: value})
 
     @classmethod
     def variable(cls, n: int, j: int) -> "Poly":
         exp = [0] * n
         exp[j] = 1
-        return cls(n, {tuple(exp): Fraction(1)})
+        return cls(n, {tuple(exp): 1})
 
     # -- inspection --------------------------------------------------------
 
-    def items(self) -> Iterator[tuple[Exponent, Fraction]]:
+    def items(self) -> Iterator[tuple[Exponent, Coeff]]:
         return iter(self._terms.items())
 
-    def terms_dict(self) -> dict[Exponent, Fraction]:
+    def terms_dict(self) -> dict[Exponent, Coeff]:
         return dict(self._terms)
 
     def is_zero(self) -> bool:
@@ -132,7 +156,7 @@ class Poly:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self._terms.values()))
+        return Fraction(next(iter(self._terms.values())))
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -157,10 +181,10 @@ class Poly:
                     used.add(j)
         return frozenset(used)
 
-    def coefficient(self, exp: Exponent) -> Fraction:
-        return self._terms.get(tuple(exp), Fraction(0))
+    def coefficient(self, exp: Exponent) -> Coeff:
+        return self._terms.get(tuple(exp), 0)
 
-    def leading(self, key=None) -> tuple[Exponent, Fraction]:
+    def leading(self, key=None) -> tuple[Exponent, Coeff]:
         """Leading (exponent, coefficient) under lex, or under ``key``."""
         if not self._terms:
             raise ValueError("zero polynomial has no leading term")
@@ -207,7 +231,7 @@ class Poly:
             return NotImplemented
         out = dict(self._terms)
         for exp, c in q._terms.items():
-            s = out.get(exp, Fraction(0)) + c
+            s = out.get(exp, 0) + c
             if s:
                 out[exp] = s
             else:
@@ -233,18 +257,15 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
-                return Poly.zero(self.n)
-            return Poly(self.n, {exp: k * c for exp, k in self._terms.items()})
+            return Poly(self.n, {exp: k * other for exp, k in self._terms.items()})
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coeff] = {}
         for ea, ca in self._terms.items():
             for eb, cb in q._terms.items():
                 exp = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(exp, Fraction(0)) + ca * cb
+                s = out.get(exp, 0) + ca * cb
                 if s:
                     out[exp] = s
                 else:
@@ -256,10 +277,9 @@ class Poly:
     def __truediv__(self, scalar) -> "Poly":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        c = Fraction(scalar)
-        if c == 0:
+        if scalar == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return self * (1 / c)
+        return Poly(self.n, {exp: coeff_div(k, scalar) for exp, k in self._terms.items()})
 
     def __pow__(self, k: int) -> "Poly":
         if not isinstance(k, int):
@@ -289,18 +309,18 @@ class Poly:
             return Poly.zero(self.n)
         q_exp, q_c = q.leading()
         rem = dict(self._terms)
-        quot: dict[Exponent, Fraction] = {}
+        quot: dict[Exponent, Coeff] = {}
         while rem:
             exp = max(rem)
             c = rem[exp]
             diff = tuple(a - b for a, b in zip(exp, q_exp))
             if any(d < 0 for d in diff):
                 raise NotDivisibleError("not divisible")
-            factor = c / q_c
+            factor = coeff_div(c, q_c)
             quot[diff] = factor
             for eb, cb in q._terms.items():
                 t = tuple(a + b for a, b in zip(diff, eb))
-                s = rem.get(t, Fraction(0)) - factor * cb
+                s = rem.get(t, 0) - factor * cb
                 if s:
                     rem[t] = s
                 else:
@@ -322,7 +342,7 @@ class Poly:
         """Formal partial derivative with respect to variable j (0-based)."""
         if not 0 <= j < self.n:
             raise IndexError(f"variable index {j} out of range")
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, Coeff] = {}
         for exp, c in self._terms.items():
             e = exp[j]
             if e == 0:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +10,10 @@ from vrg import (
     analyze,
     canonical,
     degree,
+    factor,
     is_well_ramified,
     load_report,
+    load_spec,
     parse,
     report_from_dict,
     report_to_dict,
@@ -25,6 +28,8 @@ from vrg.errors import (
     SpecFileError,
     TheoremViolationError,
 )
+
+from corpus import CORPUS, spec_of
 
 
 def assoc(p, q, vars):
@@ -292,6 +297,69 @@ def test_tampered_quotient_fails(cusp_spec):
     result = verify_report(_tampered(cusp_spec, scale), cusp_spec)
     assert not result.ok
     assert "quotient D/J" in result.failures
+
+
+def test_swapped_contractions_fail_without_raising(cusp_spec, mixed_spec):
+    def swap(data):
+        entries = data["ramification"]
+        contractions = [entry["contraction"] for entry in entries][::-1]
+        for entry, contraction in zip(entries, contractions):
+            entry["contraction"] = contraction
+
+    for spec in (cusp_spec, mixed_spec):
+        assert not verify_report(_tampered(spec, swap), spec).ok
+
+
+def _spec(names, weights, gens):
+    vars = VarTable(tuple(names), tuple(weights))
+    return ExtensionSpec(vars, tuple(parse(g, vars) for g in gens))
+
+
+MIXED_PRIME_SPECS = [
+    pytest.param(spec_of("mixed2"), id="mixed2"),
+    pytest.param(spec_of("mixed3"), id="mixed3"),
+    pytest.param(
+        _spec(("X1", "X2", "X3"), (1, 1, 1), ("X1^2+X2*X3", "X2^2+X1*X3", "X3^2+X1*X2")),
+        id="cyclic-quadrics",
+    ),
+    pytest.param(
+        _spec(("X", "Y", "Z"), (1, 2, 3), ("X^2+Y", "Y^3+Z^2", "X^6+X^3*Z+Z^2")),
+        id="mixedw-cross",
+    ),
+    pytest.param(
+        load_spec(Path(__file__).resolve().parent.parent / "perfbench/specs/mixedw.json")[0],
+        id="perfbench-mixedw",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec", MIXED_PRIME_SPECS)
+def test_mixed_prime_witness_matches_factoring(spec):
+    # the witness found by division equals the one read off the
+    # factorization of the contraction's pullback
+    report = analyze(spec)
+    assert report.witness.kind == "mixed_prime"
+    ramified = {d.prime for d in report.ramification}
+    pullback = report.witness.contraction.compose(spec.generators)
+    expected = tuple((q, q in ramified) for q, _ in factor(pullback, spec.vars).factors)
+    assert report.witness.pullback_factors == expected
+
+
+@pytest.mark.parametrize(
+    "entry", [e for e in CORPUS if e.well_ramified], ids=lambda e: e.name
+)
+def test_well_ramified_analysis_factors_only_the_jacobian(entry, monkeypatch):
+    import vrg.analyzer as analyzer_mod
+
+    calls = []
+
+    def counted(p, vars):
+        calls.append(p)
+        return factor(p, vars)
+
+    monkeypatch.setattr(analyzer_mod, "factor", counted)
+    analyze(entry.spec)
+    assert len(calls) == 1
 
 
 def test_analyze_is_thread_safe(cusp_spec, mixed_spec, sym2_spec):

@@ -91,6 +91,19 @@ def test_branch_audit_deterministic(sym2_spec):
     assert third != first
 
 
+def test_branch_audit_takes_the_degree_from_the_report(mixed_spec, monkeypatch):
+    import vrg.fiber as fiber_mod
+
+    report = analyze(mixed_spec)
+    expected = branch_audit(mixed_spec, report, samples=3, seed=9)
+
+    def no_validate(spec):
+        raise AssertionError("branch_audit re-validated the spec")
+
+    monkeypatch.setattr(fiber_mod, "validate", no_validate)
+    assert branch_audit(mixed_spec, report, samples=3, seed=9) == expected
+
+
 def test_branch_audit_mixed(mixed_spec):
     report = analyze(mixed_spec)
     audit = branch_audit(mixed_spec, report, samples=8, seed=5)

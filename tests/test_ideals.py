@@ -9,10 +9,13 @@ from vrg import (
     VarTable,
     analyze,
     canonical,
+    canonicalize,
     check_finite,
     contract_prime,
+    factor,
     gcd,
     groebner,
+    jacobian,
     normal_form,
     parse,
     subalgebra_membership,
@@ -20,6 +23,7 @@ from vrg import (
 )
 from vrg.errors import ContractionError
 from vrg.fiber import _symbolic_basis, combined_table
+from vrg.poly import content
 
 from corpus import CORPUS
 
@@ -182,6 +186,12 @@ def test_contract_rejects_inhomogeneous(cusp_spec):
         contract_prime(parse("X+Y", cusp_spec.vars), cusp_spec)
 
 
+def test_contraction_error_names_the_prime(cusp_spec):
+    # weighted degree 3 and r = 12: the kernel is searched up to degree 36
+    with pytest.raises(ContractionError, match=r"of X \+ Y .* degree 36$"):
+        contract_prime(parse("X+Y", cusp_spec.vars), cusp_spec)
+
+
 # ---------------------------------------------------------------------------
 # differential check against tag-variable elimination
 # ---------------------------------------------------------------------------
@@ -232,3 +242,32 @@ def test_graded_linear_algebra_matches_elimination(entry):
         assert contract_prime(datum.prime, spec) == _oracle_contraction(
             datum.prime, spec
         )
+
+
+# ---------------------------------------------------------------------------
+# stored coefficient form
+# ---------------------------------------------------------------------------
+
+
+def _stored_form(p):
+    """Every coefficient is an int, or a Fraction that is not integral."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator != 1)
+        for _, c in p.items()
+    )
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+def test_kernel_stores_integral_coefficients_as_int(entry):
+    spec, f = entry.spec, entry.spec.generators
+    product = f[0] * f[-1]
+    third = product * Fraction(1, 3)
+    gb = groebner(f, spec.vars)
+    results = [*f, product, third, product.exact_div(f[-1]), third.exact_div(f[0]), *gb]
+    results.append(normal_form(third + f[0], gb))
+    jac, unit = canonicalize(jacobian(f, spec.vars), spec.vars)
+    results += [contract_prime(q, spec) for q, _ in factor(jac, spec.vars).factors]
+    results.append(subalgebra_membership(third + f[0], spec))
+    assert all(_stored_form(p) for p in results)
+    assert type(unit) is Fraction and type(content(third)) is Fraction
+    assert type(analyze(spec).discarded_unit) is Fraction

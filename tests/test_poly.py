@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vrg import Poly, VarTable, canonicalize, format_poly, jacobian, parse, weighted_degree
 from vrg.errors import NotDivisibleError, ParseError
@@ -106,6 +108,38 @@ def _random_poly(rng, n, max_exp=3, max_terms=4):
         exp = tuple(rng.randint(0, max_exp) for _ in range(n))
         terms[exp] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     return Poly(n, terms)
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, 1j, complex(3, 0)])
+def test_float_and_complex_coefficients_rejected(bad):
+    with pytest.raises(TypeError):
+        Poly(1, {(1,): bad})
+    with pytest.raises(TypeError):
+        Poly.const(2, bad)
+
+
+def test_integral_coefficients_are_stored_as_int(xy11):
+    p = Poly(2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 3), (0, 0): 5})
+    assert [type(c) for _, c in sorted(p.items())] == [int, Fraction, int]
+    assert p == Poly(2, {(1, 0): 2, (0, 1): Fraction(1, 3), (0, 0): Fraction(5)})
+    assert hash(p) == hash(P("2*X + 1/3*Y + 5", xy11))
+    assert type(P("4/2*X", xy11).coefficient((1, 0))) is int
+
+
+_coeffs = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), _coeffs, max_size=5
+).map(lambda terms: Poly(2, terms))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_polys, _polys)
+def test_exact_div_inverts_mul_on_mixed_coefficients(p, q):
+    assume(not q.is_zero())
+    assert (p * q).exact_div(q) == p
 
 
 # ---------------------------------------------------------------------------
