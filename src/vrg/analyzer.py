@@ -122,11 +122,16 @@ def analyze(spec: ExtensionSpec) -> AnalysisReport:
     jac, unit = canonicalize(jac_raw, vars)
     jac_factors = factor(jac, vars)
 
+    # a prime that divides a known pullback P~(f) lies over P~: (q) ∩ A
+    # contains P~, and both are height-one primes of A
+    pullbacks: dict[Poly, Poly] = {}
     data = []
     for q, mult in jac_factors.factors:
-        contraction = contract_prime(q, spec)
-        pullback = contraction.compose(spec.generators)
-        index = valuation(q, pullback)
+        contraction = next((p for p, pb in pullbacks.items() if q.divides(pb)), None)
+        if contraction is None:
+            contraction = contract_prime(q, spec)
+            pullbacks[contraction] = contraction.compose(spec.generators)
+        index = valuation(q, pullbacks[contraction])
         if mult != index - 1:
             raise TheoremViolationError(
                 "theorem violation: factor"
@@ -150,13 +155,12 @@ def analyze(spec: ExtensionSpec) -> AnalysisReport:
     r_poly = canonical(r_poly, vars)
 
     tags = tag_table(spec)
-    contractions = list(dict.fromkeys(d.contraction for d in data))
     s_tilde = Poly.const(len(tags.names), 1)
-    for p in contractions:
+    for p in pullbacks:
         s_tilde = lcm(s_tilde, p, tags)
     s_tilde = canonical(s_tilde, tags)
 
-    decision = _decide_well_ramified(spec, data, r_poly, contractions)
+    decision = _decide_well_ramified(spec, data, r_poly, pullbacks)
 
     discriminant = None
     quotient = None
@@ -187,12 +191,12 @@ def _decide_well_ramified(
     spec: ExtensionSpec,
     data: list[RamificationDatum],
     r_poly: Poly,
-    contractions: list[Poly],
+    pullbacks: Mapping[Poly, Poly],
 ) -> WellRamifiedResult:
     representation = subalgebra_membership(r_poly, spec)
     by_membership = representation is not None
 
-    rests = [(p, _unramified_part(p, data, spec)) for p in contractions]
+    rests = [(p, _unramified_part(p, pb, data)) for p, pb in pullbacks.items()]
     mixed = next(((p, rest) for p, rest in rests if not rest.is_constant()), None)
     by_factor_pattern = mixed is None
 
@@ -225,13 +229,14 @@ def _decide_well_ramified(
 
 
 def _unramified_part(
-    contraction: Poly, data: Sequence[RamificationDatum], spec: ExtensionSpec
+    contraction: Poly, pullback: Poly, data: Sequence[RamificationDatum]
 ) -> Poly:
-    """``P~(f)`` divided by each ramified prime over ``P~`` while it divides.
+    """The pullback ``P~(f)`` divided by each ramified prime over ``P~``
+    while it divides.
 
     Constant exactly when every prime over ``P~`` is ramified.
     """
-    rest = contraction.compose(spec.generators)
+    rest = pullback
     for datum in data:
         if datum.contraction == contraction:
             try:
@@ -320,14 +325,16 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
     check("jacobian exponents", canonical(rebuilt, vars) == jac)
 
     tags = tag_table(spec)
+    pullbacks = {p: p.compose(spec.generators) for p in report.distinct_contractions()}
     for datum in report.ramification:
-        pullback = datum.contraction.compose(spec.generators)
+        pullback = pullbacks[datum.contraction]
         if pullback.is_zero() or not datum.prime.divides(pullback):
             check("jacobian exponents", False)
             continue
         check("jacobian exponents", valuation(datum.prime, pullback) == datum.index)
         check("jacobian exponents", datum.jac_multiplicity == datum.index - 1)
-        factors = factor(datum.contraction, tags).factors
+    for contraction in pullbacks:
+        factors = factor(contraction, tags).factors
         check("contraction irreducible", [m for _, m in factors] == [1])
 
     s_poly = Poly.const(vars.n, 1)
@@ -339,7 +346,7 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
     check("discriminant candidate", canonical(r_poly, vars) == report.R)
 
     s_tilde = Poly.const(len(tags.names), 1)
-    for contraction in report.distinct_contractions():
+    for contraction in pullbacks:
         s_tilde = lcm(s_tilde, contraction, tags)
     check("S_tilde lcm", canonical(s_tilde, tags) == report.S_tilde)
 
@@ -359,8 +366,8 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
     representation = subalgebra_membership(report.R, spec)
     by_membership = representation is not None
     by_factor_pattern = all(
-        _unramified_part(p, report.ramification, spec).is_constant()
-        for p in report.distinct_contractions()
+        _unramified_part(p, pb, report.ramification).is_constant()
+        for p, pb in pullbacks.items()
     )
     check("characterizations agree", by_membership == by_factor_pattern)
     check("well-ramified verdict", report.well_ramified == by_membership)

@@ -1,12 +1,17 @@
 """Exact gcd, square-free decomposition, factorization, and valuations.
 
-The gcd is a primitive pseudo-remainder sequence over recursively smaller
-coefficient rings, and the square-free decomposition is Yun's algorithm
-applied to the chosen main variable with recursion on the content; both
-are self-contained.  Complete irreducible factorization over the
-rationals is delegated to sympy's multivariate factorizer, then converted
-back, re-normalized, and verified by exact re-multiplication, so a wrong
-answer cannot propagate silently.
+Everything here is self-contained.  The gcd is heuristic (evaluation at a
+large integer, checked by division), with the subresultant remainder
+sequence over recursively smaller coefficient rings when that fails.  The
+square-free decomposition is Yun's algorithm in the last variable, with
+recursion on the content.
+
+Complete irreducible factorization over the rationals splits off the
+content and the monomial part, then the square-free parts, and factors
+each part over Z: a univariate by Zassenhaus, a multivariate by Hensel
+lifting the factors of one univariate image (:mod:`vrg._zfactor`).  The
+result is re-normalized and verified by exact re-multiplication, so a
+wrong product cannot propagate silently.
 
 All ramification-theoretic consumers work at the level of rational
 irreducibility.  A rational irreducible factor may split further over the
@@ -15,12 +20,22 @@ complex numbers; callers surface that as a reported assumption.
 
 from __future__ import annotations
 
+import itertools
+import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
+from ._zfactor import (
+    factor_squarefree,
+    is_squarefree,
+    lift,
+    recombine,
+    series_mul,
+    series_quotient,
+)
 from .errors import NotDivisibleError, TheoremViolationError
-from .poly import Poly, VarTable, canonical, format_poly, weighted_degree
+from .poly import Poly, VarTable, canonical, content, format_poly, weighted_degree
 
 __all__ = [
     "Factorization",
@@ -93,15 +108,18 @@ def _content_in(p: Poly, v: int) -> Poly:
 
 
 def _prem(a: Poly, b: Poly, v: int) -> Poly:
-    """Pseudo-remainder of a by b with respect to variable v."""
+    """Pseudo-remainder in variable v: the remainder of
+    ``lc(b)^(deg a - deg b + 1) * a`` on division by b."""
     db = b.degree_in(v)
     lb = _coeff_in(b, v, db)
     r = a
+    steps = a.degree_in(v) - db + 1
     while not r.is_zero() and r.degree_in(v) >= db:
         dr = r.degree_in(v)
         lr = _coeff_in(r, v, dr)
         r = r * lb - _shift(lr, v, dr - db) * b
-    return r
+        steps -= 1
+    return r * lb**steps
 
 
 def _gcd_raw(p: Poly, q: Poly) -> Poly:
@@ -112,12 +130,78 @@ def _gcd_raw(p: Poly, q: Poly) -> Poly:
         return p
     if p.is_constant() or q.is_constant():
         return Poly.const(p.n, 1)
-    used = p.variables_used() | q.variables_used()
-    v = max(used)
-    dp, dq = p.degree_in(v), q.degree_in(v)
-    if dp == 0:
+    g = _heuristic_gcd(p / content(p), q / content(q))
+    return _prs_gcd(p, q) if g is None else g
+
+
+def _integer_gcd(p: Poly) -> int:
+    return math.gcd(*(c for _, c in p.items()))
+
+
+def _heuristic_gcd(f: Poly, g: Poly) -> Poly | None:
+    """gcd over Z of two nonzero integer polynomials, or None when six
+    evaluation points all fail (Char–Geddes–Gonnet's GCDHEU).
+
+    The last variable is evaluated at an integer xi above twice the smaller
+    coefficient bound, the gcd of the images is taken recursively, and its
+    balanced xi-adic digits are read back as coefficients.  A candidate whose
+    primitive part divides both inputs is then their gcd.
+    """
+    cf, cg = _integer_gcd(f), _integer_gcd(g)
+    cont = math.gcd(cf, cg)
+    if f.is_constant() or g.is_constant():
+        return Poly.const(f.n, cont)
+    f, g = f / cf, g / cg
+    v = max(f.variables_used() | g.variables_used())
+    xi = 2 * min(max(abs(c) for _, c in f.items()), max(abs(c) for _, c in g.items())) + 2
+    for _ in range(6):
+        fx, gx = _evaluate(f, v, xi), _evaluate(g, v, xi)
+        # a zero image has every integer as its gcd with the other one
+        if fx.is_zero() or gx.is_zero():
+            xi = 2 * xi + 1
+            continue
+        h = _heuristic_gcd(fx, gx)
+        if h is None:
+            return None
+        terms = {}
+        for exp, c in h.items():
+            for i in itertools.count():
+                if not c:
+                    break
+                d = c % xi
+                if 2 * d > xi:
+                    d -= xi
+                terms[exp[:v] + (i,) + exp[v + 1 :]] = d
+                c = (c - d) // xi
+        candidate = Poly(f.n, terms)
+        candidate = candidate / _integer_gcd(candidate)
+        if candidate.divides(f) and candidate.divides(g):
+            return candidate * cont
+        xi = 2 * xi + 1
+    return None
+
+
+def _evaluate(p: Poly, v: int, value: int) -> Poly:
+    """p with ``value`` put for variable v."""
+    out: dict = {}
+    for exp, c in p.items():
+        e = exp[:v] + (0,) + exp[v + 1 :]
+        out[e] = out.get(e, 0) + c * value ** exp[v]
+    return Poly(p.n, out)
+
+
+def _prs_gcd(p: Poly, q: Poly) -> Poly:
+    """gcd of nonconstant p and q up to a rational unit, by the subresultant
+    remainder sequence in the last variable (Cohen, *A Course in
+    Computational Algebraic Number Theory*, Algorithm 3.3.1).
+
+    Each pseudo-remainder is divided by a known factor ``g * h^delta``
+    instead of by its content, so no content is taken inside the loop.
+    """
+    v = max(p.variables_used() | q.variables_used())
+    if p.degree_in(v) == 0:
         return _gcd_raw(p, _content_in(q, v))
-    if dq == 0:
+    if q.degree_in(v) == 0:
         return _gcd_raw(_content_in(p, v), q)
     cont_p = _content_in(p, v)
     cont_q = _content_in(q, v)
@@ -126,14 +210,22 @@ def _gcd_raw(p: Poly, q: Poly) -> Poly:
     b = q.exact_div(cont_q)
     if a.degree_in(v) < b.degree_in(v):
         a, b = b, a
+    # lc(gcd) divides this, so scaling the last remainder to have it as its
+    # leading coefficient leaves only a small content to take off
+    lead = _gcd_raw(_coeff_in(a, v, a.degree_in(v)), _coeff_in(b, v, b.degree_in(v)))
+    g = h = Poly.const(p.n, 1)
     while True:
+        delta = a.degree_in(v) - b.degree_in(v)
         r = _prem(a, b, v)
         if r.is_zero():
             break
-        r = r.exact_div(_content_in(r, v))
         if r.degree_in(v) == 0:
             return c
-        a, b = b, r
+        a, b = b, r.exact_div(g * h**delta)
+        g = _coeff_in(a, v, a.degree_in(v))
+        if delta:
+            h = (g**delta).exact_div(h ** (delta - 1))
+    b = (b * lead).exact_div(_coeff_in(b, v, b.degree_in(v)))
     return c * b.exact_div(_content_in(b, v))
 
 
@@ -156,7 +248,11 @@ def lcm(p: Poly, q: Poly, vars: VarTable) -> Poly:
 
 
 def _squarefree_raw(p: Poly) -> list[tuple[Poly, int]]:
-    """Square-free split of a nonzero p, factors up to units, unsorted."""
+    """Square-free split of a nonzero p, factors up to units, unsorted.
+
+    Each part is primitive in its last variable: the parts of the content
+    by recursion, and the others as factors of the primitive part.
+    """
     if p.is_constant():
         return []
     v = max(p.variables_used())
@@ -198,13 +294,8 @@ def squarefree(p: Poly, vars: VarTable) -> Factorization:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _sympy_ring(names: tuple[str, ...]):
-    from sympy import QQ
-    from sympy.polys.rings import ring
-
-    R, *_ = ring(list(names), QQ)
-    return R, QQ
+# the evaluation points tried before lifting the image with the fewest factors
+_IMAGES_TRIED = 3
 
 
 def factor(p: Poly, vars: VarTable) -> Factorization:
@@ -213,16 +304,12 @@ def factor(p: Poly, vars: VarTable) -> Factorization:
         raise ValueError("cannot factor the zero polynomial")
     if p.is_constant():
         return Factorization(unit=p.constant_value(), factors=())
-    R, QQ = _sympy_ring(vars.names)
-    sp = R.from_dict({exp: QQ(c.numerator, c.denominator) for exp, c in p.items()})
-    _, raw_factors = sp.factor_list()
-    parts = []
-    for f, mult in raw_factors:
-        terms = {
-            monom: Fraction(int(QQ.numer(c)), int(QQ.denom(c)))
-            for monom, c in f.terms()
-        }
-        parts.append((canonical(Poly(p.n, terms), vars), mult))
+    mono = tuple(min(exp[j] for exp, _ in p.items()) for j in range(p.n))
+    parts = [(Poly.variable(p.n, j), e) for j, e in enumerate(mono) if e]
+    rest = Poly(p.n, {tuple(a - b for a, b in zip(exp, mono)): c for exp, c in p.items()})
+    for part, mult in _squarefree_raw(rest):
+        for q in _irreducible_factors(canonical(part, vars)):
+            parts.append((canonical(q, vars), mult))
     # leading coefficients multiply under lex, so this is the unit whenever
     # the factors are right, and the re-multiplication below checks that
     lead = Fraction(1)
@@ -234,6 +321,126 @@ def factor(p: Poly, vars: VarTable) -> Factorization:
             f"factorization of {format_poly(p, vars)} failed re-multiplication"
         )
     return result
+
+
+def _irreducible_factors(f: Poly) -> list[Poly]:
+    """The irreducible factors of an integer polynomial f that is square-free
+    and primitive in its last variable x, as :func:`_squarefree_raw`'s parts are.
+
+    A univariate f goes to Zassenhaus.  Otherwise f is evaluated at integer
+    points of the other variables y, from a fixed sequence, where the image
+    keeps its degree in x and stays square-free.  An irreducible image proves
+    f irreducible: a split ``f = g*h`` would give images of positive degree.
+    Else, of up to three images, the one with the fewest factors is lifted
+    over ``Q[[y - a]]`` and the true factors are recombined from subsets.
+    """
+    used = sorted(f.variables_used())
+    x, ys = used[-1], used[:-1]
+    if not ys:
+        dense = [0] * (f.degree_in(x) + 1)
+        for exp, c in f.items():
+            dense[exp[x]] = c
+        return [
+            Poly(f.n, {tuple(i if j == x else 0 for j in range(f.n)): c for i, c in enumerate(g)})
+            for g in factor_squarefree(dense)
+        ]
+    n = f.degree_in(x)
+    images = []
+    for a in _points(len(ys)):
+        image = [0] * (n + 1)
+        for exp, c in f.items():
+            image[exp[x]] += c * math.prod(ai ** exp[j] for ai, j in zip(a, ys))
+        if not image[n] or not is_squarefree(image):
+            continue
+        unit = math.gcd(*image) * (1 if image[n] > 0 else -1)
+        factors = factor_squarefree([c // unit for c in image])
+        if len(factors) == 1:
+            return [f]
+        images.append((len(factors), a, factors))
+        if len(images) == _IMAGES_TRIED:
+            break
+    _, a, factors = min(images, key=lambda item: item[0])
+    return _lift_and_recombine(f, x, ys, a, factors)
+
+
+def _points(m: int):
+    """Integer points with nonzero coordinates, from a fixed sequence whose
+    range widens as it goes on."""
+    rng = random.Random(1)
+    for t in itertools.count():
+        bound = 3 + t // 4
+        yield tuple(rng.choice((-1, 1)) * rng.randint(1, bound) for _ in range(m))
+
+
+def _translate(terms: dict, shift: dict[int, int]) -> dict:
+    """Terms of the polynomial with ``X_j + shift[j]`` put for each ``X_j``."""
+    out: dict = {}
+    for exp, c in terms.items():
+        expanded = {exp: c}
+        for j, s in shift.items():
+            nxt: dict = {}
+            for e, v in expanded.items():
+                k = e[j]
+                for i in range(k + 1):
+                    t = e[:j] + (i,) + e[j + 1 :]
+                    nxt[t] = nxt.get(t, 0) + v * math.comb(k, i) * s ** (k - i)
+            expanded = nxt
+        for e, v in expanded.items():
+            out[e] = out.get(e, 0) + v
+    return out
+
+
+def _lift_and_recombine(f: Poly, x: int, ys: list[int], a: tuple, factors) -> list[Poly]:
+    m = len(ys)
+    shift = dict(zip(ys, a))
+
+    def series(p: Poly) -> dict:
+        out: dict = {}
+        for exp, c in _translate(p.terms_dict(), shift).items():
+            if c:
+                coeffs = out.setdefault(tuple(exp[j] for j in ys), [])
+                coeffs.extend([0] * (exp[x] + 1 - len(coeffs)))
+                coeffs[exp[x]] = c
+        return out
+
+    def from_series(s: dict) -> Poly:
+        terms = {}
+        for e, coeffs in s.items():
+            for i, c in enumerate(coeffs):
+                exp = [0] * f.n
+                exp[x] = i
+                for j, ej in zip(ys, e):
+                    exp[j] = ej
+                terms[tuple(exp)] = c
+        return Poly(f.n, _translate(terms, {j: -s for j, s in shift.items()}))
+
+    def y_degree(p: Poly) -> int:
+        return max(sum(exp[j] for j in ys) for exp, _ in p.items())
+
+    def lead(p: Poly) -> Poly:
+        return _coeff_in(p, x, p.degree_in(x))
+
+    # a true factor g comes out as lead(f)/lead(g) * g, of degree at most k
+    # in y; one degree more tells most false candidates apart cheaply
+    k = y_degree(f) + y_degree(lead(f)) + 1
+    monic = series_quotient(series(f), series(lead(f)), m, k)
+    lifted = lift(monic, [[Fraction(c, g[-1]) for c in g] for g in factors], m, k)
+
+    def candidate(f: Poly, subset: list[dict]) -> tuple | None:
+        h = series(lead(f))
+        for u in subset:
+            h = series_mul(h, u, k)
+        bound = y_degree(f) + y_degree(lead(f))
+        if any(sum(e) > bound for e in h):
+            return None
+        g = from_series(h)
+        g = g.exact_div(_content_in(g, x))
+        try:
+            return g, f.exact_div(g)
+        except NotDivisibleError:
+            return None
+
+    return recombine(f, lifted, candidate)
 
 
 def valuation(q: Poly, p: Poly) -> int:

@@ -346,7 +346,8 @@ def _generic_point(spec, contractions, rng) -> tuple[Fraction, ...]:
 
 def _point_on_hypersurface(p: Poly, n: int, rng: random.Random):
     """A point with p = 0: exact when p is linear in some coordinate,
-    otherwise numeric via high-precision root finding."""
+    otherwise numeric via high-precision root finding.  A draw whose root
+    finding does not converge is replaced by the next one."""
     linear = [j for j in range(n) if p.degree_in(j) == 1]
     for _ in range(200):
         if linear:
@@ -387,7 +388,17 @@ def _point_on_hypersurface(p: Poly, n: int, rng: random.Random):
                 degree -= 1
             if degree == 0:
                 continue
-            value = mpmath.mpc(_poly_roots(coeffs, degree)[0])
+            try:
+                value = mpmath.mpc(_poly_roots(coeffs, degree)[0])
+            except _SolveFailed:
+                continue
+        # a rational root is taken exactly, so that the fiber over the point
+        # is solved exactly: over a numeric point a multiple fiber root is a
+        # multiple root for the root finder, which may not converge
+        rational = Fraction(float(value.real)).limit_denominator(10**6)
+        exact = tuple(rational if k == j else others[k] for k in range(n))
+        if p.evaluate(exact) == 0:
+            return exact
         return tuple(
             value if k == j else others[k] for k in range(n)
         )

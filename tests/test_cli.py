@@ -78,6 +78,16 @@ def test_fiber_command_at_cusp_origin(capsys):
     assert "classification = branch" in out
 
 
+def test_fiber_audit_seed_with_failed_root_finding_exits_0(capsys):
+    rc = main(
+        ["analyze", str(SPEC_DIR / "sym3.json"), "--fiber", "5", "--seed", "698354534"]
+    )
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "fiber audit: seed 698354534 | generic 5/5 at r" in out
+    assert ": 5/5 below r" in out
+
+
 def test_missing_file_is_io_error(tmp_path, capsys):
     rc = main(["analyze", str(tmp_path / "nope.json")])
     assert rc == 1

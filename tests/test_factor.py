@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from vrg import Poly, canonical, factor, gcd, lcm, parse, squarefree, valuation
+from vrg import Poly, VarTable, canonical, factor, gcd, lcm, parse, squarefree, valuation
 
 
 def test_gcd_difference_of_squares(xy11):
@@ -38,11 +38,71 @@ def test_gcd_divides_both_and_any_common_divisor_divides_it(xy11):
         assert shared.divides(g * Fraction(1))
 
 
-def _pick_product(rng, pool, count):
-    out = Poly.const(2, rng.randint(1, 3))
+def _pick_product(rng, pool, count, n=2):
+    out = Poly.const(n, rng.randint(1, 3))
     for _ in range(rng.randint(0, count)):
         out = out * rng.choice(pool) ** rng.randint(1, 2)
     return out
+
+
+def test_heuristic_gcd_agrees_with_the_remainder_sequence():
+    # the pseudo-remainder sequence is the heuristic gcd's fallback, so both
+    # must give the same gcd up to a unit
+    from vrg.factor import _heuristic_gcd, _prs_gcd
+
+    vars = VarTable(("X", "Y", "Z"), (1, 1, 1))
+    rng = random.Random(23)
+    pool = [parse(t, vars) for t in ("X - Y", "X^2 + Y*Z", "Y^3 - 2*Z^3", "X + 3*Z", "Z")]
+    for _ in range(25):
+        shared = _pick_product(rng, pool, 2, vars.n)
+        p = shared * _pick_product(rng, pool, 2, vars.n) * parse("X", vars)
+        q = shared * _pick_product(rng, pool, 2, vars.n) * parse("Y", vars)
+        expected = canonical(_prs_gcd(p, q), vars)
+        assert canonical(_heuristic_gcd(p, q), vars) == expected
+        assert shared.divides(expected)
+    # the first evaluation point is a root of the first input (xi = 4 for
+    # both pairs), so its image is zero and the point must be skipped
+    for p, q in (("(X - Y)*(Z - 4)", "X - Y"), ("(X*Z + 1)*(Z - 4)", "X*Z + 1")):
+        p, q = parse(p, vars), parse(q, vars)
+        assert canonical(_prs_gcd(p, q), vars) == canonical(q, vars)
+        assert canonical(_heuristic_gcd(p, q), vars) == canonical(q, vars)
+
+
+def test_gcd_when_an_image_vanishes(xy11):
+    # 2 * min(max |coefficient|) + 2 = 4 is the first evaluation point of Y,
+    # where the first input vanishes
+    p, q = parse("(X*Y+1)*(Y-4)", xy11), parse("X*Y+1", xy11)
+    assert gcd(p, q, xy11) == q
+    assert lcm(p, q, xy11) == canonical(p, xy11)
+
+
+def test_gcd_by_the_remainder_sequence_alone(monkeypatch):
+    # the subresultant sequence is what gcd falls back on when the heuristic
+    # gives up; with the heuristic switched off it must give the same gcds
+    import importlib
+
+    factor_module = importlib.import_module("vrg.factor")
+    vars = VarTable(("X", "Y", "Z"), (1, 1, 1))
+    rng = random.Random(31)
+    pool = [parse(t, vars) for t in ("X - Y", "X^2 + Y*Z", "Y^3 - 2*Z^3", "X + 3*Z", "Z")]
+    cases = []
+    for _ in range(20):
+        shared = _pick_product(rng, pool, 2, vars.n)
+        p = shared * _pick_product(rng, pool, 2, vars.n)
+        q = shared * _pick_product(rng, pool, 2, vars.n)
+        cases.append((p, q, gcd(p, q, vars)))
+    # a square-free split: gcd with the derivative in every variable
+    p = parse("(X^2 + Y*Z)^2*(X - Y)*(Y^3 - 2*Z^3)^3", vars)
+    for j in range(vars.n):
+        cases.append((p, p.derivative(j), gcd(p, p.derivative(j), vars)))
+    monkeypatch.setattr(factor_module, "_heuristic_gcd", lambda f, g: None)
+    for p, q, expected in cases:
+        assert gcd(p, q, vars) == expected
+    assert squarefree(p, vars).factors == (
+        (parse("X - Y", vars), 1),
+        (parse("X^2 + Y*Z", vars), 2),
+        (parse("Y^3 - 2*Z^3", vars), 3),
+    )
 
 
 def test_gcd_of_zeros_rejected(xy11):

@@ -69,6 +69,29 @@ def test_fiber_wrong_arity(sym2_spec):
         fiber_count(sym2_spec, (Fraction(1),))
 
 
+@pytest.mark.parametrize(
+    "seed",
+    [
+        # the first numeric branch point's root finding does not converge;
+        # the audit draws another point instead of raising
+        698354534,
+        # a branch point's last coordinate is -8, the double root of the
+        # discriminant at (-6, 12), over which the fiber is one triple root;
+        # the point is taken exactly, so its fiber is solved exactly
+        1912272584,
+    ],
+)
+def test_branch_audit_decides_every_sym3_sample(seed):
+    report = analyze(spec_of("sym3"))
+    audit = branch_audit(spec_of("sym3"), report, samples=5, seed=seed)
+    assert audit["generic"]["equal_r"] == 5
+    assert audit["generic"]["indeterminate"] == 0
+    (entry,) = audit["branch"]
+    assert entry["below_r"] == 5
+    assert entry["indeterminate"] == 0
+    assert entry["violations"] == []
+
+
 def test_branch_audit_sym2(sym2_spec):
     report = analyze(sym2_spec)
     audit = branch_audit(sym2_spec, report, samples=20, seed=1)
