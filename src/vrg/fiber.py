@@ -1,25 +1,33 @@
-"""Numeric sampling of the fibers of the generator map.
+"""Fiber counts of the generator map over exact base points.
 
-For a base point with exact rational coordinates, the fiber system is
-substituted exactly and eliminated with a lex Groebner basis over the
-rationals; only the root extraction is numeric.  For float or complex
-base points the elimination is done once symbolically (tag variables as
-parameters, cached per spec) and the base point is substituted into the
-resulting triangular set afterwards, which avoids running Buchberger on
-floating-point coefficients.
+Every base point is held exactly, as rational vectors ``a`` and ``b`` and a
+monic irreducible ``m`` in ``Q[s]``: the point is ``a + alpha*b`` for a root
+``alpha`` of ``m``.  A rational point ``u`` is ``a = u, b = e_1, m = s``; a
+complex one ``p + q*i`` is ``a = p, b = q, m = s^2 + 1``; a branch point of
+the audit is where a rational line meets the branch hypersurface, with ``m``
+an irreducible factor of the contraction restricted to the line.  With
+``s = (f_k - a_k)/b_k`` for the first ``b_k != 0``, the fibers over all roots
+of ``m`` are eliminated together by one lex Groebner basis over the
+rationals, of ``f_j - a_j - b_j*s`` for ``j != k`` and ``m(s)``.  Conjugate
+fibers have equal size, so the solutions over ``alpha`` are counted, and the
+sample is indeterminate unless they are a ``1/deg m`` share of all.
 
-On the exact route, a triangular element that is univariate in its own
-unknown is divided by its gcd with its derivative before root finding.
-That keeps its distinct roots and drops their multiplicities: a branch
-point's fewer preimages are repeated roots, where Durand-Kerner converges
-only linearly, often fails within its step budget, and at the origin of a
-weighted-homogeneous system (one root of full multiplicity) fails outright.
+Only the root extraction is numeric.  The unknowns are solved last to first.
+For each partial solution, the basis elements free of the earlier unknowns
+whose leading coefficient in the next unknown does not vanish there are
+eligible, and the one of lowest degree is specialized (Gianni-Kalkbrener):
+its roots are the extensions of that partial solution.  An element that is
+univariate in its own unknown is first divided by its gcd with its
+derivative.  That keeps its distinct roots and drops their multiplicities: a
+branch point's fewer preimages are repeated roots, where Durand-Kerner
+converges only linearly, often fails within its step budget, and at the
+origin of a weighted-homogeneous system (one root of full multiplicity)
+fails outright.
 
 Root extraction works at high working precision (mpmath, default 50
 digits) so that clustered roots on the branch locus stay well inside the
 reporting tolerance; candidate points are filtered against every basis
-element before clustering, so spurious branches of the triangular set
-cannot inflate the count.
+element before clustering, so spurious candidates cannot inflate the count.
 """
 
 from __future__ import annotations
@@ -27,14 +35,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 import mpmath
 
 from .errors import FiberProbeError
 from .extension import ExtensionSpec, validate
-from .factor import gcd
+from .factor import factor, gcd
 from .groebner import GroebnerBasis, groebner
 from .ideals import tag_table
 from .poly import Poly, VarTable, format_poly
@@ -45,7 +52,11 @@ DEFAULT_DPS = 50
 MAX_DIMENSION = 3
 _CANDIDATE_CAP = 4096
 
-Component = Fraction | complex | mpmath.mpf | mpmath.mpc
+Component = Fraction | complex
+
+# the line parameter s of a base point
+_LINE = VarTable(("s",), (1,))
+_S = Poly.variable(1, 0)
 
 
 @dataclass(frozen=True)
@@ -60,63 +71,87 @@ class FiberSample:
     solutions: tuple[tuple[complex, ...], ...]
 
 
-class _SolveFailed(Exception):
-    pass
+class _SolveFailed(FiberProbeError):
+    """A numeric step gave up: the sample is indeterminate, and a branch
+    point whose roots cannot be found is a probe error."""
 
 
-def combined_table(spec: ExtensionSpec) -> VarTable:
-    """The original variables followed by the tag variables."""
-    tags = tag_table(spec)
-    return VarTable(spec.vars.names + tags.names, spec.vars.weights + tags.weights)
+@dataclass(frozen=True)
+class _Point:
+    """The base point ``a + roots[0]*b``, where ``roots`` are the roots of
+    the monic irreducible ``m`` in ``Q[s]`` at working precision."""
+
+    a: tuple[Fraction, ...]
+    b: tuple[Fraction, ...]
+    m: Poly
+    roots: tuple
+
+    @property
+    def u(self) -> tuple[Component, ...]:
+        if len(self.roots) == 1:
+            return self.a
+        alpha = self.roots[0]
+        return tuple(
+            complex(_to_mp(ai) + alpha * _to_mp(bi)) if bi else ai
+            for ai, bi in zip(self.a, self.b)
+        )
 
 
-@lru_cache(maxsize=32)
-def _symbolic_basis(spec: ExtensionSpec) -> GroebnerBasis:
-    """Lex basis of the y_i - f_i, original variables first."""
-    n, fs = spec.n, spec.generators
-    lifted = [Poly(2 * n, {e + (0,) * n: c for e, c in f.items()}) for f in fs]
-    gens = [Poly.variable(2 * n, n + i) - f for i, f in enumerate(lifted)]
-    return groebner(gens, combined_table(spec))
+def _rational_point(u: tuple[Fraction, ...]) -> _Point:
+    return _Point(u, (1,) + (0,) * (len(u) - 1), _S, (mpmath.mpc(0),))
 
 
-def _exact_basis(spec: ExtensionSpec, u: tuple[Fraction, ...]) -> GroebnerBasis:
-    gens = [f - Poly.const(spec.n, ui) for f, ui in zip(spec.generators, u)]
+def _line_point(a, b, m: Poly) -> _Point:
+    """The point ``a + alpha*b`` for the roots alpha of m, monic and irreducible."""
+    if m.degree_in(0) == 1:
+        c = -m.coefficient((0,))
+        return _rational_point(tuple(Fraction(ai + c * bi) for ai, bi in zip(a, b)))
+    with mpmath.workdps(DEFAULT_DPS):
+        roots = _poly_roots(*_univariate(m, 0, {}))
+    return _Point(a, b, m, tuple(roots))
+
+
+def _line(a, b) -> list[Poly]:
+    """The coordinates of ``a + s*b`` as polynomials in s."""
+    return [Poly(1, {(0,): ai, (1,): bi}) for ai, bi in zip(a, b)]
+
+
+def _rational(x) -> Fraction:
+    """The exact value of a finite rational, float or mpmath mpf."""
+    if hasattr(x, "man_exp"):  # an mpf, whose value is +-man * 2**exp
+        man, exp = x.man_exp
+        return Fraction(-man if x < 0 else man) * Fraction(2) ** exp
+    return Fraction(x)
+
+
+def _exact_point(u) -> _Point:
+    """A base point from its coordinates; a float, complex or mpmath
+    coordinate is its exact binary value."""
+    for value in u:
+        if not mpmath.isfinite(value):
+            raise FiberProbeError(f"base point component {value} is not finite")
+    a = tuple(_rational(value.real) for value in u)
+    b = tuple(_rational(value.imag) for value in u)
+    if not any(b):
+        return _rational_point(a)
+    return _Point(a, b, _S**2 + 1, (mpmath.mpc(0, 1), mpmath.mpc(0, -1)))
+
+
+def _basis(spec: ExtensionSpec, point: _Point) -> GroebnerBasis:
+    """Reduced lex basis of the fibers over ``a + alpha*b`` for all roots alpha of m."""
+    k = next(j for j, bj in enumerate(point.b) if bj)
+    s = (spec.generators[k] - point.a[k]) / point.b[k]
+    gens = [
+        point.m.compose([s]) if j == k else f - point.a[j] - point.b[j] * s
+        for j, f in enumerate(spec.generators)
+    ]
     return groebner(gens, spec.vars)
-
-
-def _triangular(gb: GroebnerBasis, n_unknowns: int) -> list[Poly]:
-    """One basis element per unknown whose leading term is a pure power."""
-    best: dict[int, tuple[int, Poly]] = {}
-    for g in gb:
-        exp, _ = g.leading()
-        nonzero = [i for i, e in enumerate(exp) if e]
-        if len(nonzero) == 1 and nonzero[0] < n_unknowns:
-            j, k = nonzero[0], exp[nonzero[0]]
-            if j not in best or best[j][0] > k:
-                best[j] = (k, g)
-    missing = [j for j in range(n_unknowns) if j not in best]
-    if missing:
-        raise _SolveFailed(f"no pure-power element for slots {missing}")
-    return [best[j][1] for j in range(n_unknowns)]
 
 
 def _to_mp(value) -> mpmath.mpc:
     if isinstance(value, Fraction):
         return mpmath.mpc(mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator))
     return mpmath.mpc(value)
-
-
-def _coerce_component(value) -> Component:
-    """Normalize one base-point coordinate, keeping precision when given."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if not isinstance(value, (mpmath.mpf, mpmath.mpc)):
-        value = complex(value)
-    if not mpmath.isfinite(value):
-        raise FiberProbeError(f"base point component {value} is not finite")
-    return value
 
 
 def _poly_roots(coeffs_low_to_high: list, degree: int):
@@ -198,55 +233,45 @@ def _cluster(points: list[tuple], tol: float) -> tuple[list[tuple], float]:
 
 def fiber_count(
     spec: ExtensionSpec,
-    u: Sequence[Component],
+    u: Sequence,
     tol_cluster: float = DEFAULT_CLUSTER_TOL,
-    tol_residual: float = DEFAULT_RESIDUAL_TOL,
     contractions: Sequence[Poly] | None = None,
 ) -> FiberSample:
     """Count the distinct solutions of f(x) = u.
 
-    ``contractions`` (tag-variable polynomials) are only used to annotate
-    which branch hypersurfaces the base point lies on.
+    A coordinate of ``u`` is an int, a Fraction, a float or a complex
+    number (Python's or mpmath's); a float part is taken as its exact
+    binary value.  ``contractions`` (tag-variable polynomials) are only
+    used to annotate which branch hypersurfaces the base point lies on.
     """
-    return _fiber_sample(spec, u, validate(spec), tol_cluster, tol_residual, contractions)
+    if len(u) != spec.n:
+        raise FiberProbeError(f"base point needs {spec.n} components")
+    return _fiber_sample(spec, _exact_point(u), validate(spec), tol_cluster, contractions)
 
 
-def _fiber_sample(spec, u, r, tol_cluster, tol_residual, contractions) -> FiberSample:
+def _fiber_sample(spec, point, r, tol_cluster, contractions) -> FiberSample:
     """:func:`fiber_count` for a spec already validated to have degree r."""
-    n = spec.n
-    if n > MAX_DIMENSION:
-        raise FiberProbeError(f"dimension exceeded: n={n} > {MAX_DIMENSION}")
-    if len(u) != n:
-        raise FiberProbeError(f"base point needs {n} components")
-    u = tuple(_coerce_component(ui) for ui in u)
-    exact = all(isinstance(ui, Fraction) for ui in u)
-
-    on_branch = _branch_membership(spec, u, contractions)
+    if spec.n > MAX_DIMENSION:
+        raise FiberProbeError(f"dimension exceeded: n={spec.n} > {MAX_DIMENSION}")
+    on_branch = tuple(idx for idx, p in enumerate(contractions or ()) if _vanishes_at(p, point))
 
     with mpmath.workdps(DEFAULT_DPS):
         try:
-            reps, gap, residual = _solve_fiber(spec, u, exact, tol_cluster)
+            reps, gap, residual = _solve_fiber(spec, point, tol_cluster)
         except _SolveFailed:
-            return FiberSample(
-                u=u,
-                count=0,
-                classification="indeterminate",
-                on_branch_of=on_branch,
-                residual=float("nan"),
-                solutions=(),
-            )
+            reps, gap, residual = [], float("inf"), float("nan")
 
     count = len(reps)
     solutions = tuple(tuple(complex(v) for v in rep) for rep in reps)
     ambiguous = gap < 10 * tol_cluster
-    if ambiguous or residual > tol_residual or count > r:
+    if not reps or ambiguous or residual > DEFAULT_RESIDUAL_TOL or count > r:
         classification = "indeterminate"
     elif count == r:
         classification = "generic"
     else:
         classification = "branch"
     return FiberSample(
-        u=u,
+        u=point.u,
         count=count,
         classification=classification,
         on_branch_of=on_branch,
@@ -255,44 +280,48 @@ def _fiber_sample(spec, u, r, tol_cluster, tol_residual, contractions) -> FiberS
     )
 
 
-def _branch_membership(spec, u, contractions) -> tuple[int, ...]:
-    if not contractions:
-        return ()
-    hits = []
-    exact = all(isinstance(ui, Fraction) for ui in u)
-    for idx, p in enumerate(contractions):
-        if exact:
-            if p.evaluate(u) == 0:
-                hits.append(idx)
-        else:
-            with mpmath.workdps(DEFAULT_DPS):
-                value = p.evaluate([_to_mp(ui) for ui in u])
-                if abs(value) < 1e-9:
-                    hits.append(idx)
-    return tuple(hits)
+def _vanishes_at(p: Poly, point: _Point) -> bool:
+    """Whether p vanishes at the point, decided exactly: at a point over
+    the roots of m, whether m divides p on the line."""
+    if len(point.roots) == 1:
+        return p.evaluate(point.a) == 0
+    return point.m.divides(p.compose(_line(point.a, point.b)))
 
 
-def _solve_fiber(spec, u, exact, tol_cluster):
+def _solve_fiber(spec, point, tol_cluster):
     n = spec.n
-    if exact:
-        gb = _exact_basis(spec, u)
-        fixed: dict[int, mpmath.mpc] = {}
-    else:
-        gb = _symbolic_basis(spec)
-        fixed = {n + i: _to_mp(ui) for i, ui in enumerate(u)}
-    tri = _triangular(gb, n)
+    gb = _basis(spec, point)
+    eps = mpmath.mpf(10) ** (-mpmath.mp.dps // 2)
 
-    candidates: list[dict[int, mpmath.mpc]] = [dict(fixed)]
+    def vanishes(g, assign) -> bool:
+        value, scale = _evaluate(g, assign)
+        return abs(value) <= eps * scale
+
+    candidates: list[dict[int, mpmath.mpc]] = [{}]
     for j in reversed(range(n)):
-        g = tri[j]
-        if exact and g.variables_used() == {j}:
-            h = gcd(g, g.derivative(j), spec.vars)
-            if not h.is_constant():
-                g = g.exact_div(h)
+        # the elements free of X_0..X_{j-1} that involve X_j, lowest degree
+        # in X_j first, each with its leading coefficient in X_j
+        pool = []
+        for g in sorted(gb, key=lambda g: g.degree_in(j)):
+            used = g.variables_used()
+            if not used or min(used) != j:
+                continue
+            if used == {j}:
+                h = gcd(g, g.derivative(j), spec.vars)
+                if not h.is_constant():
+                    g = g.exact_div(h)
+            top = g.degree_in(j)
+            lead = {e[:j] + (0,) + e[j + 1 :]: c for e, c in g.items() if e[j] == top}
+            pool.append((Poly(n, lead), g))
         extended = []
         for cand in candidates:
-            coeffs, degree = _univariate(g, j, cand)
-            for root in _poly_roots(coeffs, degree):
+            g = next(
+                (g for lead, g in pool if lead.is_constant() or not vanishes(lead, cand)),
+                None,
+            )
+            if g is None:
+                raise _SolveFailed(f"no basis element extends a solution in slot {j}")
+            for root in _poly_roots(*_univariate(g, j, cand)):
                 nxt = dict(cand)
                 nxt[j] = mpmath.mpc(root)
                 extended.append(nxt)
@@ -300,28 +329,31 @@ def _solve_fiber(spec, u, exact, tol_cluster):
         if len(candidates) > _CANDIDATE_CAP:
             raise _SolveFailed("candidate explosion")
 
-    filter_eps = mpmath.mpf(10) ** (-mpmath.mp.dps // 2)
-    survivors = []
-    for cand in candidates:
-        ok = True
-        for g in gb:
-            value, scale = _evaluate(g, cand)
-            if abs(value) > filter_eps * scale:
-                ok = False
-                break
-        if ok:
-            survivors.append(tuple(cand[j] for j in range(n)))
+    survivors = [
+        tuple(cand[j] for j in range(n))
+        for cand in candidates
+        if all(vanishes(g, cand) for g in gb)
+    ]
     if not survivors:
         raise _SolveFailed("no candidate satisfied the full system")
 
     reps, gap = _cluster(survivors, tol_cluster)
-    residual = 0.0
+    # the solutions over alpha = roots[0] are those where f is nearest
+    # a + alpha*b of the conjugate points a + root*b
+    targets = [
+        [_to_mp(ai) + root * _to_mp(bi) for ai, bi in zip(point.a, point.b)]
+        for root in point.roots
+    ]
+    kept = []
     for rep in reps:
         assign = dict(enumerate(rep))
-        for f, ui in zip(spec.generators, u):
-            value, _ = _evaluate(f, assign)
-            residual = max(residual, float(abs(value - _to_mp(ui))))
-    return reps, gap, residual
+        values = [_evaluate(f, assign)[0] for f in spec.generators]
+        off = [max(float(abs(v - t)) for v, t in zip(values, target)) for target in targets]
+        if off[0] == min(off):
+            kept.append((rep, off[0]))
+    if len(reps) != len(point.roots) * len(kept):
+        raise _SolveFailed("the conjugate fibers differ in size")
+    return [rep for rep, _ in kept], gap, max(residual for _, residual in kept)
 
 
 # ---------------------------------------------------------------------------
@@ -344,64 +376,19 @@ def _generic_point(spec, contractions, rng) -> tuple[Fraction, ...]:
     raise FiberProbeError("could not sample a point off the branch locus")
 
 
-def _point_on_hypersurface(p: Poly, n: int, rng: random.Random):
-    """A point with p = 0: exact when p is linear in some coordinate,
-    otherwise numeric via high-precision root finding.  A draw whose root
-    finding does not converge is replaced by the next one."""
-    linear = [j for j in range(n) if p.degree_in(j) == 1]
+def _point_on_hypersurface(p: Poly, n: int, rng: random.Random) -> _Point:
+    """A point with p = 0, where a random rational line parallel to axis j
+    meets it: j is the first coordinate of lowest positive degree in p, and
+    the point lies over the first irreducible factor of p on the line."""
+    j = min((k for k in range(n) if p.degree_in(k) > 0), key=p.degree_in)
+    axis = tuple(int(k == j) for k in range(n))
     for _ in range(200):
-        if linear:
-            j = linear[0]
-            others = {
-                k: _random_rational(rng) for k in range(n) if k != j
-            }
-            lead = Fraction(0)
-            rest = Fraction(0)
-            for exp, c in p.items():
-                v = c
-                for k, e in enumerate(exp):
-                    if k != j and e:
-                        v *= others[k] ** e
-                if exp[j] == 1:
-                    lead += v
-                else:
-                    rest += v
-            if lead == 0:
-                continue
-            value = -rest / lead
-            return tuple(
-                value if k == j else others[k] for k in range(n)
-            )
-        j = min(
-            (k for k in range(n) if p.degree_in(k) > 0),
-            key=lambda k: p.degree_in(k),
-        )
-        others = {k: _random_rational(rng) for k in range(n) if k != j}
-        # keep the solved coordinate at (beyond) working precision; collapsing
-        # it to a double would push the point ~1e-16 off the hypersurface and
-        # split the multiple fiber roots right at the clustering tolerance
-        with mpmath.workdps(2 * DEFAULT_DPS):
-            assign = {k: _to_mp(v) for k, v in others.items()}
-            coeffs, degree = _univariate(p, j, assign)
-            while degree > 0 and abs(coeffs[degree]) == 0:
-                coeffs.pop()
-                degree -= 1
-            if degree == 0:
-                continue
-            try:
-                value = mpmath.mpc(_poly_roots(coeffs, degree)[0])
-            except _SolveFailed:
-                continue
-        # a rational root is taken exactly, so that the fiber over the point
-        # is solved exactly: over a numeric point a multiple fiber root is a
-        # multiple root for the root finder, which may not converge
-        rational = Fraction(float(value.real)).limit_denominator(10**6)
-        exact = tuple(rational if k == j else others[k] for k in range(n))
-        if p.evaluate(exact) == 0:
-            return exact
-        return tuple(
-            value if k == j else others[k] for k in range(n)
-        )
+        a = tuple(Fraction(0) if k == j else _random_rational(rng) for k in range(n))
+        on_line = p.compose(_line(a, axis))
+        if on_line.is_constant():
+            continue
+        m = on_line if on_line.degree_in(0) == 1 else factor(on_line, _LINE).factors[0][0]
+        return _line_point(a, axis, m / m.leading()[1])
     raise FiberProbeError("could not sample a point on the hypersurface")
 
 
@@ -417,7 +404,6 @@ def branch_audit(
     samples: int = 20,
     seed: int = 0,
     tol_cluster: float = DEFAULT_CLUSTER_TOL,
-    tol_residual: float = DEFAULT_RESIDUAL_TOL,
 ) -> dict:
     """Sampled evidence for the fiber-cardinality statements.
 
@@ -433,9 +419,9 @@ def branch_audit(
     all_at_most_r = True
     max_residual = 0.0
 
-    def run(u) -> FiberSample:
+    def run(point) -> FiberSample:
         nonlocal all_at_most_r, max_residual
-        sample = _fiber_sample(spec, u, r, tol_cluster, tol_residual, contractions)
+        sample = _fiber_sample(spec, point, r, tol_cluster, contractions)
         if sample.count > r:
             all_at_most_r = False
         if sample.residual == sample.residual:  # skip NaN
@@ -444,8 +430,7 @@ def branch_audit(
 
     generic = {"requested": samples, "equal_r": 0, "indeterminate": 0, "violations": []}
     for _ in range(samples):
-        u = _generic_point(spec, contractions, rng)
-        sample = run(u)
+        sample = run(_rational_point(_generic_point(spec, contractions, rng)))
         if sample.classification == "indeterminate":
             generic["indeterminate"] += 1
         elif sample.count == r:
@@ -465,8 +450,7 @@ def branch_audit(
             "violations": [],
         }
         for _ in range(samples):
-            u = _point_on_hypersurface(contraction, spec.n, rng)
-            sample = run(u)
+            sample = run(_point_on_hypersurface(contraction, spec.n, rng))
             if sample.classification == "indeterminate":
                 entry["indeterminate"] += 1
             elif sample.count < r:
@@ -481,7 +465,7 @@ def branch_audit(
         "seed": seed,
         "samples": samples,
         "tol_cluster": tol_cluster,
-        "tol_residual": tol_residual,
+        "tol_residual": DEFAULT_RESIDUAL_TOL,
         "degree": r,
         "generic": generic,
         "branch": branch,

@@ -182,9 +182,7 @@ def test_criterion_5_fiber_audit():
         spec = spec_of(name)
         report = analyze(spec)
         assert report.degree == r
-        audit = branch_audit(
-            spec, report, samples=20, seed=2024, tol_cluster=1e-8, tol_residual=1e-6
-        )
+        audit = branch_audit(spec, report, samples=20, seed=2024, tol_cluster=1e-8)
         assert audit["all_counts_at_most_r"], name
         generic = audit["generic"]
         assert generic["violations"] == [], name

@@ -1,13 +1,25 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 
-from vrg import ExtensionSpec, VarTable, analyze, branch_audit, fiber_count, parse
+from vrg import (
+    ExtensionSpec,
+    VarTable,
+    analyze,
+    branch_audit,
+    fiber_count,
+    load_spec,
+    parse,
+    verify_report,
+)
 from vrg.errors import FiberProbeError
 
 from corpus import spec_of
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_fiber_sym2_regular_point(sym2_spec):
@@ -49,11 +61,26 @@ def test_fiber_respects_branch_annotation(cusp_spec):
 
 
 def test_fiber_complex_base_point(sym2_spec):
-    # non-rational base point goes through the symbolic route
+    # the point is a + i*b with a = (1/2, -1), b = (1/4, 0); its fiber and
+    # the one over the conjugate point are eliminated together over Q
     sample = fiber_count(sym2_spec, (0.5 + 0.25j, complex(-1.0)))
+    assert sample.u == (0.5 + 0.25j, Fraction(-1))
     assert sample.count == 2
     assert sample.classification == "generic"
     assert sample.residual < 1e-6
+    # mpmath coordinates are taken at their exact binary values
+    mp_sample = fiber_count(sym2_spec, (mpmath.mpc(0.5, 0.25), mpmath.mpf(-1)))
+    assert mp_sample.u == sample.u
+    assert mp_sample.count == 2
+    decimal = fiber_count(sym2_spec, (0.1, -0.75))
+    assert decimal.u == (Fraction(3602879701896397, 2**55), Fraction(-3, 4))
+    assert all(type(c) is Fraction for c in decimal.u)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), complex(1, float("inf")), mpmath.mpf("-inf")])
+def test_fiber_rejects_non_finite_components(sym2_spec, bad):
+    with pytest.raises(FiberProbeError):
+        fiber_count(sym2_spec, (Fraction(1), bad))
 
 
 def test_fiber_dimension_cap():
@@ -72,12 +99,11 @@ def test_fiber_wrong_arity(sym2_spec):
 @pytest.mark.parametrize(
     "seed",
     [
-        # the first numeric branch point's root finding does not converge;
-        # the audit draws another point instead of raising
+        # a branch point's first factor on its line has a root where
+        # Durand-Kerner on the whole restricted discriminant did not converge
         698354534,
         # a branch point's last coordinate is -8, the double root of the
-        # discriminant at (-6, 12), over which the fiber is one triple root;
-        # the point is taken exactly, so its fiber is solved exactly
+        # discriminant at (-6, 12), over which the fiber is one triple root
         1912272584,
     ],
 )
@@ -136,9 +162,9 @@ def test_branch_audit_mixed(mixed_spec):
 
 
 def test_branch_audit_without_linear_coordinate(xy11):
-    # the contraction y1^2 - 4*y2^3 is nonlinear in every coordinate, so the
-    # branch sampler has to solve for one coordinate numerically and keep it
-    # at working precision
+    # the contraction y1^2 - 4*y2^3 is nonlinear in every coordinate, so a
+    # branch point lies over an irreducible factor of degree 2 or 3 on its
+    # line, and its fiber is eliminated together with the conjugate ones
     spec = ExtensionSpec(xy11, (parse("X^3+Y^3", xy11), parse("X*Y", xy11)))
     report = analyze(spec)
     audit = branch_audit(spec, report, samples=6, seed=11)
@@ -185,6 +211,11 @@ KNOWN_FIBERS = {
     "cusp-ss": ("cusp3", lambda a, b, c: _cusp_at(a, a), 6),
     "cusp-s0": ("cusp3", lambda a, b, c: _cusp_at(a, ZERO), 5),
     "cusp-00": ("cusp3", lambda a, b, c: (ZERO, ZERO), 1),
+    # generic points on an axis: over (a, 0) one coordinate of each solution
+    # is 0, so some basis elements have a leading coefficient vanishing there
+    "dihedral3-a0": ("dihedral3", lambda a, b, c: (a, ZERO), 6),
+    "dihedral4-m10": ("dihedral4", lambda a, b, c: (Fraction(-1), ZERO), 8),
+    "dihedral5-a0": ("dihedral5", lambda a, b, c: (a, ZERO), 10),
 }
 
 
@@ -226,3 +257,76 @@ def test_repeated_root_eliminants_skip_the_retry(monkeypatch):
         sample = fiber_count(spec_of(name), u)
         assert sample.classification == "branch", (name, u)
     assert retries == []
+
+
+# ---------------------------------------------------------------------------
+# base points off Q^n
+# ---------------------------------------------------------------------------
+
+
+def _gaussian_rationals(rng, k):
+    # dyadic parts with small numerators, so that complex arithmetic on them
+    # below is exact
+    values = []
+    while len(values) < k:
+        z = complex(rng.randint(-6, 6) / 2, rng.randint(1, 6) / rng.choice((1, 2, 4)))
+        if z not in values:
+            values.append(z)
+    return values
+
+
+@pytest.mark.parametrize("pattern, expected", [("aab", 3), ("abc", 6)])
+def test_sym3_counts_at_gaussian_rational_points(pattern, expected):
+    spec = spec_of("sym3")
+    (discriminant,) = analyze(spec).distinct_contractions()
+    rng = random.Random(f"gaussian-{pattern}")
+    for _ in range(4):
+        a, b, c = _gaussian_rationals(rng, 3)
+        u = _sym3_at_roots(a, a, b) if pattern == "aab" else _sym3_at_roots(a, b, c)
+        sample = fiber_count(spec, u, contractions=(discriminant,))
+        assert sample.u == u
+        assert sample.count == expected, u
+        assert sample.on_branch_of == ((0,) if pattern == "aab" else ()), u
+
+
+def test_on_branch_of_is_exact_at_irrational_points():
+    import vrg.fiber as fiber_mod
+
+    spec = spec_of("sym3")
+    (discriminant,) = analyze(spec).distinct_contractions()
+    # a real point of the discriminant with an irrational last coordinate
+    point = fiber_mod._point_on_hypersurface(discriminant, 3, random.Random(4))
+    assert point.m.degree_in(0) == 2
+    sample = fiber_mod._fiber_sample(spec, point, 6, 1e-8, (discriminant,))
+    assert sample.on_branch_of == (0,)
+    assert sample.count == 3
+    # a Gaussian-rational point 2^-40 off the discriminant is not on it
+    u = _sym3_at_roots(1 + 1j, 1 + 1j, 2 - 1j)
+    off = (u[0], u[1], u[2] + 2.0**-40)
+    assert fiber_count(spec, u, contractions=(discriminant,)).on_branch_of == (0,)
+    assert fiber_count(spec, off, contractions=(discriminant,)).on_branch_of == ()
+
+
+def test_branch_audit_dihedral5_decides_every_sample():
+    # the contraction y1^2 - 4*y2^5 is nonlinear in both tags
+    spec = spec_of("dihedral5")
+    audit = branch_audit(spec, analyze(spec), samples=4, seed=0)
+    assert audit["generic"]["equal_r"] == 4
+    (entry,) = audit["branch"]
+    assert entry["below_r"] == 4
+    assert entry["indeterminate"] == 0
+    assert audit["all_counts_at_most_r"]
+
+
+def test_fiber_workload_outputs_are_correct():
+    # what perfbench/worker.py checks of each fiber request, on its specs
+    # and sample counts, at one seed
+    workload = {"sym2": 10, "mixed": 10, "powers": 10, "cusp": 5, "sym3": 5}
+    for name, samples in workload.items():
+        spec, _ = load_spec(ROOT / "perfbench" / "specs" / f"{name}.json")
+        report = analyze(spec)
+        audit = branch_audit(spec, report, samples=samples, seed=1515)
+        assert audit["generic"]["equal_r"] == samples, name
+        assert all(entry["below_r"] == samples for entry in audit["branch"]), name
+        assert audit["all_counts_at_most_r"], name
+        assert verify_report(report.with_audit(audit), spec).ok, name

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -22,7 +23,6 @@ from vrg import (
     tag_table,
 )
 from vrg.errors import ContractionError
-from vrg.fiber import _symbolic_basis, combined_table
 from vrg.poly import content
 
 from corpus import CORPUS
@@ -195,6 +195,21 @@ def test_contraction_error_names_the_prime(cusp_spec):
 # ---------------------------------------------------------------------------
 # differential check against tag-variable elimination
 # ---------------------------------------------------------------------------
+
+
+def combined_table(spec):
+    """The original variables followed by the tag variables."""
+    tags = tag_table(spec)
+    return VarTable(spec.vars.names + tags.names, spec.vars.weights + tags.weights)
+
+
+@lru_cache(maxsize=32)
+def _symbolic_basis(spec):
+    """Lex basis of the y_i - f_i, original variables first: the
+    elimination oracle for membership and contraction."""
+    n, fs = spec.n, spec.generators
+    gens = [Poly.variable(2 * n, n + i) - _lift(f, n) for i, f in enumerate(fs)]
+    return groebner(gens, combined_table(spec))
 
 
 def _lift(p, n):
