@@ -11,7 +11,7 @@ from .analyzer import (
 from .errors import VrgError
 from .extension import ExtensionSpec, degree, validate
 from .factor import Factorization, factor, gcd, lcm, squarefree, valuation
-from .fiber import FiberSample, branch_audit, fiber_count
+from .fiber import FiberSample, branch_audit, fiber_count, fiber_points
 from .groebner import GroebnerBasis, groebner, normal_form
 from .ideals import check_finite, contract_prime, subalgebra_membership, tag_table
 from .poly import (
@@ -48,6 +48,7 @@ __all__ = [
     "degree",
     "factor",
     "fiber_count",
+    "fiber_points",
     "format_poly",
     "gcd",
     "groebner",

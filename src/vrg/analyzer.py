@@ -413,8 +413,14 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
             audit.get("all_counts_at_most_r") is True
             and isinstance(generic, dict)
             and generic.get("violations") == []
+            and generic.get("equal_r") == generic.get("requested")
             and isinstance(branch, list)
-            and all(isinstance(b, dict) and b.get("violations") == [] for b in branch)
+            and all(
+                isinstance(b, dict)
+                and b.get("violations") == []
+                and b.get("below_r") == b.get("requested")
+                for b in branch
+            )
         )
         check("fiber audit", structural)
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .extension import ExtensionSpec, generator_weights, validate
 from .factor import factor
-from .fiber import DEFAULT_CLUSTER_TOL, branch_audit, fiber_count
+from .fiber import branch_audit, fiber_count, fiber_points
 from .ideals import tag_table
 from .poly import canonicalize, format_poly, jacobian
 from .reportio import dump_report, load_spec
@@ -108,25 +109,13 @@ def _print_report(report: AnalysisReport, spec: ExtensionSpec, labels: dict) -> 
         audit = report.fiber_audit
         generic = audit["generic"]
         print(
-            "fiber audit: seed {} | generic {}/{} at r{}".format(
-                audit["seed"],
-                generic["equal_r"],
-                generic["requested"],
-                ""
-                if not generic["indeterminate"]
-                else f" ({generic['indeterminate']} indeterminate)",
-            )
+            f"fiber audit: seed {audit['seed']} |"
+            f" generic {generic['equal_r']}/{generic['requested']} at r"
         )
         for entry in audit["branch"]:
             print(
-                "  on Z({}): {}/{} below r{}".format(
-                    entry["contraction"],
-                    entry["below_r"],
-                    entry["requested"],
-                    ""
-                    if not entry["indeterminate"]
-                    else f" ({entry['indeterminate']} indeterminate)",
-                )
+                f"  on Z({entry['contraction']}):"
+                f" {entry['below_r']}/{entry['requested']} below r"
             )
         print(f"  all counts <= r: {'yes' if audit['all_counts_at_most_r'] else 'NO'}")
     for warning in report.warnings:
@@ -139,12 +128,6 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def _tolerance(text: str) -> float:
-    if not 0 < float(text) < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
-    return float(text)
-
-
 def _cmd_analyze(args) -> int:
     spec, labels = load_spec(args.spec)
     report = analyze(spec)
@@ -154,7 +137,6 @@ def _cmd_analyze(args) -> int:
             report,
             samples=args.fiber,
             seed=args.seed,
-            tol_cluster=args.tol,
         )
         report = report.with_audit(audit)
     _print_report(report, spec, labels)
@@ -190,45 +172,45 @@ def _cmd_wellramified(args) -> int:
     return EXIT_NOT_WELL_RAMIFIED
 
 
+# p+qi, p-qi or qi, with q possibly empty; an exponent's sign stays in its part
+_GAUSSIAN = re.compile(r"(?P<p>.*?)(?P<q>[+-]?(?:[^+\-eE]|[eE][+-]?)*)i")
+
+
+def _parse_component(part: str):
+    """A rational, or a pair ``(p, q)`` of rationals for ``p+qi``, read exactly."""
+    gaussian = _GAUSSIAN.fullmatch(part)
+    try:
+        if not gaussian:
+            return Fraction(part)
+        p, q = gaussian["p"], gaussian["q"]
+        return (Fraction(p or 0), Fraction(q + "1" if q in ("", "+", "-") else q))
+    except (ValueError, ZeroDivisionError):
+        raise FiberProbeError(f"cannot read component {part!r}") from None
+
+
 def _parse_point(text: str, n: int):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
         raise FiberProbeError(f"--u needs {n} comma-separated components")
-    out = []
-    for part in parts:
-        try:
-            out.append(Fraction(part))
-            continue
-        except (ValueError, ZeroDivisionError):
-            pass
-        try:
-            out.append(complex(part.replace("i", "j")))
-        except ValueError:
-            raise FiberProbeError(f"cannot read component {part!r}") from None
-    return tuple(out)
+    return tuple(_parse_component(part) for part in parts)
 
 
 def _cmd_fiber(args) -> int:
     spec, _ = load_spec(args.spec)
     report = analyze(spec)
     u = _parse_point(args.u, spec.n)
-    sample = fiber_count(
-        spec,
-        u,
-        tol_cluster=args.tol,
-        contractions=report.distinct_contractions(),
-    )
+    contractions = report.distinct_contractions()
+    sample = fiber_count(spec, u, contractions=contractions)
     print(f"degree r = {report.degree}")
     print(f"count = {sample.count}")
     print(f"classification = {sample.classification}")
-    if sample.on_branch_of:
-        tags = tag_table(spec)
-        contractions = report.distinct_contractions()
-        for idx in sample.on_branch_of:
-            print(f"  on Z({format_poly(contractions[idx], tags)})")
-    print(f"residual = {sample.residual:.3e}")
-    if sample.count and sample.count <= 16:
-        for point in sample.solutions:
+    for idx in sample.on_branch_of:
+        print(f"  on Z({format_poly(contractions[idx], tag_table(spec))})")
+    listing = fiber_points(spec, u, sample.count) if sample.count <= 16 else None
+    if listing:
+        solutions, residual = listing
+        print(f"residual = {residual:.3e}")
+        for point in solutions:
             coords = ", ".join(f"{c.real:+.6f}{c.imag:+.6f}i" for c in point)
             print(f"  ({coords})")
     return EXIT_OK
@@ -257,12 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--fiber", type=_count, metavar="N", help="run a fiber audit with N samples"
     )
     p.add_argument("--seed", type=int, default=0, help="audit RNG seed")
-    p.add_argument(
-        "--tol",
-        type=_tolerance,
-        default=DEFAULT_CLUSTER_TOL,
-        help="solution clustering tolerance",
-    )
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("jacobian", help="Jacobian and its factorization")
@@ -276,12 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fiber", help="count the fiber over one base point")
     p.add_argument("spec")
     p.add_argument("--u", required=True, help="comma-separated base point")
-    p.add_argument(
-        "--tol",
-        type=_tolerance,
-        default=DEFAULT_CLUSTER_TOL,
-        help="solution clustering tolerance",
-    )
     p.set_defaults(func=_cmd_fiber)
     return parser
 

@@ -56,4 +56,5 @@ class TheoremViolationError(VrgError):
 
 
 class FiberProbeError(InputError):
-    """The numeric fiber probe was asked something it cannot do."""
+    """The fiber probe was asked something it cannot do, or its numeric
+    listing gave up."""

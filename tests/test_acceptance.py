@@ -182,22 +182,19 @@ def test_criterion_5_fiber_audit():
         spec = spec_of(name)
         report = analyze(spec)
         assert report.degree == r
-        audit = branch_audit(spec, report, samples=20, seed=2024, tol_cluster=1e-8)
+        audit = branch_audit(spec, report, samples=20, seed=2024)
         assert audit["all_counts_at_most_r"], name
         generic = audit["generic"]
         assert generic["violations"] == [], name
-        assert generic["equal_r"] + generic["indeterminate"] == 20, name
-        assert generic["equal_r"] > 0, name
+        assert generic["equal_r"] == 20, name
         for entry in audit["branch"]:
             assert entry["violations"] == [], (name, entry)
-            assert entry["below_r"] + entry["indeterminate"] == 20, (name, entry)
-            assert entry["below_r"] > 0, (name, entry)
-        assert audit["max_residual"] < 1e-6, name
+            assert entry["below_r"] == 20, (name, entry)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     _report(
         "criterion 5",
-        f"60 generic + branch samples per spec within tolerances in {elapsed:.1f}s",
+        f"60 generic + branch samples per spec counted exactly in {elapsed:.1f}s",
     )
 
 
@@ -299,6 +296,12 @@ def test_criterion_7_mutation_check():
         "audit generic not an object": with_audit(generic=[]),
         "audit branch entry not an object": with_audit(branch=[1]),
         "audit branch not a list": with_audit(branch=1),
+        "audit generic short": with_audit(
+            generic={"requested": 20, "equal_r": 19, "violations": []}
+        ),
+        "audit branch short": with_audit(
+            branch=[{"requested": 20, "below_r": 19, "violations": []}]
+        ),
     }
     assert len(modes) >= 5
     for name, mutate in modes.items():

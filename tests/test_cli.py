@@ -78,6 +78,28 @@ def test_fiber_command_at_cusp_origin(capsys):
     assert "classification = branch" in out
 
 
+def test_fiber_command_reads_complex_decimals_exactly(capsys):
+    # (0.2+0.4i, -0.03+0.04i) lies on y1^2 - 4*y2; read through complex(),
+    # its binary approximation does not
+    rc = main(["fiber", str(SPEC_DIR / "sym2.json"), "--u", "0.2+0.4i,-0.03+0.04i"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "count = 1\nclassification = branch\n  on Z(y1^2 - 4*y2)\n" in out
+
+
+def test_fiber_command_without_a_listing_exits_0(tmp_path, capsys):
+    # the numeric solve gives up at the dihedral5 origin, a 10-fold root:
+    # the exact count is printed, the residual and point lines are not
+    payload = {
+        "variables": [{"name": "X", "weight": 1}, {"name": "Y", "weight": 1}],
+        "generators": ["X^5+Y^5", "X*Y"],
+    }
+    rc = main(["fiber", write_spec(tmp_path, payload), "--u", "0,0"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.endswith("count = 1\nclassification = branch\n  on Z(y1^2 - 4*y2^5)\n")
+
+
 def test_fiber_audit_seed_with_failed_root_finding_exits_0(capsys):
     rc = main(
         ["analyze", str(SPEC_DIR / "sym3.json"), "--fiber", "5", "--seed", "698354534"]
