@@ -210,9 +210,10 @@ def _cmd_fiber(args) -> int:
     if listing:
         solutions, residual = listing
         print(f"residual = {residual:.3e}")
-        for point in solutions:
-            coords = ", ".join(f"{c.real:+.6f}{c.imag:+.6f}i" for c in point)
-            print(f"  ({coords})")
+        # as printed, in decreasing order; + 0.0 turns a -0.0 into 0.0
+        rows = [[(round(c.real, 6) + 0.0, round(c.imag, 6) + 0.0) for c in x] for x in solutions]
+        for row in sorted(rows, reverse=True):
+            print("  (" + ", ".join(f"{re:+.6f}{im:+.6f}i" for re, im in row) + ")")
     return EXIT_OK
 
 

@@ -155,7 +155,7 @@ def _heuristic_gcd(f: Poly, g: Poly) -> Poly | None:
     v = max(f.variables_used() | g.variables_used())
     xi = 2 * min(max(abs(c) for _, c in f.items()), max(abs(c) for _, c in g.items())) + 2
     for _ in range(6):
-        fx, gx = _evaluate(f, v, xi), _evaluate(g, v, xi)
+        fx, gx = _specialize(f, v, xi), _specialize(g, v, xi)
         # a zero image has every integer as its gcd with the other one
         if fx.is_zero() or gx.is_zero():
             xi = 2 * xi + 1
@@ -181,7 +181,7 @@ def _heuristic_gcd(f: Poly, g: Poly) -> Poly | None:
     return None
 
 
-def _evaluate(p: Poly, v: int, value: int) -> Poly:
+def _specialize(p: Poly, v: int, value: int) -> Poly:
     """p with ``value`` put for variable v."""
     out: dict = {}
     for exp, c in p.items():

@@ -16,36 +16,39 @@ trace form ``Tr(b_i*b_j)`` on them is the number of distinct points over all
 roots of ``m`` (Pedersen-Roy-Szpirglas 1993; Cox-Little-O'Shea, *Using
 Algebraic Geometry*, ch. 2 section 5), and conjugate fibers have equal size.
 
-Only :func:`fiber_points`, the listing that ``vrg fiber`` prints, is numeric
-(mpmath, 50 digits).  It solves the unknowns last to first: for each partial
-solution, the eligible basis element of lowest degree in the next unknown,
-one whose leading coefficient does not vanish there, is specialized
-(Gianni-Kalkbrener), after an element univariate in its unknown is made
-square-free so that its repeated roots never reach Durand-Kerner.  Candidates
-are filtered against every basis element and grouped by single linkage
-into the counted number of points.
+:func:`fiber_points`, the listing that ``vrg fiber`` prints, reads the points
+off the same trace algebra by the rational univariate representation
+(Rouillier 1999).  For ``L = sum_j c^j x_j``, ``c = 1, 2, ...``, the power
+sums ``Tr(L^i)`` give the characteristic polynomial of ``L`` (Newton's
+identities), and ``L`` separates the points exactly when its square-free part
+``f`` has the counted number of roots.  A point is then ``x_j = g_j(t)/g_0(t)``
+at a root ``t`` of ``f``, with ``g_v = sum_i Tr(v*L^i)*H_(D-1-i)`` over the
+Horner polynomials ``H`` of ``f``.  A linear factor of ``f`` gives an exact
+rational point; only irreducible factors of degree two or more are solved
+numerically (mpmath polyroots, 50 digits), each once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import mpmath
 
+from ._zfactor import _derivative, _divmod, _gcd, _primitive, factor_squarefree
 from .errors import FiberProbeError, TheoremViolationError
 from .extension import ExtensionSpec, validate
-from .factor import factor, gcd
+from .factor import factor
 from .groebner import GroebnerBasis, groebner, normal_form
 from .ideals import tag_table
 from .poly import Exponent, Poly, VarTable, format_poly
 
 DEFAULT_DPS = 50
-_CANDIDATE_CAP = 4096
 
 Component = Fraction | complex
 
@@ -75,21 +78,30 @@ class _Point:
 
     @cached_property
     def roots(self) -> tuple:
-        """The roots of m, largest imaginary part first: alpha = i for ``s^2 + 1``."""
-        with mpmath.workdps(DEFAULT_DPS):
-            roots = _poly_roots(*_univariate(self.m, 0, {}))
-        return tuple(sorted(roots, key=lambda z: (-z.imag, z.real)))
+        """The roots of m (exact when m is linear), largest imaginary part
+        first: alpha = i for ``s^2 + 1``."""
+        return _roots([self.m.coefficient((d,)) for d in range(self.m.degree_in(0) + 1)])
 
     @property
     def u(self) -> tuple[Component, ...]:
-        if self.m.degree_in(0) == 1:
-            alpha = -self.m.coefficient((0,))
-            return tuple(Fraction(ai + alpha * bi) for ai, bi in zip(self.a, self.b))
         alpha = self.roots[0]
-        return tuple(
-            complex(_to_mp(ai) + alpha * _to_mp(bi)) if bi else ai
-            for ai, bi in zip(self.a, self.b)
-        )
+        if self.m.degree_in(0) == 1:
+            return tuple(ai + alpha * bi for ai, bi in zip(self.a, self.b))
+        return tuple(complex(ai + alpha * bi) if bi else ai for ai, bi in zip(self.a, self.b))
+
+
+def _roots(p: list) -> tuple:
+    """The roots of a square-free rational polynomial, lowest degree first:
+    exact when it is linear, else to DEFAULT_DPS digits, largest imaginary
+    part first."""
+    if len(p) == 2:
+        return (Fraction(-p[0], p[1]),)
+    with mpmath.workdps(DEFAULT_DPS):
+        try:
+            roots = mpmath.polyroots(p[::-1], maxsteps=100, extraprec=60)
+        except mpmath.libmp.libhyper.NoConvergence as exc:
+            raise FiberProbeError("root finding did not converge") from exc
+    return tuple(sorted(roots, key=lambda z: (-z.imag, z.real)))
 
 
 def _rational_point(u: tuple[Fraction, ...]) -> _Point:
@@ -160,13 +172,15 @@ def _standard_monomials(gb: GroebnerBasis, n: int) -> list[Exponent]:
     ]
 
 
-def _trace_form(gb: GroebnerBasis, monomials: list[Exponent]) -> list[list]:
-    """The matrix ``Tr(b_i*b_j)`` of Q[X]/I on its standard monomials b_i.
+def _algebra(gb: GroebnerBasis, monomials: list[Exponent]) -> tuple[Callable, list, list]:
+    """The normal forms of Q[X]/I on its standard monomials b_k, the traces
+    ``Tr(b_k)``, and the exponents of the products ``b_k*b_l``.
 
     A normal form is a sparse vector ``{k: coefficient of b_k}``, memoized per
     exponent g and built a variable at a time: ``NF(x^g) = sum_k c_k
     NF(x_j*b_k)`` where ``NF(x^(g - e_j)) = sum_k c_k b_k``.  ``Tr(b_k)`` sums
-    the ``b_l`` coefficients of ``NF(b_k*b_l)``; ``Tr(x^g) = sum_k c_k Tr(b_k)``.
+    the ``b_l`` coefficients of ``NF(b_k*b_l)``, and ``Tr(v) = sum_k v_k
+    Tr(b_k)``.
     """
     n = gb.ambient.n
     index = {e: k for k, e in enumerate(monomials)}
@@ -178,7 +192,7 @@ def _trace_form(gb: GroebnerBasis, monomials: list[Exponent]) -> list[list]:
         steps = [j for j in range(n) if g[j]]
         if any(_step(g, j, -1) in index for j in steps):  # next to the standard monomials
             out = {index[e]: c for e, c in normal_form(Poly(n, {g: 1}), gb).items()}
-        else:
+        else:  # _combine inlined: every audit sample runs this
             out = {}
             for k, c in nf(_step(g, steps[0], -1)).items():
                 for l, d in nf(_step(monomials[k], steps[0], 1)).items():
@@ -189,10 +203,31 @@ def _trace_form(gb: GroebnerBasis, monomials: list[Exponent]) -> list[list]:
 
     products = [[tuple(map(sum, zip(bi, bj))) for bj in monomials] for bi in monomials]
     trace = [sum(nf(g).get(l, 0) for l, g in enumerate(row)) for row in products]
+    return nf, trace, products
+
+
+def _trace_form(gb: GroebnerBasis, monomials: list[Exponent]) -> list[list]:
+    """The matrix ``Tr(b_i*b_j)`` of Q[X]/I on its standard monomials b_i,
+    with one trace per distinct exponent."""
+    nf, trace, products = _algebra(gb, monomials)
     trace_of = {
         g: sum(c * trace[k] for k, c in nf(g).items()) for g in set(itertools.chain(*products))
     }
     return [[trace_of[g] for g in row] for row in products]
+
+
+def _combine(v: dict, rows) -> dict:
+    """The sparse vector ``sum_k v[k]*rows[k]``."""
+    out: dict = {}
+    for k, c in v.items():
+        for l, d in rows[k].items():
+            out[l] = out.get(l, 0) + c * d
+    return {l: c for l, c in out.items() if c}
+
+
+def _trace(v: dict, weights: list):
+    """``sum_k v[k]*weights[k]``: Tr(v) when weights[k] = Tr(b_k)."""
+    return sum(c * weights[k] for k, c in v.items())
 
 
 def _step(e: Exponent, j: int, by: int) -> Exponent:
@@ -252,156 +287,78 @@ def _vanishes_at(p: Poly, point: _Point) -> bool:
 
 
 def fiber_points(spec: ExtensionSpec, u: Sequence, count: int):
-    """The ``count`` points over u, as :func:`fiber_count` counted them, and
-    the largest ``|f(x) - u|`` among them; None when the numeric solve gives
-    up.  ``u`` is read as :func:`fiber_count` reads it."""
+    """The ``count`` points over u and the largest ``|f(x) - u|`` among them;
+    None when root finding gives up or is off, or a value is not a finite
+    float.  ``u`` is read as :func:`fiber_count` reads it, and ``count`` must
+    be the count it gives.  The points are tuples of complex numbers, in a
+    fixed order."""
     point = _exact_point(u)
     with mpmath.workdps(DEFAULT_DPS):
         try:
-            kept = _solve_fiber(spec, point, count)
-        except FiberProbeError:  # a numeric step gave up
+            targets = [[a + alpha * b for a, b in zip(point.a, point.b)] for alpha in point.roots]
+            points = _rur_points(spec, point, count * point.m.degree_in(0))
+        except FiberProbeError:  # root finding gave up
             return None
-    solutions = tuple(tuple(complex(v) for v in rep) for rep, _ in kept)
-    return solutions, max(residual for _, residual in kept)
+        # the points over alpha = roots[0] are those where f is nearest
+        # a + alpha*b of the conjugate points a + root*b
+        solutions, offs = [], []
+        for x in points:
+            values = [f.evaluate(x) for f in spec.generators]
+            off = [max(mpmath.mpmathify(abs(v - t)) for v, t in zip(values, ts)) for ts in targets]
+            if off[0] == min(off):
+                solutions.append(tuple(complex(mpmath.mpmathify(v)) for v in x))
+                offs.append(float(off[0]))
+    residual = max(offs)
+    # the conjugate fibers have equal size, so a count off means a bad root
+    finite = all(map(mpmath.isfinite, [residual, *itertools.chain(*solutions)]))
+    if len(solutions) != count or not finite:
+        return None
+    return tuple(solutions), residual
 
 
-def _to_mp(value) -> mpmath.mpc:
-    if isinstance(value, Fraction):
-        return mpmath.mpc(mpmath.mpf(value.numerator) / mpmath.mpf(value.denominator))
-    return mpmath.mpc(value)
-
-
-def _poly_roots(coeffs_low_to_high: list, degree: int):
-    coeffs = list(reversed(coeffs_low_to_high))
-    if len(coeffs) != degree + 1 or coeffs[0] == 0:
-        raise FiberProbeError("leading coefficient vanished")
-    if degree == 0:
-        return []
-    for maxsteps, extraprec in ((100, 60), (400, 200)):
-        try:
-            return mpmath.polyroots(coeffs, maxsteps=maxsteps, extraprec=extraprec)
-        except mpmath.libmp.libhyper.NoConvergence:
-            continue
-        except Exception as exc:  # mpmath raises plain exceptions on bad input
-            raise FiberProbeError(str(exc)) from exc
-    raise FiberProbeError("root finding did not converge")
-
-
-def _univariate(g: Poly, j: int, assign: dict[int, mpmath.mpc]) -> tuple[list, int]:
-    degree = g.degree_in(j)
-    coeffs = [mpmath.mpc(0) for _ in range(degree + 1)]
-    for exp, c in g.items():
-        v = _to_mp(c)
-        for slot, e in enumerate(exp):
-            if slot == j or e == 0:
-                continue
-            v = v * assign[slot] ** e
-        coeffs[exp[j]] += v
-    return coeffs, degree
-
-
-def _evaluate(g: Poly, assign: dict[int, mpmath.mpc]) -> tuple[mpmath.mpc, float]:
-    """Value of g at the assignment plus a magnitude scale for thresholds."""
-    total = mpmath.mpc(0)
-    scale = 1.0
-    for exp, c in g.items():
-        v = _to_mp(c)
-        for slot, e in enumerate(exp):
-            if e:
-                v = v * assign[slot] ** e
-        total += v
-        scale = max(scale, float(abs(v)))
-    return total, scale
-
-
-def _cluster(points: list[tuple], groups: int) -> list[tuple]:
-    """The means of the points grouped by single linkage, closest pair
-    merged first until ``groups`` remain, in order of first member."""
-    if len(points) < groups:
-        raise FiberProbeError(f"{len(points)} candidates for {groups} points")
-    label = list(range(len(points)))  # the first member of each one's group
-    pairs = sorted(
-        (max(float(abs(x - y)) for x, y in zip(p, q)), i, j)
-        for i, p in enumerate(points)
-        for j, q in enumerate(points[:i])
-    )
-    left = len(points)
-    for _, i, j in pairs:
-        if left == groups:
-            break
-        if label[i] != label[j]:
-            keep, drop = sorted((label[i], label[j]))
-            label = [keep if x == drop else x for x in label]
-            left -= 1
-    members: dict[int, list[tuple]] = {}
-    for first, p in zip(label, points):
-        members.setdefault(first, []).append(p)
-    return [tuple(sum(col) / len(group) for col in zip(*group)) for group in members.values()]
-
-
-def _solve_fiber(spec, point, count):
-    n = spec.n
+def _rur_points(spec: ExtensionSpec, point: _Point, distinct: int) -> list[tuple]:
+    """The ``distinct`` points over all roots of m, by the rational univariate
+    representation; a point whose L-value is rational is exact."""
     gb = _basis(spec, point)
-    eps = mpmath.mpf(10) ** (-mpmath.mp.dps // 2)
+    monomials = _standard_monomials(gb, spec.n)
+    nf, trace, _ = _algebra(gb, monomials)
+    n = spec.n
+    times = [[nf(_step(b, j, 1)) for b in monomials] for j in range(n)]  # NF(x_j*b_k)
+    for c in itertools.count(1):
+        times_l = [  # NF(L*b_k)
+            _combine({j: c**j for j in range(n)}, [row[k] for row in times])
+            for k in range(len(monomials))
+        ]
+        powers = [nf((0,) * n)]  # NF(L^i)
+        while len(powers) <= len(monomials):
+            powers.append(_combine(powers[-1], times_l))
+        chi = _newton([_trace(v, trace) for v in powers[1:]])
+        f = _divmod(chi, _gcd(chi, _derivative(chi, 0), 0), 0)[0]  # square-free
+        if len(f) - 1 == distinct:
+            break
+    # Tr(v*L^i) for i < distinct and v = 1, x_1, ..., x_n
+    weights = [trace] + [[_trace(v, trace) for v in row] for row in times]
+    sums = [[_trace(v, w) for v in powers[:distinct]] for w in weights]
+    points = []
+    den = math.lcm(*(c.denominator for c in f))
+    for q in factor_squarefree(_primitive([int(c * den) for c in f])):
+        for t in _roots(q):
+            horner = [1]  # H_i(t), with H_0 = 1 and H_i = t*H_(i-1) + f_(D-i)
+            for i in range(1, distinct):
+                horner.append(t * horner[-1] + f[distinct - i])
+            g = [sum(s * h for s, h in zip(row, reversed(horner))) for row in sums]
+            points.append(tuple(gj / g[0] for gj in g[1:]))
+    return points
 
-    def vanishes(g, assign) -> bool:
-        value, scale = _evaluate(g, assign)
-        return abs(value) <= eps * scale
 
-    candidates: list[dict[int, mpmath.mpc]] = [{}]
-    for j in reversed(range(n)):
-        # the elements free of X_0..X_{j-1} that involve X_j, lowest degree
-        # in X_j first, each with its leading coefficient in X_j
-        pool = []
-        for g in sorted(gb, key=lambda g: g.degree_in(j)):
-            used = g.variables_used()
-            if not used or min(used) != j:
-                continue
-            if used == {j}:
-                h = gcd(g, g.derivative(j), spec.vars)
-                if not h.is_constant():
-                    g = g.exact_div(h)
-            top = g.degree_in(j)
-            lead = {e[:j] + (0,) + e[j + 1 :]: c for e, c in g.items() if e[j] == top}
-            pool.append((Poly(n, lead), g))
-        extended = []
-        for cand in candidates:
-            g = next(
-                (g for lead, g in pool if lead.is_constant() or not vanishes(lead, cand)),
-                None,
-            )
-            if g is None:
-                raise FiberProbeError(f"no basis element extends a solution in slot {j}")
-            for root in _poly_roots(*_univariate(g, j, cand)):
-                nxt = dict(cand)
-                nxt[j] = mpmath.mpc(root)
-                extended.append(nxt)
-        candidates = extended
-        if len(candidates) > _CANDIDATE_CAP:
-            raise FiberProbeError("candidate explosion")
-
-    survivors = [
-        tuple(cand[j] for j in range(n))
-        for cand in candidates
-        if all(vanishes(g, cand) for g in gb)
-    ]
-    reps = _cluster(survivors, count * point.m.degree_in(0))
-    # the solutions over alpha = roots[0] are those where f is nearest
-    # a + alpha*b of the conjugate points a + root*b
-    targets = [
-        [_to_mp(ai) + root * _to_mp(bi) for ai, bi in zip(point.a, point.b)]
-        for root in point.roots
-    ]
-    kept = []
-    for rep in reps:
-        assign = dict(enumerate(rep))
-        values = [_evaluate(f, assign)[0] for f in spec.generators]
-        off = [max(float(abs(v - t)) for v, t in zip(values, target)) for target in targets]
-        if off[0] == min(off):
-            kept.append((rep, off[0]))
-    if len(kept) != count:
-        raise FiberProbeError("the conjugate fibers differ in size")
-    return kept
+def _newton(power_sums: list) -> list:
+    """The monic polynomial, lowest degree first, whose roots have the power
+    sums ``p_1, ..., p_N`` (Newton's identities)."""
+    e = [Fraction(1)]  # the elementary symmetric functions
+    for k in range(1, len(power_sums) + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * power_sums[i - 1] for i in range(1, k + 1)) / k)
+    size = len(power_sums)
+    return [(-1) ** (size - d) * e[size - d] for d in range(size + 1)]
 
 
 # ---------------------------------------------------------------------------

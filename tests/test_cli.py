@@ -87,9 +87,9 @@ def test_fiber_command_reads_complex_decimals_exactly(capsys):
     assert "count = 1\nclassification = branch\n  on Z(y1^2 - 4*y2)\n" in out
 
 
-def test_fiber_command_without_a_listing_exits_0(tmp_path, capsys):
-    # the numeric solve gives up at the dihedral5 origin, a 10-fold root:
-    # the exact count is printed, the residual and point lines are not
+def test_fiber_command_lists_the_dihedral5_origin(tmp_path, capsys):
+    # the only preimage of the origin is the origin, a 10-fold root; its
+    # coordinates are rational, so the listing is exact
     payload = {
         "variables": [{"name": "X", "weight": 1}, {"name": "Y", "weight": 1}],
         "generators": ["X^5+Y^5", "X*Y"],
@@ -97,7 +97,35 @@ def test_fiber_command_without_a_listing_exits_0(tmp_path, capsys):
     rc = main(["fiber", write_spec(tmp_path, payload), "--u", "0,0"])
     out = capsys.readouterr().out
     assert rc == 0
-    assert out.endswith("count = 1\nclassification = branch\n  on Z(y1^2 - 4*y2^5)\n")
+    assert out.endswith(
+        "count = 1\nclassification = branch\n  on Z(y1^2 - 4*y2^5)\n"
+        "residual = 0.000e+00\n  (+0.000000+0.000000i, +0.000000+0.000000i)\n"
+    )
+
+
+def test_fiber_command_prints_points_in_decreasing_order(capsys):
+    # X = +-sqrt(1/2) and Y a cube root of 3; the real points' imaginary
+    # parts come from root finding and are never printed as -0.000000
+    rc = main(["fiber", str(SPEC_DIR / "powers.json"), "--u", "1/2,3"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.endswith(
+        "  (+0.707107+0.000000i, +1.442250+0.000000i)\n"
+        "  (+0.707107+0.000000i, -0.721125+1.249025i)\n"
+        "  (+0.707107+0.000000i, -0.721125-1.249025i)\n"
+        "  (-0.707107+0.000000i, +1.442250+0.000000i)\n"
+        "  (-0.707107+0.000000i, -0.721125+1.249025i)\n"
+        "  (-0.707107+0.000000i, -0.721125-1.249025i)\n"
+    )
+
+
+def test_fiber_command_leaves_out_points_beyond_floats(capsys):
+    # the fiber over (10^5000, 0) is (10^5000, 0) and (0, 10^5000), exactly,
+    # but no float holds 10^5000: the count is printed and the points are not
+    rc = main(["fiber", str(SPEC_DIR / "sym2.json"), "--u", "1e5000,0"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out == "degree r = 2\ncount = 2\nclassification = generic\n"
 
 
 def test_fiber_audit_seed_with_failed_root_finding_exits_0(capsys):

@@ -254,40 +254,6 @@ def test_exact_fiber_counts_known_answers(case):
         assert (sample.count, sample.classification) == (expected, classification), u
 
 
-def test_repeated_root_eliminants_skip_the_retry(monkeypatch):
-    # repeated roots of an exact univariate eliminant are removed before
-    # root finding, so the long polyroots retry is never needed here
-    retries = []
-    polyroots = mpmath.polyroots
-
-    def recording(coeffs, **kwargs):
-        if kwargs.get("maxsteps") == 400:
-            retries.append(len(coeffs) - 1)
-        return polyroots(coeffs, **kwargs)
-
-    monkeypatch.setattr(mpmath, "polyroots", recording)
-    rng = random.Random(5)
-    points = []
-    for _ in range(4):
-        a, b = _distinct_rationals(rng, 2)
-        points += [
-            ("powers23", (ZERO, ZERO)),
-            ("powers23", (a, ZERO)),
-            ("powers23", (ZERO, b)),
-            ("sym2", (2 * a, a * a)),
-        ]
-    for name, u in points:
-        sample = fiber_count(spec_of(name), u)
-        assert sample.classification == "branch", (name, u)
-        assert fiber_points(spec_of(name), u, sample.count) is not None, (name, u)
-    assert retries == []
-
-
-# ---------------------------------------------------------------------------
-# base points off Q^n
-# ---------------------------------------------------------------------------
-
-
 def _gaussian_rationals(rng, k):
     # dyadic parts with small numerators, so that complex arithmetic on them
     # below is exact
@@ -297,6 +263,60 @@ def _gaussian_rationals(rng, k):
         if z not in values:
             values.append(z)
     return values
+
+
+def test_rational_fibers_are_listed_without_root_finding(monkeypatch):
+    # every point of these fibers is rational, so each root of the separating
+    # polynomial comes from a linear factor, and the listing is exact
+    def no_roots(*args, **kwargs):
+        raise AssertionError("fiber_points called mpmath.polyroots")
+
+    monkeypatch.setattr(mpmath, "polyroots", no_roots)
+    sym3xa1, _ = load_spec(ROOT / "perfbench" / "specs" / "sym3xA1.json")
+    cases = [
+        # the roots 1, 2, 3 of T^3 - 6T^2 + 11T - 6, and X4 = +-2
+        (sym3xa1, (6, 11, 6, 4), 12),
+        (spec_of("powers23"), (4, 0), 2),
+        (spec_of("powers23"), (0, 0), 1),
+    ]
+    for spec, u, count in cases:
+        u = tuple(map(Fraction, u))
+        assert fiber_count(spec, u).count == count
+        solutions, residual = fiber_points(spec, u, count)
+        assert len(solutions) == count
+        assert residual == 0.0
+        assert all(c.imag == 0 and c.real == round(c.real) for x in solutions for c in x)
+
+
+def _listing_cases():
+    for case, (name, base_point, expected) in sorted(KNOWN_FIBERS.items()):
+        rng = random.Random(f"listing-{case}")
+        yield pytest.param(name, base_point(*_distinct_rationals(rng, 3)), expected, id=case)
+    for pattern, expected in (("aab", 3), ("abc", 6)):
+        a, b, c = _gaussian_rationals(random.Random(f"listing-{pattern}"), 3)
+        u = _sym3_at_roots(a, a, b) if pattern == "aab" else _sym3_at_roots(a, b, c)
+        yield pytest.param("sym3", u, expected, id=f"sym3-gaussian-{pattern}")
+
+
+@pytest.mark.parametrize("name, u, count", list(_listing_cases()))
+def test_listing_has_count_distinct_points_over_u(name, u, count):
+    if name in BY_NAME:
+        spec = spec_of(name)
+    else:
+        spec, _ = load_spec(ROOT / "perfbench" / "specs" / f"{name}.json")
+    assert fiber_count(spec, u).count == count
+    solutions, residual = fiber_points(spec, u, count)
+    assert len(solutions) == count
+    for i, x in enumerate(solutions):
+        for y in solutions[:i]:
+            assert max(abs(p - q) for p, q in zip(x, y)) > 1e-6, (x, y)
+    # the largest |f(x) - u| over the points, from 50-digit values
+    assert residual < 1e-30
+
+
+# ---------------------------------------------------------------------------
+# base points off Q^n
+# ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("pattern, expected", [("aab", 3), ("abc", 6)])
