@@ -29,7 +29,7 @@ from .extension import ExtensionSpec, generator_weights, validate
 from .factor import factor
 from .fiber import branch_audit, fiber_count, fiber_points
 from .ideals import tag_table
-from .poly import canonicalize, format_poly, jacobian
+from .poly import canonicalize, coeff_str, format_poly, jacobian
 from .reportio import dump_report, load_spec
 
 EXIT_OK = 0
@@ -43,7 +43,7 @@ EXIT_NOT_WELL_RAMIFIED = 10
 def _factored_str(unit: Fraction, factors, vars) -> str:
     parts = []
     if unit != 1:
-        parts.append(str(unit))
+        parts.append(coeff_str(unit))
     for f, m in factors:
         text = format_poly(f, vars)
         if len(f) > 1:
@@ -77,7 +77,7 @@ def _print_report(report: AnalysisReport, spec: ExtensionSpec, labels: dict) -> 
         vars,
     )
     print(f"  factored: {factored}")
-    print(f"  discarded unit: {report.discarded_unit}")
+    print(f"  discarded unit: {coeff_str(report.discarded_unit)}")
     if report.ramification:
         print("ramified primes:")
         for d in report.ramification:
@@ -152,7 +152,7 @@ def _cmd_jacobian(args) -> int:
     fac = factor(jac, spec.vars)
     print(f"jacobian = {_factored_str(unit * fac.unit, fac.factors, spec.vars)}")
     print(f"expanded = {format_poly(jac, spec.vars)}")
-    print(f"discarded unit = {unit}")
+    print(f"discarded unit = {coeff_str(unit)}")
     return EXIT_OK
 
 

@@ -82,7 +82,7 @@ def _coeff_in(p: Poly, v: int, k: int) -> Poly:
             e = list(exp)
             e[v] = 0
             out[tuple(e)] = c
-    return Poly(p.n, out)
+    return Poly._clean(p.n, out)
 
 
 def _shift(p: Poly, v: int, k: int) -> Poly:
@@ -92,7 +92,7 @@ def _shift(p: Poly, v: int, k: int) -> Poly:
         e = list(exp)
         e[v] += k
         out[tuple(e)] = c
-    return Poly(p.n, out)
+    return Poly._clean(p.n, out)
 
 
 def _content_in(p: Poly, v: int) -> Poly:
@@ -306,7 +306,7 @@ def factor(p: Poly, vars: VarTable) -> Factorization:
         return Factorization(unit=p.constant_value(), factors=())
     mono = tuple(min(exp[j] for exp, _ in p.items()) for j in range(p.n))
     parts = [(Poly.variable(p.n, j), e) for j, e in enumerate(mono) if e]
-    rest = Poly(p.n, {tuple(a - b for a, b in zip(exp, mono)): c for exp, c in p.items()})
+    rest = Poly._clean(p.n, {tuple(a - b for a, b in zip(exp, mono)): c for exp, c in p.items()})
     for part, mult in _squarefree_raw(rest):
         for q in _irreducible_factors(canonical(part, vars)):
             parts.append((canonical(q, vars), mult))

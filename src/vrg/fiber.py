@@ -191,7 +191,7 @@ def _algebra(gb: GroebnerBasis, monomials: list[Exponent]) -> tuple[Callable, li
             return memo[g]
         steps = [j for j in range(n) if g[j]]
         if any(_step(g, j, -1) in index for j in steps):  # next to the standard monomials
-            out = {index[e]: c for e, c in normal_form(Poly(n, {g: 1}), gb).items()}
+            out = {index[e]: c for e, c in normal_form(Poly._clean(n, {g: 1}), gb).items()}
         else:  # _combine inlined: every audit sample runs this
             out = {}
             for k, c in nf(_step(g, steps[0], -1)).items():

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import add, sub
 from typing import Sequence
 
 from .errors import DegreeCapExceededError, InputError
@@ -70,10 +71,10 @@ def _reduce(p: Poly, basis: list[tuple[Exponent, Poly]]) -> Poly:
         coeff = work.pop(exp)
         for lt, g in basis:
             if _divides_exp(lt, exp):
-                shift = tuple(a - b for a, b in zip(exp, lt))
+                shift = tuple(map(sub, exp, lt))
                 factor = coeff_div(coeff, g.coefficient(lt))
                 for eg, cg in g.items():
-                    t = tuple(a + b for a, b in zip(shift, eg))
+                    t = tuple(map(add, shift, eg))
                     if t == exp:
                         continue
                     s = work.get(t, 0) - factor * cg
@@ -84,7 +85,7 @@ def _reduce(p: Poly, basis: list[tuple[Exponent, Poly]]) -> Poly:
                 break
         else:
             out[exp] = coeff
-    return Poly(p.n, out)
+    return Poly._clean(p.n, out)
 
 
 def _spoly(f: Poly, g: Poly) -> Poly:
@@ -93,8 +94,8 @@ def _spoly(f: Poly, g: Poly) -> Poly:
     l = _lcm_exp(ef, eg)
     mf = tuple(a - b for a, b in zip(l, ef))
     mg = tuple(a - b for a, b in zip(l, eg))
-    tf = Poly(f.n, {mf: coeff_div(1, cf)})
-    tg = Poly(g.n, {mg: coeff_div(1, cg)})
+    tf = Poly._clean(f.n, {mf: coeff_div(1, cf)})
+    tg = Poly._clean(g.n, {mg: coeff_div(1, cg)})
     return tf * f - tg * g
 
 

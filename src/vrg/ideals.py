@@ -145,15 +145,16 @@ def subalgebra_membership(p: Poly, spec: ExtensionSpec) -> Poly | None:
     rest, tag = p.terms_dict(), {}
     _reduce(rows, rest, tag)
     # the invariant rest - tag(f) == p leaves p == -tag(f) once rest is zero
-    return None if rest else Poly(tags.n, {a: -c for a, c in tag.items()})
+    return None if rest else Poly._clean(tags.n, {a: -c for a, c in tag.items()})
 
 
 def contract_prime(q: Poly, spec: ExtensionSpec) -> Poly:
     """Generator of the contraction of the prime (q) to the subalgebra.
 
     Returns the canonical-associate tag polynomial whose pullback q divides,
-    the lowest-degree piece of the kernel of ``A -> B/(q)``.  The norm of q
-    bounds that degree by ``r * deg q``.  A homogeneous prime contracts to a
+    the lowest-degree piece of the kernel of ``A -> B/(q)``.  The norm of q,
+    of degree ``r * deg q``, is a power of that generator, so only the
+    degrees dividing ``r * deg q`` are scanned.  A homogeneous prime contracts to a
     principal prime of A, so that piece has dimension 1; anything else,
     including an inhomogeneous q, raises :class:`ContractionError`.
     """
@@ -166,9 +167,11 @@ def contract_prime(q: Poly, spec: ExtensionSpec) -> Poly:
     image = _power_images(spec, lambda g: normal_form(g, modulus))
     top = degree(spec) * low
     for d in range(low, top + 1):
+        if top % d:
+            continue
         kernel = _graded_piece(image, tags.weights, d)[1]
         if len(kernel) == 1:
-            return canonical(Poly(tags.n, kernel[0]), tags)
+            return canonical(Poly._clean(tags.n, kernel[0]), tags)
         if kernel:
             raise ContractionError(
                 f"contraction of {format_poly(q, spec.vars)} is not principal:"

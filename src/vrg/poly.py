@@ -12,6 +12,17 @@ divided with :func:`coeff_div`, and a ``float`` or ``complex`` coefficient
 raises ``TypeError`` so that a division that skipped it fails loudly
 instead of rounding.
 
+Validation happens in the public constructor ``Poly(n, terms)``, which every
+input boundary goes through (the parser, the report reader and the library
+API): it checks each coefficient's type and each exponent vector, and drops
+zero coefficients.  Arithmetic builds its results with ``Poly._clean``, which
+trusts its terms to be nonzero under valid exponents, as the loops that make
+them guarantee, and only stores an integral ``Fraction`` as an ``int``.
+
+Coefficients are read and printed with :func:`read_int` and
+:func:`coeff_str`, which work at any length: Python refuses to convert an
+integer of more than 4300 decimal digits in one step.
+
 Printing and "canonical associate" normalization use a weighted
 graded-reverse-lexicographic order: terms are compared first by weighted
 degree, ties broken reverse-lexicographically (the rightmost differing
@@ -27,6 +38,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterator, Mapping, Sequence
 
 from .errors import NotDivisibleError, ParseError
@@ -88,6 +100,35 @@ def coeff_div(a: Coeff, b: Coeff) -> Coeff:
     return a / b
 
 
+# below Python's 4300-digit limit on one int <-> str conversion
+_DIGITS = 4000
+_CHUNK = 10**_DIGITS
+
+
+def read_int(digits: str) -> int:
+    """The value of a string of decimal digits, at any length."""
+    head = len(digits) % _DIGITS or _DIGITS
+    value = int(digits[:head])
+    for i in range(head, len(digits), _DIGITS):
+        value = value * _CHUNK + int(digits[i : i + _DIGITS])
+    return value
+
+
+def coeff_str(c: Coeff) -> str:
+    """``str(c)`` for an ``int`` or ``Fraction`` of any length."""
+    if c.denominator != 1:
+        return f"{coeff_str(c.numerator)}/{coeff_str(c.denominator)}"
+    rest = abs(c.numerator)
+    pieces = []
+    while rest >= _CHUNK:
+        rest, low = divmod(rest, _CHUNK)
+        pieces.append(f"{low:0{_DIGITS}d}")
+    pieces.append(str(rest))
+    if c < 0:
+        pieces.append("-")
+    return "".join(reversed(pieces))
+
+
 def _coefficient(c) -> Coeff:
     """A coefficient in stored form: an ``int``, or a non-integral ``Fraction``."""
     if type(c) is int:
@@ -124,18 +165,33 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _clean(cls, n: int, terms: dict[Exponent, Coeff]) -> "Poly":
+        """A polynomial that takes ownership of ``terms``, which must have
+        nonzero int or Fraction coefficients under length-``n`` exponent
+        tuples of non-negative ints; an integral Fraction is stored as int."""
+        for exp, c in terms.items():
+            if type(c) is not int and c.denominator == 1:
+                terms[exp] = c.numerator
+        p = object.__new__(cls)
+        object.__setattr__(p, "n", n)
+        object.__setattr__(p, "_terms", terms)
+        object.__setattr__(p, "_hash", None)
+        return p
+
+    @classmethod
     def zero(cls, n: int) -> "Poly":
         return cls(n, {})
 
     @classmethod
     def const(cls, n: int, value) -> "Poly":
-        return cls(n, {(0,) * n: value})
+        c = _coefficient(value)
+        return cls._clean(n, {(0,) * n: c} if c else {})
 
     @classmethod
     def variable(cls, n: int, j: int) -> "Poly":
         exp = [0] * n
         exp[j] = 1
-        return cls(n, {tuple(exp): 1})
+        return cls._clean(n, {tuple(exp): 1})
 
     # -- inspection --------------------------------------------------------
 
@@ -236,12 +292,12 @@ class Poly:
                 out[exp] = s
             else:
                 out.pop(exp, None)
-        return Poly(self.n, out)
+        return Poly._clean(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.n, {exp: -c for exp, c in self._terms.items()})
+        return Poly._clean(self.n, {exp: -c for exp, c in self._terms.items()})
 
     def __sub__(self, other) -> "Poly":
         q = self._coerce(other)
@@ -257,20 +313,22 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            return Poly(self.n, {exp: k * other for exp, k in self._terms.items()})
+            if not other:
+                return Poly.zero(self.n)
+            return Poly._clean(self.n, {exp: k * other for exp, k in self._terms.items()})
         q = self._coerce(other)
         if q is None:
             return NotImplemented
         out: dict[Exponent, Coeff] = {}
         for ea, ca in self._terms.items():
             for eb, cb in q._terms.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
+                exp = tuple(map(add, ea, eb))
                 s = out.get(exp, 0) + ca * cb
                 if s:
                     out[exp] = s
                 else:
                     del out[exp]
-        return Poly(self.n, out)
+        return Poly._clean(self.n, out)
 
     __rmul__ = __mul__
 
@@ -279,7 +337,7 @@ class Poly:
             return NotImplemented
         if scalar == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return Poly(self.n, {exp: coeff_div(k, scalar) for exp, k in self._terms.items()})
+        return Poly._clean(self.n, {exp: coeff_div(k, scalar) for exp, k in self._terms.items()})
 
     def __pow__(self, k: int) -> "Poly":
         if not isinstance(k, int):
@@ -313,19 +371,19 @@ class Poly:
         while rem:
             exp = max(rem)
             c = rem[exp]
-            diff = tuple(a - b for a, b in zip(exp, q_exp))
-            if any(d < 0 for d in diff):
+            diff = tuple(map(sub, exp, q_exp))
+            if min(diff) < 0:
                 raise NotDivisibleError("not divisible")
             factor = coeff_div(c, q_c)
             quot[diff] = factor
             for eb, cb in q._terms.items():
-                t = tuple(a + b for a, b in zip(diff, eb))
+                t = tuple(map(add, diff, eb))
                 s = rem.get(t, 0) - factor * cb
                 if s:
                     rem[t] = s
                 else:
                     rem.pop(t, None)
-        return Poly(self.n, quot)
+        return Poly._clean(self.n, quot)
 
     def divides(self, p: "Poly") -> bool:
         if self.is_zero():
@@ -350,7 +408,7 @@ class Poly:
             new = list(exp)
             new[j] = e - 1
             out[tuple(new)] = c * e
-        return Poly(self.n, out)
+        return Poly._clean(self.n, out)
 
     def compose(self, args: Sequence["Poly"]) -> "Poly":
         """Substitute args[j] for variable j.  All args share one ring."""
@@ -609,14 +667,14 @@ class _Parser:
         tok = self.next()
         kind, value, pos = tok
         if kind == "int":
-            num = int(value)
+            num = read_int(value)
             nxt = self.peek()
             if nxt and nxt[0] == "op" and nxt[1] == "/":
                 self.next()
                 dtok = self.next()
                 if dtok[0] != "int":
                     raise ParseError("denominator must be an integer literal", dtok[2])
-                den = int(dtok[1])
+                den = read_int(dtok[1])
                 if den == 0:
                     raise ParseError("zero denominator in rational literal", dtok[2])
                 return Poly.const(self.vars.n, Fraction(num, den))
@@ -666,11 +724,11 @@ def format_poly(p: Poly, vars: VarTable) -> str:
     for idx, exp in enumerate(sorted(p.terms_dict(), key=key, reverse=True)):
         c = p.coefficient(exp)
         mono = _format_monomial(exp, vars)
-        mag = abs(c)
+        mag = coeff_str(abs(c))
         if mono:
-            body = mono if mag == 1 else f"{mag}*{mono}"
+            body = mono if mag == "1" else f"{mag}*{mono}"
         else:
-            body = str(mag)
+            body = mag
         if idx == 0:
             pieces.append(body if c > 0 else f"-{body}")
         else:

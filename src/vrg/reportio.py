@@ -9,14 +9,13 @@ report can be re-parsed and re-verified against its spec.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 from .analyzer import AnalysisReport, RamificationDatum, Witness
-from .errors import SpecFileError
+from .errors import ParseError, SpecFileError
 from .extension import ExtensionSpec
 from .ideals import tag_table
-from .poly import VarTable, format_poly, parse
+from .poly import VarTable, coeff_str, format_poly, parse
 
 # ---------------------------------------------------------------------------
 # spec files
@@ -96,7 +95,7 @@ def report_to_dict(report: AnalysisReport, spec: ExtensionSpec) -> dict:
     out = {
         "degree": report.degree,
         "jacobian": format_poly(report.jacobian, vars),
-        "discarded_unit": str(report.discarded_unit),
+        "discarded_unit": coeff_str(report.discarded_unit),
         "ramification": [
             {
                 "Q": format_poly(d.prime, vars),
@@ -176,8 +175,8 @@ def report_from_dict(data: dict, spec: ExtensionSpec) -> AnalysisReport:
         discriminant = (_poly(disc, "D", vars), _poly(disc, "D_rep", tags))
     quotient = _field(data, "quotient_DJ", optional=True)
     try:
-        unit = Fraction(_field(data, "discarded_unit"))
-    except (ValueError, ZeroDivisionError):
+        unit = parse(_field(data, "discarded_unit"), vars).constant_value()
+    except (ParseError, ValueError):
         raise SpecFileError('report field "discarded_unit" is not a rational') from None
     return AnalysisReport(
         degree=_field(data, "degree", int),

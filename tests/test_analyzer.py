@@ -179,6 +179,34 @@ def test_analyze_cyclic_quadrics():
     assert verify_report(report, spec).ok
 
 
+def _cyclotomic(d, vars):
+    """The homogenized cyclotomic polynomial Phi_d(X, Y)."""
+    phi = parse(f"X^{d}-Y^{d}", vars)
+    for e in range(1, d):
+        if d % e == 0:
+            phi = phi.exact_div(_cyclotomic(e, vars))
+    return phi
+
+
+@pytest.mark.parametrize("m,p", [(2, 1), (3, 1), (4, 2), (4, 4), (6, 2), (6, 3), (5, 5), (8, 4)])
+def test_imprimitive_reflection_groups_known_answers(m, p, xy11):
+    # G(m,p,2) has order 2m^2/p and invariants X^m + Y^m and (XY)^(m/p); its
+    # reflections have the lines X = zeta*Y (order 2, X^m - Y^m = prod Phi_d)
+    # and, when p < m, the axes (order m/p)
+    gens = (parse(f"X^{m}+Y^{m}", xy11), parse(f"(X*Y)^{m // p}", xy11))
+    spec = ExtensionSpec(xy11, gens)
+    report = analyze(spec)
+    assert report.degree == 2 * m * m // p
+    expected = {(canonical(_cyclotomic(d, xy11), xy11), 2) for d in range(1, m + 1) if m % d == 0}
+    if p < m:
+        expected |= {(parse("X", xy11), m // p), (parse("Y", xy11), m // p)}
+    assert {(datum.prime, datum.index) for datum in report.ramification} == expected
+    assert len(report.ramification) == len(expected)
+    assert report.well_ramified
+    assert report.quotient_DJ == report.S
+    assert verify_report(report, spec).ok
+
+
 def test_is_well_ramified_results(cusp_spec, mixed_spec, sym2_spec):
     res = is_well_ramified(cusp_spec)
     assert res.verdict and res.by_membership and res.by_factor_pattern

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from vrg import load_spec, report_from_dict, verify_report
+from vrg import load_spec, report_from_dict, report_to_dict, verify_report
 from vrg.cli import main
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -44,6 +44,31 @@ def test_analyze_writes_verifiable_json(tmp_path, capsys):
     data = json.loads(report_path.read_text())
     report = report_from_dict(data, spec)
     assert verify_report(report, spec).ok
+
+
+@pytest.mark.parametrize(
+    "generators",
+    [
+        ["X*Y + " + "1" * 5000 + "*X^2", "Y^2"],  # more digits than int() reads
+        ["X*Y + " + "1" * 3000 + "*X^2", "Y^2"],  # R's square has more than str() prints
+        ["(" + "1" * 3000 + "*X)^2", "Y^2"],  # a discarded unit of 6001 digits
+    ],
+)
+def test_long_integer_literals(tmp_path, capsys, generators):
+    payload = {
+        "variables": [{"name": "X", "weight": 1}, {"name": "Y", "weight": 1}],
+        "generators": generators,
+    }
+    spec_path = write_spec(tmp_path, payload)
+    report_path = tmp_path / "report.json"
+    assert main(["analyze", spec_path, "--json", str(report_path)]) == 0
+    assert main(["jacobian", spec_path]) == 0
+    capsys.readouterr()
+    spec, _ = load_spec(spec_path)
+    data = json.loads(report_path.read_text())
+    report = report_from_dict(data, spec)
+    assert verify_report(report, spec).ok
+    assert report_to_dict(report, spec) == data
 
 
 def test_jacobian_command(capsys):

@@ -1,6 +1,8 @@
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -21,9 +23,12 @@ from vrg import (
     parse,
     subalgebra_membership,
     tag_table,
+    weighted_degree,
 )
+from vrg import ideals
 from vrg.errors import ContractionError
 from vrg.poly import content
+from vrg.reportio import load_spec
 
 from corpus import CORPUS
 
@@ -190,6 +195,29 @@ def test_contraction_error_names_the_prime(cusp_spec):
     # weighted degree 3 and r = 12: the kernel is searched up to degree 36
     with pytest.raises(ContractionError, match=r"of X \+ Y .* degree 36$"):
         contract_prime(parse("X+Y", cusp_spec.vars), cusp_spec)
+
+
+@pytest.mark.parametrize("name", ["D3", "B3"])
+def test_contraction_scans_only_degrees_dividing_the_norm(name, monkeypatch):
+    # N(q) = P~^f has degree r * deg q, so no other degree can hold P~;
+    # perfbench/ is only read here
+    bench = Path(__file__).resolve().parent.parent / "perfbench"
+    spec, _ = load_spec(bench / "specs" / f"{name}.json")
+    reference = json.loads((bench / "reference" / "algebra" / f"{name}.json").read_text())
+    scanned = []
+    real = ideals._graded_piece
+
+    def recording(image, weights, d):
+        scanned.append(d)
+        return real(image, weights, d)
+
+    monkeypatch.setattr(ideals, "_graded_piece", recording)
+    for entry in reference["ramification"]:
+        q = parse(entry["Q"], spec.vars)
+        scanned.clear()
+        assert contract_prime(q, spec) == parse(entry["contraction"], tag_table(spec))
+        top = reference["degree"] * weighted_degree(q, spec.vars).degree
+        assert scanned and all(top % d == 0 for d in scanned)
 
 
 # ---------------------------------------------------------------------------

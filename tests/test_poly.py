@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from vrg import Poly, VarTable, canonicalize, format_poly, jacobian, parse, weighted_degree
 from vrg.errors import NotDivisibleError, ParseError
+from vrg.poly import coeff_str, read_int
 
 
 def P(text, vars):
@@ -140,6 +141,70 @@ _polys = st.dictionaries(
 def test_exact_div_inverts_mul_on_mixed_coefficients(p, q):
     assume(not q.is_zero())
     assert (p * q).exact_div(q) == p
+
+
+def test_bad_exponent_vectors_rejected():
+    for exp in ((1,), (1, 2, 3), (1, -1)):
+        with pytest.raises(ValueError):
+            Poly(2, {exp: 1})
+
+
+def _assert_valid(r: Poly, n: int) -> None:
+    """r is what the validating constructor would build from its own terms."""
+    terms = sorted(r.items())
+    assert all(c != 0 for _, c in terms)
+    assert all(len(e) == n and min(e) >= 0 for e, _ in terms)
+    rebuilt = sorted(Poly(n, dict(terms)).items())
+    assert [(e, c, type(c)) for e, c in terms] == [(e, c, type(c)) for e, c in rebuilt]
+
+
+def _mixed_polys(n, max_exp=3, max_size=5):
+    exps = st.tuples(*[st.integers(0, max_exp)] * n)
+    return st.dictionaries(exps, _coeffs, max_size=max_size).map(lambda t: Poly(n, t))
+
+
+@st.composite
+def _kernel_cases(draw):
+    n = draw(st.sampled_from((2, 3)))
+    p, q = draw(_mixed_polys(n)), draw(_mixed_polys(n))
+    small = _mixed_polys(n, max_exp=1, max_size=3)
+    args = [draw(small) for _ in range(n)]
+    return n, p, q, args, draw(_coeffs.filter(bool)), draw(st.integers(0, 3))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_kernel_cases())
+def test_arithmetic_results_keep_the_kernel_invariant(case):
+    n, p, q, args, scalar, k = case
+    results = [p + q, p - q, -p, p * q, p * scalar, p * 0, p / scalar, p**k]
+    results += [p.derivative(j) for j in range(n)]
+    results.append(Poly(n, dict(list(p.items())[:2])).compose(args))
+    if q:
+        results.append((p * q).exact_div(q))
+    for r in results:
+        _assert_valid(r, n)
+
+
+def test_integral_products_of_fractions_are_ints():
+    half_x = Poly(1, {(1,): Fraction(1, 2)})
+    two_x = Poly(1, {(1,): 2})
+    square = half_x * two_x
+    for r in (square, half_x * 2, square.exact_div(half_x), half_x / Fraction(1, 2)):
+        _assert_valid(r, 1)
+    assert type(square.coefficient((2,))) is int
+
+
+@pytest.mark.parametrize("digits", [1, 3999, 4000, 4001, 8000, 12345])
+def test_coefficients_read_and_print_at_any_length(digits):
+    text = "9" + "0" * (digits - 1)
+    value = read_int(text)
+    assert value == 9 * 10 ** (digits - 1)
+    assert coeff_str(value) == text
+    assert coeff_str(-value) == "-" + text
+    num, den = value + 1, 2 * value + 1
+    assert coeff_str(Fraction(-num, den)) == f"-{coeff_str(num)}/{coeff_str(den)}"
+    assert coeff_str(Fraction(-value)) == "-" + text
+    assert read_int(coeff_str(value * 3 + 1)) == value * 3 + 1
 
 
 # ---------------------------------------------------------------------------
