@@ -5,7 +5,6 @@ from .analyzer import (
     RamificationDatum,
     Witness,
     analyze,
-    is_well_ramified,
     verify_report,
 )
 from .errors import VrgError
@@ -52,7 +51,6 @@ __all__ = [
     "format_poly",
     "gcd",
     "groebner",
-    "is_well_ramified",
     "jacobian",
     "lcm",
     "load_report",

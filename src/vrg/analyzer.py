@@ -23,6 +23,11 @@ A failure of either is reported as :class:`TheoremViolationError`; with
 exact arithmetic it can only come from a bug or from a factor that is
 irreducible over the rationals but not over the complex numbers in a
 configuration the analysis cannot see.
+
+:func:`analyze` and :func:`verify_report` derive S, R, S~, both
+characterizations and the witness through the same helpers; the re-check
+compares each derived field, the witness included, and adds the checks
+that test a theorem rather than repeat the derivation.
 """
 
 from __future__ import annotations
@@ -53,10 +58,10 @@ IRREDUCIBILITY_WARNING = (
 
 @dataclass(frozen=True)
 class RamificationDatum:
-    """One ramified prime: its exponent in the Jacobian, contraction, index."""
+    """One ramified prime, its contraction and its index; the prime's
+    exponent in the Jacobian is ``index - 1``."""
 
     prime: Poly
-    jac_multiplicity: int
     contraction: Poly
     index: int
 
@@ -78,14 +83,6 @@ class Witness:
 
 
 @dataclass(frozen=True)
-class WellRamifiedResult:
-    verdict: bool
-    by_membership: bool
-    by_factor_pattern: bool
-    witness: Witness
-
-
-@dataclass(frozen=True)
 class AnalysisReport:
     degree: int
     jacobian: Poly
@@ -95,8 +92,6 @@ class AnalysisReport:
     R: Poly
     S_tilde: Poly
     well_ramified: bool
-    by_membership: bool
-    by_factor_pattern: bool
     witness: Witness
     discriminant: tuple[Poly, Poly] | None
     quotient_DJ: Poly | None
@@ -140,34 +135,26 @@ def analyze(spec: ExtensionSpec) -> AnalysisReport:
                 " multiplicity = index - 1 (suspect factor may not be"
                 " absolutely irreducible)"
             )
-        data.append(
-            RamificationDatum(
-                prime=q, jac_multiplicity=mult, contraction=contraction, index=index
-            )
+        data.append(RamificationDatum(prime=q, contraction=contraction, index=index))
+
+    s_poly, r_poly, s_tilde = _products(spec, data, pullbacks)
+    representation, mixed = _characterizations(spec, data, r_poly, pullbacks)
+    well = representation is not None
+    if well != (mixed is None):
+        raise TheoremViolationError(
+            "characterization mismatch: membership of the candidate"
+            f" discriminant says {well} but the pullback factor"
+            f" pattern says {mixed is None}"
         )
 
-    s_poly = Poly.const(vars.n, 1)
-    r_poly = Poly.const(vars.n, 1)
-    for datum in data:
-        s_poly = s_poly * datum.prime
-        r_poly = r_poly * datum.prime ** datum.index
-    s_poly = canonical(s_poly, vars)
-    r_poly = canonical(r_poly, vars)
-
-    tags = tag_table(spec)
-    s_tilde = Poly.const(len(tags.names), 1)
-    for p in pullbacks:
-        s_tilde = lcm(s_tilde, p, tags)
-    s_tilde = canonical(s_tilde, tags)
-
-    decision = _decide_well_ramified(spec, data, r_poly, pullbacks)
-
-    discriminant = None
-    quotient = None
-    if decision.verdict:
-        assert decision.witness.representation is not None
-        discriminant = (r_poly, decision.witness.representation)
+    if well:
+        witness = Witness("discriminant_representation", representation=representation)
+        discriminant = (r_poly, representation)
         quotient = canonical(r_poly.exact_div(jac), vars)
+    else:
+        flags = _witness_flags(spec, data, *mixed)
+        witness = Witness("mixed_prime", contraction=mixed[0], pullback_factors=flags)
+        discriminant = quotient = None
 
     return AnalysisReport(
         degree=r,
@@ -177,85 +164,69 @@ def analyze(spec: ExtensionSpec) -> AnalysisReport:
         S=s_poly,
         R=r_poly,
         S_tilde=s_tilde,
-        well_ramified=decision.verdict,
-        by_membership=decision.by_membership,
-        by_factor_pattern=decision.by_factor_pattern,
-        witness=decision.witness,
+        well_ramified=well,
+        witness=witness,
         discriminant=discriminant,
         quotient_DJ=quotient,
         warnings=(IRREDUCIBILITY_WARNING,),
     )
 
 
-def _decide_well_ramified(
+def _products(
     spec: ExtensionSpec,
-    data: list[RamificationDatum],
+    data: Sequence[RamificationDatum],
+    pullbacks: Mapping[Poly, Poly],
+) -> tuple[Poly, Poly, Poly]:
+    """``S = ∏Q``, ``R = ∏Q^e`` and ``S~``, the lcm of the contractions
+    (the keys of ``pullbacks``), each in canonical form."""
+    vars = spec.vars
+    tags = tag_table(spec)
+    s_poly = r_poly = Poly.const(vars.n, 1)
+    for datum in data:
+        s_poly = s_poly * datum.prime
+        r_poly = r_poly * datum.prime ** datum.index
+    s_tilde = Poly.const(tags.n, 1)
+    for contraction in pullbacks:
+        s_tilde = lcm(s_tilde, contraction, tags)
+    return canonical(s_poly, vars), canonical(r_poly, vars), canonical(s_tilde, tags)
+
+
+def _characterizations(
+    spec: ExtensionSpec,
+    data: Sequence[RamificationDatum],
     r_poly: Poly,
     pullbacks: Mapping[Poly, Poly],
-) -> WellRamifiedResult:
-    representation = subalgebra_membership(r_poly, spec)
-    by_membership = representation is not None
-
-    rests = [(p, _unramified_part(p, pb, data)) for p, pb in pullbacks.items()]
-    mixed = next(((p, rest) for p, rest in rests if not rest.is_constant()), None)
-    by_factor_pattern = mixed is None
-
-    if by_membership != by_factor_pattern:
-        raise TheoremViolationError(
-            "characterization mismatch: membership of the candidate"
-            f" discriminant says {by_membership} but the pullback factor"
-            f" pattern says {by_factor_pattern}"
-        )
-
-    if by_membership:
-        witness = Witness(
-            kind="discriminant_representation", representation=representation
-        )
-    else:
-        contraction, rest = mixed
-        flags = [(d.prime, True) for d in data if d.contraction == contraction]
-        flags += [(q, False) for q, _ in factor(rest, spec.vars).factors]
-        witness = Witness(
-            kind="mixed_prime",
-            contraction=contraction,
-            pullback_factors=_sort_factors(flags, spec.vars),
-        )
-    return WellRamifiedResult(
-        verdict=by_membership,
-        by_membership=by_membership,
-        by_factor_pattern=by_factor_pattern,
-        witness=witness,
-    )
-
-
-def _unramified_part(
-    contraction: Poly, pullback: Poly, data: Sequence[RamificationDatum]
-) -> Poly:
-    """The pullback ``P~(f)`` divided by each ramified prime over ``P~``
-    while it divides.
-
-    Constant exactly when every prime over ``P~`` is ramified.
+) -> tuple[Poly | None, tuple[Poly, Poly] | None]:
+    """Both well-ramified tests: the representation of ``R`` over the tag
+    variables (None when ``R`` is not in ``A``), and the first ``(P~, rest)``
+    whose pullback ``P~(f)``, divided by each ramified prime over ``P~``
+    while it divides, leaves a non-constant ``rest`` (None when none does).
     """
-    rest = pullback
-    for datum in data:
-        if datum.contraction == contraction:
-            try:
-                while rest:  # a zero rest would divide forever
-                    rest = rest.exact_div(datum.prime)
-            except NotDivisibleError:
-                pass
-    return rest
+    representation = subalgebra_membership(r_poly, spec)
+    for contraction, rest in pullbacks.items():
+        for datum in data:
+            if datum.contraction == contraction:
+                try:
+                    while rest:  # a zero rest would divide forever
+                        rest = rest.exact_div(datum.prime)
+                except NotDivisibleError:
+                    pass
+        if not rest.is_constant():
+            return representation, (contraction, rest)
+    return representation, None
 
 
-def is_well_ramified(spec: ExtensionSpec) -> WellRamifiedResult:
-    """Decide the well-ramified property with both characterizations."""
-    report = analyze(spec)
-    return WellRamifiedResult(
-        verdict=report.well_ramified,
-        by_membership=report.by_membership,
-        by_factor_pattern=report.by_factor_pattern,
-        witness=report.witness,
-    )
+def _witness_flags(
+    spec: ExtensionSpec,
+    data: Sequence[RamificationDatum],
+    contraction: Poly,
+    rest: Poly,
+) -> tuple[tuple[Poly, bool], ...]:
+    """The primes over ``contraction`` with their ramified flags, sorted:
+    the ramified ones from ``data``, the others factored from ``rest``."""
+    flags = [(d.prime, True) for d in data if d.contraction == contraction]
+    flags += [(q, False) for q, _ in factor(rest, spec.vars).factors]
+    return _sort_factors(flags, spec.vars)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +247,10 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
     """Re-check a report against its spec from scratch.
 
     Re-multiplies the factorizations, re-substitutes every representation,
-    re-runs both well-ramified characterizations, and re-checks the degree
-    identities.  Returns the list of failed checks (empty when the report
-    is sound).
+    re-derives S, R, S~, both well-ramified characterizations and the
+    witness with the helpers :func:`analyze` uses and compares them with
+    the report, and re-checks the degree identities.  Returns the list of
+    failed checks (empty when the report is sound).
     """
     failures: list[str] = []
     vars = spec.vars
@@ -332,23 +304,17 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
             check("jacobian exponents", False)
             continue
         check("jacobian exponents", valuation(datum.prime, pullback) == datum.index)
-        check("jacobian exponents", datum.jac_multiplicity == datum.index - 1)
     for contraction in pullbacks:
-        factors = factor(contraction, tags).factors
-        check("contraction irreducible", [m for _, m in factors] == [1])
+        check(
+            "contraction irreducible",
+            contraction == canonical(contraction, tags)
+            and [m for _, m in factor(contraction, tags).factors] == [1],
+        )
 
-    s_poly = Poly.const(vars.n, 1)
-    r_poly = Poly.const(vars.n, 1)
-    for datum in report.ramification:
-        s_poly = s_poly * datum.prime
-        r_poly = r_poly * datum.prime ** datum.index
-    check("ramified product", canonical(s_poly, vars) == report.S)
-    check("discriminant candidate", canonical(r_poly, vars) == report.R)
-
-    s_tilde = Poly.const(len(tags.names), 1)
-    for contraction in pullbacks:
-        s_tilde = lcm(s_tilde, contraction, tags)
-    check("S_tilde lcm", canonical(s_tilde, tags) == report.S_tilde)
+    s_poly, r_poly, s_tilde = _products(spec, report.ramification, pullbacks)
+    check("ramified product", s_poly == report.S)
+    check("discriminant candidate", r_poly == report.R)
+    check("S_tilde lcm", s_tilde == report.S_tilde)
 
     s_tilde_pullback = report.S_tilde.compose(spec.generators)
     check(
@@ -363,20 +329,17 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
         nf is not None and canonical(nf, tags) == report.S_tilde,
     )
 
-    representation = subalgebra_membership(report.R, spec)
-    by_membership = representation is not None
-    by_factor_pattern = all(
-        _unramified_part(p, pb, report.ramification).is_constant()
-        for p, pb in pullbacks.items()
+    representation, mixed = _characterizations(
+        spec, report.ramification, report.R, pullbacks
     )
-    check("characterizations agree", by_membership == by_factor_pattern)
-    check("well-ramified verdict", report.well_ramified == by_membership)
+    well = representation is not None
+    check("characterizations agree", well == (mixed is None))
+    check("well-ramified verdict", report.well_ramified == well)
 
     if report.well_ramified:
         ok = (
             report.discriminant is not None
             and report.witness.kind == "discriminant_representation"
-            and report.witness.representation is not None
         )
         check("discriminant present", ok)
         if ok:
@@ -384,7 +347,8 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
             check("discriminant is R", d_poly == report.R)
             check(
                 "discriminant representation",
-                d_rep.compose(spec.generators) == report.R,
+                report.witness.representation == d_rep
+                and d_rep.compose(spec.generators) == report.R,
             )
             check(
                 "quotient D/J",
@@ -401,8 +365,10 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
             report.discriminant is None
             and report.quotient_DJ is None
             and report.witness.kind == "mixed_prime"
-            and report.witness.contraction in report.distinct_contractions()
-            and any(not ok for _, ok in report.witness.pullback_factors),
+            and mixed is not None
+            and report.witness.contraction == mixed[0]
+            and report.witness.pullback_factors
+            == _witness_flags(spec, report.ramification, *mixed),
         )
 
     if report.fiber_audit is not None:

@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 I/O failure, 2 invalid input (spec file schema,
 expression syntax, inhomogeneous generators, probe limits, option values,
 or ``VRG_MAX_DEGREE``), 3 the extension is not finite, 4 internal
 cross-check failure (theorem violation, non-principal contraction, or the
-intermediate degree cap).
+degree cap on a written power or a Groebner basis).
 ``wellramified`` exits 10 for a sound "no".
 """
 
@@ -73,7 +73,7 @@ def _print_report(report: AnalysisReport, spec: ExtensionSpec, labels: dict) -> 
     print(f"jacobian J = {format_poly(report.jacobian, vars)}")
     factored = _factored_str(
         report.discarded_unit,
-        [(d.prime, d.jac_multiplicity) for d in report.ramification],
+        [(d.prime, d.index - 1) for d in report.ramification],
         vars,
     )
     print(f"  factored: {factored}")

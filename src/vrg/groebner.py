@@ -10,29 +10,20 @@ only monomial order.  Bases serve two jobs: the finiteness test, which any
 order decides, and the fiber probe's triangular sets, which need lex.  So
 the leading term is ``max(terms)`` and no order key is threaded through.
 
-The total degree of every intermediate polynomial is capped (environment
-variable ``VRG_MAX_DEGREE``, a positive integer, default 200) so runaway
-inputs fail fast instead of consuming the machine.
+The total degree of every input and intermediate polynomial is capped
+(:func:`~vrg.poly.max_degree_cap`, the environment variable
+``VRG_MAX_DEGREE``) so runaway inputs fail fast instead of consuming the
+machine.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from operator import add, sub
 from typing import Sequence
 
-from .errors import DegreeCapExceededError, InputError
-from .poly import Coeff, Exponent, Poly, VarTable, canonical, coeff_div
-
-DEFAULT_MAX_DEGREE = 200
-
-
-def max_degree_cap() -> int:
-    raw = os.environ.get("VRG_MAX_DEGREE") or str(DEFAULT_MAX_DEGREE)
-    if not raw.strip().isdecimal() or int(raw) < 1:
-        raise InputError(f"VRG_MAX_DEGREE must be a positive integer, got {raw!r}")
-    return int(raw)
+from .errors import DegreeCapExceededError
+from .poly import Coeff, Exponent, Poly, VarTable, canonical, coeff_div, max_degree_cap
 
 
 @dataclass(frozen=True)
@@ -99,18 +90,14 @@ def _spoly(f: Poly, g: Poly) -> Poly:
     return tf * f - tg * g
 
 
-def groebner(
-    gens: Sequence[Poly],
-    ambient: VarTable,
-    max_degree: int | None = None,
-) -> GroebnerBasis:
+def groebner(gens: Sequence[Poly], ambient: VarTable) -> GroebnerBasis:
     """Reduced lex Groebner basis of the ideal generated by ``gens``.
 
     The zero ideal yields an empty basis.  Output generators are sorted by
     decreasing leading term and normalized to canonical associates, which
     makes the basis unique for a given ideal.
     """
-    cap = max_degree_cap() if max_degree is None else max_degree
+    cap = max_degree_cap()
     G: list[Poly] = []
     for g in gens:
         if g.is_zero():

@@ -21,7 +21,9 @@ them guarantee, and only stores an integral ``Fraction`` as an ``int``.
 
 Coefficients are read and printed with :func:`read_int` and
 :func:`coeff_str`, which work at any length: Python refuses to convert an
-integer of more than 4300 decimal digits in one step.
+integer of more than 4300 decimal digits in one step.  The parser refuses a
+power ``base^e`` whose total degree ``e * deg(base)`` exceeds the degree cap
+(:func:`max_degree_cap`) before expanding it.
 
 Printing and "canonical associate" normalization use a weighted
 graded-reverse-lexicographic order: terms are compared first by weighted
@@ -35,13 +37,14 @@ polynomials only need to agree up to a nonzero scalar.
 from __future__ import annotations
 
 import math
+import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
 from typing import Iterator, Mapping, Sequence
 
-from .errors import NotDivisibleError, ParseError
+from .errors import DegreeCapExceededError, InputError, NotDivisibleError, ParseError
 
 Exponent = tuple[int, ...]
 Coeff = int | Fraction
@@ -112,6 +115,18 @@ def read_int(digits: str) -> int:
     for i in range(head, len(digits), _DIGITS):
         value = value * _CHUNK + int(digits[i : i + _DIGITS])
     return value
+
+
+DEFAULT_MAX_DEGREE = 200
+
+
+def max_degree_cap() -> int:
+    """The cap on total degrees: ``VRG_MAX_DEGREE``, a positive integer, or 200."""
+    raw = (os.environ.get("VRG_MAX_DEGREE") or str(DEFAULT_MAX_DEGREE)).strip()
+    cap = read_int(raw) if raw.isdecimal() else 0
+    if cap < 1:
+        raise InputError(f"VRG_MAX_DEGREE must be a positive integer, got {raw!r}")
+    return cap
 
 
 def coeff_str(c: Coeff) -> str:
@@ -660,7 +675,14 @@ class _Parser:
             etok = self.next()
             if etok[0] != "int":
                 raise ParseError("exponent must be a non-negative integer literal", etok[2])
-            p = p ** int(etok[1])
+            e = read_int(etok[1])
+            cap = max_degree_cap()
+            if e * p.total_degree() > cap:
+                raise DegreeCapExceededError(
+                    f"power at position {etok[2]} has degree above the"
+                    f" cap {coeff_str(cap)}"
+                )
+            p = p ** e
         return p
 
     def base(self) -> Poly:

@@ -162,13 +162,11 @@ def report_from_dict(data: dict, spec: ExtensionSpec) -> AnalysisReport:
     ramification = tuple(
         RamificationDatum(
             prime=_poly(entry, "Q", vars),
-            jac_multiplicity=_field(entry, "e", int) - 1,
             contraction=_poly(entry, "contraction", tags),
             index=_field(entry, "e", int),
         )
         for entry in _field(data, "ramification", list)
     )
-    well = _field(data, "well_ramified", bool)
     discriminant = None
     disc = _field(data, "discriminant", dict, optional=True)
     if disc is not None:
@@ -186,9 +184,7 @@ def report_from_dict(data: dict, spec: ExtensionSpec) -> AnalysisReport:
         S=_poly(data, "S", vars),
         R=_poly(data, "R", vars),
         S_tilde=_poly(data, "S_tilde", tags),
-        well_ramified=well,
-        by_membership=well,
-        by_factor_pattern=well,
+        well_ramified=_field(data, "well_ramified", bool),
         witness=_witness_from_dict(_field(data, "witness", dict), vars, tags),
         discriminant=discriminant,
         quotient_DJ=None if quotient is None else parse(quotient, vars),

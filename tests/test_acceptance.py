@@ -136,9 +136,8 @@ def test_criterion_3_theorem_suite():
         back = subalgebra_membership(canonical(pull, vars), spec)
         assert back is not None and canonical(back, tags) == report.S_tilde, entry.name
 
-        # P6: the two characterizations agree; S_tilde pulls back to R
-        # exactly when well-ramified
-        assert report.by_membership == report.by_factor_pattern, entry.name
+        # P6: S_tilde pulls back to R exactly when well-ramified (analyze
+        # raises when the two characterizations disagree)
         if report.well_ramified:
             assert assoc(pull, report.R, vars), entry.name
 

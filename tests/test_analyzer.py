@@ -1,7 +1,12 @@
+import copy
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vrg import (
     ExtensionSpec,
@@ -11,7 +16,6 @@ from vrg import (
     canonical,
     degree,
     factor,
-    is_well_ramified,
     load_report,
     load_spec,
     parse,
@@ -27,6 +31,7 @@ from vrg.errors import (
     NotHomogeneousError,
     SpecFileError,
     TheoremViolationError,
+    VrgError,
 )
 
 from corpus import CORPUS, spec_of
@@ -207,14 +212,44 @@ def test_imprimitive_reflection_groups_known_answers(m, p, xy11):
     assert verify_report(report, spec).ok
 
 
-def test_is_well_ramified_results(cusp_spec, mixed_spec, sym2_spec):
-    res = is_well_ramified(cusp_spec)
-    assert res.verdict and res.by_membership and res.by_factor_pattern
-    res = is_well_ramified(mixed_spec)
-    assert not res.verdict and not res.by_membership and not res.by_factor_pattern
-    assert res.witness.kind == "mixed_prime"
-    res = is_well_ramified(sym2_spec)
-    assert res.verdict
+_SCALE = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 6))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(entry=st.sampled_from(CORPUS), scales=st.lists(_SCALE, min_size=3, max_size=3))
+def test_scaling_the_generators(entry, scales):
+    # f_i -> c_i*f_i keeps B and A, so everything on the B side stays; the
+    # Jacobian's unit gains prod(c_i), and a tag-side P~(y) becomes P~(y/c)
+    spec = entry.spec
+    c = scales[: spec.n]
+    scaled = ExtensionSpec(spec.vars, tuple(f * ci for f, ci in zip(spec.generators, c)))
+    tags = tag_table(spec)
+    back = [Poly.variable(tags.n, i) / ci for i, ci in enumerate(c)]
+
+    def moved(p):
+        return canonical(p.compose(back), tags)
+
+    report, other = analyze(spec), analyze(scaled)
+    assert other.degree == report.degree
+    assert other.jacobian == report.jacobian
+    assert other.discarded_unit == report.discarded_unit * math.prod(c)
+    assert [(d.prime, d.index) for d in other.ramification] == [
+        (d.prime, d.index) for d in report.ramification
+    ]
+    assert [d.contraction for d in other.ramification] == [
+        moved(d.contraction) for d in report.ramification
+    ]
+    assert (other.S, other.R) == (report.S, report.R)
+    assert other.S_tilde == moved(report.S_tilde)
+    assert other.well_ramified == report.well_ramified
+    if report.well_ramified:
+        assert other.discriminant[1] == report.discriminant[1].compose(back)
+        assert other.quotient_DJ == report.quotient_DJ
+    else:
+        assert other.witness.contraction == moved(report.witness.contraction)
+        assert other.witness.pullback_factors == report.witness.pullback_factors
+    assert verify_report(report, spec).ok
+    assert verify_report(other, scaled).ok
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +371,63 @@ def test_swapped_contractions_fail_without_raising(cusp_spec, mixed_spec):
 
     for spec in (cusp_spec, mixed_spec):
         assert not verify_report(_tampered(spec, swap), spec).ok
+
+
+# report keys whose polynomials live in the tag ring of the subalgebra
+_TAG_KEYS = {"contraction", "S_tilde", "representation", "D_rep"}
+
+
+def _leaves(node, path=()):
+    """``(path, value)`` for every leaf of a report dict below ``node``."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path, node
+
+
+def _mutations(value, key, spec):
+    if isinstance(value, bool):
+        return [not value]
+    if isinstance(value, int):
+        return [value + 1]
+    if isinstance(value, str):
+        ring = tag_table(spec) if key in _TAG_KEYS else spec.vars
+        return [f"2*({value})", f"{ring.names[0]}*({value})"]
+    return []
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        pytest.param(spec_of("cusp3"), id="cusp"),
+        pytest.param(spec_of("mixed2"), id="mixed"),
+        pytest.param(spec_of("sym2"), id="sym2"),
+        pytest.param(spec_of("dihedral4"), id="dihedral4"),
+    ],
+)
+def test_tamper_walk_rejects_every_leaf_mutation(spec):
+    # scale every polynomial by 2 and by a variable, flip every bool and
+    # bump every int of the report: each must fail verification or be
+    # refused by the reader
+    data = report_to_dict(analyze(spec), spec)
+    walked = {k: v for k, v in data.items() if k not in ("warnings", "fiber_audit")}
+    accepted = []
+    for path, value in _leaves(walked):
+        for mutated in _mutations(value, path[-1], spec):
+            tampered = copy.deepcopy(data)
+            node = tampered
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = mutated
+            try:
+                report = report_from_dict(tampered, spec)
+            except VrgError:
+                continue
+            if verify_report(report, spec).ok:
+                accepted.append((path, mutated))
+    assert accepted == []
 
 
 def _spec(names, weights, gens):

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -214,6 +215,24 @@ def test_degree_cap_exit_code(tmp_path, capsys, monkeypatch):
     rc = main(["analyze", str(SPEC_DIR / "cusp.json")])
     assert rc == 4
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "generator",
+    ["X^" + "9" * 5000, "(X+Y)^100000000000000000000"],
+    ids=["5000-digit-exponent", "binomial-power"],
+)
+def test_power_above_degree_cap_exits_4_at_once(tmp_path, capsys, generator):
+    payload = {
+        "variables": [{"name": "X", "weight": 1}, {"name": "Y", "weight": 1}],
+        "generators": [generator, "Y^2"],
+    }
+    start = time.perf_counter()
+    rc = main(["analyze", write_spec(tmp_path, payload)])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: power at position") and err.count("\n") == 1
 
 
 def test_failed_factor_remultiplication_exits_4(capsys, monkeypatch):

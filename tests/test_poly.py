@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vrg import Poly, VarTable, canonicalize, format_poly, jacobian, parse, weighted_degree
-from vrg.errors import NotDivisibleError, ParseError
+from vrg.errors import DegreeCapExceededError, NotDivisibleError, ParseError
 from vrg.poly import coeff_str, read_int
 
 
@@ -61,6 +61,19 @@ def test_parse_unknown_variable_reports_position(xy11):
 def test_parse_syntax_errors(xy11):
     for bad in ("X +", "(X", "X^Y", "X^-2", "*X", "X^2^3", ""):
         with pytest.raises(ParseError):
+            P(bad, xy11)
+
+
+def test_parse_refuses_powers_above_the_degree_cap(xy11, monkeypatch):
+    monkeypatch.setenv("VRG_MAX_DEGREE", "8")
+    # degree e * deg(base) is checked before expanding; constants, zero and
+    # products of powers pass
+    assert P("(X+Y)^8", xy11) == P("(X+Y)^4", xy11) ** 2
+    assert P("2^100", xy11) == Poly.const(2, 2**100)
+    assert P("(X-X)^" + "9" * 5000, xy11).is_zero()
+    assert P("X^8*Y^8", xy11).total_degree() == 16
+    for bad in ("X^9", "(X^2+Y)^5", "(X+Y)^" + "9" * 5000):
+        with pytest.raises(DegreeCapExceededError, match="cap 8"):
             P(bad, xy11)
 
 
