@@ -23,7 +23,16 @@ from operator import add, sub
 from typing import Sequence
 
 from .errors import DegreeCapExceededError
-from .poly import Coeff, Exponent, Poly, VarTable, canonical, coeff_div, max_degree_cap
+from .poly import (
+    Coeff,
+    Exponent,
+    Poly,
+    VarTable,
+    canonical,
+    coeff_div,
+    coeff_str,
+    max_degree_cap,
+)
 
 
 @dataclass(frozen=True)
@@ -104,7 +113,7 @@ def groebner(gens: Sequence[Poly], ambient: VarTable) -> GroebnerBasis:
             continue
         if g.total_degree() > cap:
             raise DegreeCapExceededError(
-                f"input degree {g.total_degree()} exceeds cap {cap}"
+                f"input degree {coeff_str(g.total_degree())} exceeds cap {cap}"
             )
         G.append(_monic(g))
     if not G:

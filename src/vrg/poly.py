@@ -21,9 +21,11 @@ them guarantee, and only stores an integral ``Fraction`` as an ``int``.
 
 Coefficients are read and printed with :func:`read_int` and
 :func:`coeff_str`, which work at any length: Python refuses to convert an
-integer of more than 4300 decimal digits in one step.  The parser refuses a
-power ``base^e`` whose total degree ``e * deg(base)`` exceeds the degree cap
-(:func:`max_degree_cap`) before expanding it.
+integer of more than 4300 decimal digits in one step.  The parser raises a
+monomial to a power by scaling its exponent, and refuses any other power
+``base^e`` whose total degree ``e * deg(base)`` exceeds the degree cap
+(:func:`max_degree_cap`) before expanding it; a monomial above the cap is
+refused where it is used, by the Groebner basis.
 
 Printing and "canonical associate" normalization use a weighted
 graded-reverse-lexicographic order: terms are compared first by weighted
@@ -609,6 +611,7 @@ class _Parser:
         self.vars = vars
         self.tokens = _tokenize(text)
         self.i = 0
+        self.cap: int | None = None  # read on the first power that expands
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -675,15 +678,24 @@ class _Parser:
             etok = self.next()
             if etok[0] != "int":
                 raise ParseError("exponent must be a non-negative integer literal", etok[2])
-            e = read_int(etok[1])
-            cap = max_degree_cap()
-            if e * p.total_degree() > cap:
-                raise DegreeCapExceededError(
-                    f"power at position {etok[2]} has degree above the"
-                    f" cap {coeff_str(cap)}"
-                )
-            p = p ** e
+            p = self.power(p, read_int(etok[1]), etok[2])
         return p
+
+    def power(self, p: Poly, e: int, pos: int) -> Poly:
+        """``p^e``.  A monomial with coefficient ±1 is raised by scaling its
+        exponent, at no cost; any other base is refused before it is
+        expanded when ``e * deg(p)`` exceeds the degree cap."""
+        if len(p) == 1:
+            ((exp, c),) = p.items()
+            if c in (1, -1):
+                return Poly._clean(p.n, {tuple(k * e for k in exp): c if e % 2 else 1})
+        if self.cap is None:
+            self.cap = max_degree_cap()
+        if e * p.total_degree() > self.cap:
+            raise DegreeCapExceededError(
+                f"power at position {pos} has degree above the cap {coeff_str(self.cap)}"
+            )
+        return p ** e
 
     def base(self) -> Poly:
         tok = self.next()

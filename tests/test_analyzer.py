@@ -271,6 +271,16 @@ def test_verify_round_trips_through_json(cusp_spec):
     assert verify_report(loaded, cusp_spec).ok
 
 
+def test_report_round_trips_monomials_above_the_degree_cap(xy11, monkeypatch):
+    # G(7,7,2) passes under a cap of 10, but R = (X^7 - Y^7)^2 is written
+    # with X^14: reading it back builds that monomial without the cap
+    monkeypatch.setenv("VRG_MAX_DEGREE", "10")
+    spec = ExtensionSpec(xy11, (parse("X^7+Y^7", xy11), parse("X*Y", xy11)))
+    data = json.loads(json.dumps(report_to_dict(analyze(spec), spec)))
+    assert data["R"].startswith("X^14 ")
+    assert verify_report(report_from_dict(data, spec), spec).ok
+
+
 @pytest.mark.parametrize(
     "mutate, key",
     [

@@ -232,7 +232,8 @@ def test_power_above_degree_cap_exits_4_at_once(tmp_path, capsys, generator):
     assert time.perf_counter() - start < 1.0
     assert rc == 4
     err = capsys.readouterr().err
-    assert err.startswith("error: power at position") and err.count("\n") == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "cap 200" in err
 
 
 def test_failed_factor_remultiplication_exits_4(capsys, monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vrg import Poly, VarTable, canonicalize, format_poly, jacobian, parse, weighted_degree
-from vrg.errors import DegreeCapExceededError, NotDivisibleError, ParseError
+from vrg.errors import DegreeCapExceededError, InputError, NotDivisibleError, ParseError
 from vrg.poly import coeff_str, read_int
 
 
@@ -66,15 +66,25 @@ def test_parse_syntax_errors(xy11):
 
 def test_parse_refuses_powers_above_the_degree_cap(xy11, monkeypatch):
     monkeypatch.setenv("VRG_MAX_DEGREE", "8")
-    # degree e * deg(base) is checked before expanding; constants, zero and
-    # products of powers pass
+    # degree e * deg(base) is checked before expanding; constants, zero,
+    # products of powers and monomials, which cost nothing to raise, pass
     assert P("(X+Y)^8", xy11) == P("(X+Y)^4", xy11) ** 2
     assert P("2^100", xy11) == Poly.const(2, 2**100)
     assert P("(X-X)^" + "9" * 5000, xy11).is_zero()
     assert P("X^8*Y^8", xy11).total_degree() == 16
-    for bad in ("X^9", "(X^2+Y)^5", "(X+Y)^" + "9" * 5000):
+    assert P("X^14 - 2*X^7*Y^7", xy11) == P("X^7", xy11) * P("X^7 - 2*Y^7", xy11)
+    assert P("(-X*Y^2)^5", xy11) == -P("X^5*Y^10", xy11)
+    assert P("X^" + "9" * 5000, xy11).total_degree() == read_int("9" * 5000)
+    for bad in ("(2*X)^9", "(X^2+Y)^5", "(X+Y)^" + "9" * 5000):
         with pytest.raises(DegreeCapExceededError, match="cap 8"):
             P(bad, xy11)
+
+
+def test_monomial_powers_do_not_read_the_degree_cap(xy11, monkeypatch):
+    monkeypatch.setenv("VRG_MAX_DEGREE", "many")
+    assert P("X^2*Y^3", xy11).total_degree() == 5
+    with pytest.raises(InputError, match="VRG_MAX_DEGREE"):
+        P("(X+Y)^2", xy11)
 
 
 def test_format_round_trip(xy11, xy32):
