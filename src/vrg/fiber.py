@@ -15,6 +15,8 @@ The count is exact.  ``B`` is free of rank ``r`` over ``A``, so the basis has
 trace form ``Tr(b_i*b_j)`` on them is the number of distinct points over all
 roots of ``m`` (Pedersen-Roy-Szpirglas 1993; Cox-Little-O'Shea, *Using
 Algebraic Geometry*, ch. 2 section 5), and conjugate fibers have equal size.
+The standard monomials are read by :mod:`vrg.ideals`, which also takes the
+rank, by the same exact row reduction over Q that solves its graded pieces.
 
 :func:`fiber_points`, the listing that ``vrg fiber`` prints, reads the points
 off the same trace algebra by the rational univariate representation
@@ -45,7 +47,7 @@ from .errors import FiberProbeError, TheoremViolationError
 from .extension import ExtensionSpec, validate
 from .factor import factor
 from .groebner import GroebnerBasis, groebner, normal_form
-from .ideals import tag_table
+from .ideals import _eliminate, _standard_monomials, tag_table
 from .poly import Exponent, Poly, VarTable, format_poly
 
 DEFAULT_DPS = 50
@@ -149,32 +151,21 @@ def _basis(spec: ExtensionSpec, point: _Point) -> GroebnerBasis:
 def _count(spec: ExtensionSpec, point: _Point, r: int) -> int:
     """The number of points over ``a + alpha*b``, from the rank of the
     trace form on the standard monomials of the fiber basis."""
-    gb = _basis(spec, point)
+    monomials, nf, trace, products = _algebra(spec, point)
     degree = point.m.degree_in(0)
-    monomials = _standard_monomials(gb, spec.n)
     if len(monomials) != r * degree:
         raise TheoremViolationError(
             f"a fiber algebra has {len(monomials)} standard monomials, not"
             f" r*deg m = {r * degree}: B is not free of rank {r} over A"
         )
-    return _rank(_trace_form(gb, monomials)) // degree
+    rows, _ = _eliminate((row, {}) for row in _trace_form(nf, trace, products))
+    return len(rows) // degree
 
 
-def _standard_monomials(gb: GroebnerBasis, n: int) -> list[Exponent]:
-    """The exponents that no leading exponent of gb divides, inside the box
-    of its pure powers (none when gb is not zero-dimensional)."""
-    leads = [g.leading()[0] for g in gb]
-    box = [min((lt[j] for lt in leads if sum(lt) == lt[j] > 0), default=0) for j in range(n)]
-    return [
-        e
-        for e in itertools.product(*map(range, box))
-        if not any(all(x <= y for x, y in zip(lt, e)) for lt in leads)
-    ]
-
-
-def _algebra(gb: GroebnerBasis, monomials: list[Exponent]) -> tuple[Callable, list, list]:
-    """The normal forms of Q[X]/I on its standard monomials b_k, the traces
-    ``Tr(b_k)``, and the exponents of the products ``b_k*b_l``.
+def _algebra(spec: ExtensionSpec, point: _Point) -> tuple[list, Callable, list, list]:
+    """The algebra Q[X]/I of the fiber basis over the point: its standard
+    monomials b_k, their normal forms, the traces ``Tr(b_k)``, and the
+    exponents of the products ``b_k*b_l``.
 
     A normal form is a sparse vector ``{k: coefficient of b_k}``, memoized per
     exponent g and built a variable at a time: ``NF(x^g) = sum_k c_k
@@ -182,7 +173,9 @@ def _algebra(gb: GroebnerBasis, monomials: list[Exponent]) -> tuple[Callable, li
     the ``b_l`` coefficients of ``NF(b_k*b_l)``, and ``Tr(v) = sum_k v_k
     Tr(b_k)``.
     """
-    n = gb.ambient.n
+    gb = _basis(spec, point)
+    n = spec.n
+    monomials = _standard_monomials(gb, n)
     index = {e: k for k, e in enumerate(monomials)}
     memo: dict[Exponent, dict[int, object]] = {e: {k: 1} for e, k in index.items()}
 
@@ -203,17 +196,14 @@ def _algebra(gb: GroebnerBasis, monomials: list[Exponent]) -> tuple[Callable, li
 
     products = [[tuple(map(sum, zip(bi, bj))) for bj in monomials] for bi in monomials]
     trace = [sum(nf(g).get(l, 0) for l, g in enumerate(row)) for row in products]
-    return nf, trace, products
+    return monomials, nf, trace, products
 
 
-def _trace_form(gb: GroebnerBasis, monomials: list[Exponent]) -> list[list]:
-    """The matrix ``Tr(b_i*b_j)`` of Q[X]/I on its standard monomials b_i,
-    with one trace per distinct exponent."""
-    nf, trace, products = _algebra(gb, monomials)
-    trace_of = {
-        g: sum(c * trace[k] for k, c in nf(g).items()) for g in set(itertools.chain(*products))
-    }
-    return [[trace_of[g] for g in row] for row in products]
+def _trace_form(nf: Callable, trace: list, products: list[list]) -> list[dict]:
+    """The rows ``{j: Tr(b_i*b_j)}`` of the trace form, zeros left out, with
+    one trace per distinct exponent."""
+    trace_of = {g: _trace(nf(g), trace) for g in set(itertools.chain(*products))}
+    return [{j: trace_of[g] for j, g in enumerate(row) if trace_of[g]} for row in products]
 
 
 def _combine(v: dict, rows) -> dict:
@@ -232,24 +222,6 @@ def _trace(v: dict, weights: list):
 
 def _step(e: Exponent, j: int, by: int) -> Exponent:
     return e[:j] + (e[j] + by,) + e[j + 1 :]
-
-
-def _rank(rows: list[list]) -> int:
-    """The rank of a square rational matrix, by Gaussian elimination over Q."""
-    rank = 0
-    for col in range(len(rows)):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        for row in rows[rank + 1 :]:
-            if row[col]:
-                ratio = Fraction(row[col]) / top[col]
-                for k in range(col, len(row)):
-                    row[k] -= ratio * top[k]
-        rank += 1
-    return rank
 
 
 def fiber_count(
@@ -319,9 +291,7 @@ def fiber_points(spec: ExtensionSpec, u: Sequence, count: int):
 def _rur_points(spec: ExtensionSpec, point: _Point, distinct: int) -> list[tuple]:
     """The ``distinct`` points over all roots of m, by the rational univariate
     representation; a point whose L-value is rational is exact."""
-    gb = _basis(spec, point)
-    monomials = _standard_monomials(gb, spec.n)
-    nf, trace, _ = _algebra(gb, monomials)
+    monomials, nf, trace, _ = _algebra(spec, point)
     n = spec.n
     times = [[nf(_step(b, j, 1)) for b in monomials] for j in range(n)]  # NF(x_j*b_k)
     for c in itertools.count(1):

@@ -1,5 +1,8 @@
 """Ideal-theoretic machinery: finiteness, membership, and contraction.
 
+Its two jobs shared with :mod:`vrg.fiber` are reading a zero-dimensional lex
+basis (:func:`_standard_monomials`) and exact row reduction (:func:`_eliminate`).
+
 For a finite extension the generators are algebraically independent, so
 ``A = Q[f1..fn]`` is a polynomial ring (tag variable ``y_i`` of weight
 ``deg f_i`` stands for ``f_i``) whose graded piece ``A_d`` has the basis
@@ -14,7 +17,8 @@ lex basis of :mod:`vrg.groebner` serves and no order key is needed.
 
 from __future__ import annotations
 
-from typing import Callable
+import itertools
+from typing import Callable, Iterable
 
 from .errors import ContractionError
 from .extension import ExtensionSpec, degree
@@ -35,17 +39,32 @@ def check_finite(spec: ExtensionSpec) -> bool:
 
     Zero-dimensionality test: every variable must appear as a pure power
     among the leading terms of the lex Groebner basis of the generator ideal.
+    No unit-ideal case is needed: ``validate`` refuses constant generators
+    first, and homogeneous non-constant ones all vanish at the origin.
     """
-    gb = groebner(spec.generators, spec.vars)
-    pure = [False] * spec.n
+    return all(_pure_power_box(groebner(spec.generators, spec.vars), spec.n))
+
+
+def _pure_power_box(gb: GroebnerBasis, n: int) -> list[int]:
+    """For each variable x_j, the e with x_j^e a leading term of the reduced
+    basis gb (there is at most one), or 0 when there is none."""
+    box = [0] * n
     for g in gb:
-        exp, _ = g.leading()
-        nonzero = [j for j, e in enumerate(exp) if e]
-        if len(nonzero) == 1:
-            pure[nonzero[0]] = True
-        elif len(nonzero) == 0:
-            return True  # unit ideal; vacuously zero-dimensional
-    return all(pure)
+        exp = g.leading()[0]
+        if sum(exp) == max(exp):  # a pure power, or 1 for the unit ideal
+            box[exp.index(max(exp))] = max(exp)
+    return box
+
+
+def _standard_monomials(gb: GroebnerBasis, n: int) -> list[Exponent]:
+    """The exponents that no leading exponent of gb divides, inside the box
+    of its pure powers (none when gb is not zero-dimensional)."""
+    leads = [g.leading()[0] for g in gb]
+    return [
+        e
+        for e in itertools.product(*map(range, _pure_power_box(gb, n)))
+        if not any(all(x <= y for x, y in zip(lt, e)) for lt in leads)
+    ]
 
 
 def tag_table(spec: ExtensionSpec) -> VarTable:
@@ -98,7 +117,7 @@ def _power_images(spec: ExtensionSpec, reduce: Callable) -> Callable:
 
 def _reduce(rows: dict, image: dict, tag: dict) -> None:
     """Subtract rows from the pair (image, tag) in place until the image is
-    zero or its leading exponent has no row; ``image - tag(f)`` is kept."""
+    zero or its leading key has no row; ``image - tag(f)`` is kept."""
     while image and (lead := max(image)) in rows:
         row = rows[lead]
         c = coeff_div(image[lead], row[0][lead])
@@ -111,23 +130,25 @@ def _reduce(rows: dict, image: dict, tag: dict) -> None:
                     del target[e]
 
 
-def _graded_piece(image: Callable, weights: tuple[int, ...], d: int) -> tuple:
-    """Gaussian elimination over Q on the pairs ``(image(a), y^a)`` of A_d.
-
-    Rows are keyed by the lex-leading exponent of their image.
-    Returns the rows and the tags whose image reduced to zero, a basis of
-    the kernel of ``tag -> image`` in degree d.
-    """
+def _eliminate(pairs: Iterable[tuple[dict, dict]]) -> tuple[dict, list]:
+    """Gaussian elimination over Q on pairs ``(row, tag)`` of sparse vectors:
+    the pivot rows, keyed by their leading key, and the tags whose row
+    reduced to zero.  The number of pivot rows is the rank."""
     rows: dict = {}
     kernel = []
-    for a in _tag_monomials(weights, d):
-        pair = (image(a).terms_dict(), {a: 1})
+    for pair in pairs:
         _reduce(rows, *pair)
         if pair[0]:
             rows[max(pair[0])] = pair
         else:
             kernel.append(pair[1])
     return rows, kernel
+
+
+def _graded_piece(image: Callable, weights: tuple[int, ...], d: int) -> tuple:
+    """:func:`_eliminate` on the pairs ``(image(a), y^a)`` of A_d: the rows
+    and a basis of the kernel of ``tag -> image`` in degree d."""
+    return _eliminate((image(a).terms_dict(), {a: 1}) for a in _tag_monomials(weights, d))
 
 
 def subalgebra_membership(p: Poly, spec: ExtensionSpec) -> Poly | None:

@@ -25,7 +25,8 @@ integer of more than 4300 decimal digits in one step.  The parser raises a
 monomial to a power by scaling its exponent, and refuses any other power
 ``base^e`` whose total degree ``e * deg(base)`` exceeds the degree cap
 (:func:`max_degree_cap`) before expanding it; a monomial above the cap is
-refused where it is used, by the Groebner basis.
+refused where it is used, by the Groebner basis.  A power of a constant is
+refused when its value would need more than ``_MAX_POWER_BITS`` bits.
 
 Printing and "canonical associate" normalization use a weighted
 graded-reverse-lexicographic order: terms are compared first by weighted
@@ -120,6 +121,7 @@ def read_int(digits: str) -> int:
 
 
 DEFAULT_MAX_DEGREE = 200
+_MAX_POWER_BITS = 1 << 16  # of the numerator or denominator of a constant's power
 
 
 def max_degree_cap() -> int:
@@ -683,12 +685,17 @@ class _Parser:
 
     def power(self, p: Poly, e: int, pos: int) -> Poly:
         """``p^e``.  A monomial with coefficient ±1 is raised by scaling its
-        exponent, at no cost; any other base is refused before it is
-        expanded when ``e * deg(p)`` exceeds the degree cap."""
+        exponent, at no cost; before expanding, another constant is refused
+        above ``_MAX_POWER_BITS`` bits and any other base above the degree cap."""
         if len(p) == 1:
             ((exp, c),) = p.items()
             if c in (1, -1):
                 return Poly._clean(p.n, {tuple(k * e for k in exp): c if e % 2 else 1})
+            bits = max(c.numerator.bit_length(), c.denominator.bit_length())
+            if not any(exp) and e * bits > _MAX_POWER_BITS:
+                raise DegreeCapExceededError(
+                    f"power at position {pos} has over {_MAX_POWER_BITS} bits"
+                )
         if self.cap is None:
             self.cap = max_degree_cap()
         if e * p.total_degree() > self.cap:

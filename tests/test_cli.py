@@ -236,6 +236,19 @@ def test_power_above_degree_cap_exits_4_at_once(tmp_path, capsys, generator):
     assert "cap 200" in err
 
 
+def test_power_of_a_constant_exits_4_at_once(tmp_path, capsys):
+    payload = {
+        "variables": [{"name": "X", "weight": 1}, {"name": "Y", "weight": 1}],
+        "generators": ["2^100000000000*X", "Y"],
+    }
+    start = time.perf_counter()
+    rc = main(["analyze", write_spec(tmp_path, payload)])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_failed_factor_remultiplication_exits_4(capsys, monkeypatch):
     from vrg import Factorization, factor, parse
     from vrg.errors import TheoremViolationError

@@ -5,6 +5,8 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vrg import (
     ExtensionSpec,
@@ -15,6 +17,7 @@ from vrg import (
     canonicalize,
     check_finite,
     contract_prime,
+    degree,
     factor,
     gcd,
     groebner,
@@ -77,6 +80,52 @@ FINITENESS_CASES = [pytest.param(e.spec, True, id=e.name) for e in CORPUS] + [
 @pytest.mark.parametrize("spec, finite", FINITENESS_CASES)
 def test_check_finite_verdicts(spec, finite):
     assert check_finite(spec) is finite
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+def test_standard_monomials_at_the_origin_number_the_degree(entry):
+    # B is free of rank r over A, so the fiber over the origin, Q[X]/(f),
+    # has dimension r = prod(deg f_i) / prod(wt X_j)
+    spec = entry.spec
+    gb = groebner(spec.generators, spec.vars)
+    assert len(ideals._standard_monomials(gb, spec.n)) == degree(spec) == entry.degree
+
+
+# ---------------------------------------------------------------------------
+# the shared eliminator
+# ---------------------------------------------------------------------------
+
+_value = st.one_of(
+    st.integers(-5, 5), st.fractions(min_value=-5, max_value=5, max_denominator=6)
+)
+
+
+@st.composite
+def _matrix_of_rank(draw):
+    """Rows over 6 columns spanning a space of a known rank k: k rows in
+    triangular form with nonzero diagonal and rational combinations of
+    them, shuffled."""
+    size = 6
+    k = draw(st.integers(0, size))
+    basis = []
+    for i in range(k):
+        row = [0] * i + [draw(_value.filter(bool))]
+        basis.append(row + [draw(_value) for _ in range(size - i - 1)])
+    rows = list(basis)
+    for _ in range(draw(st.integers(0, 4)) if k else 0):
+        weights = [draw(_value) for _ in basis]
+        rows.append([sum(w * row[j] for w, row in zip(weights, basis)) for j in range(size)])
+    return k, draw(st.permutations(rows))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(case=_matrix_of_rank())
+def test_eliminator_finds_the_rank(case):
+    k, rows = case
+    sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    pivots, kernel = ideals._eliminate((row, {}) for row in sparse)
+    assert len(pivots) == k
+    assert len(kernel) == len(rows) - k
 
 
 def test_tag_table_weights_and_collision(cusp_spec):

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,17 @@ def test_parse_refuses_powers_above_the_degree_cap(xy11, monkeypatch):
     for bad in ("(2*X)^9", "(X^2+Y)^5", "(X+Y)^" + "9" * 5000):
         with pytest.raises(DegreeCapExceededError, match="cap 8"):
             P(bad, xy11)
+
+
+def test_parse_refuses_huge_powers_of_constants(xy11):
+    # a constant has degree 0, so the bit length of the power is bounded
+    for bad in ("(1/3)^" + "9" * 30, "2^100000000000*X", "(2^60000)^2"):
+        start = time.perf_counter()
+        with pytest.raises(DegreeCapExceededError, match="position"):
+            P(bad, xy11)
+        assert time.perf_counter() - start < 1.0
+    assert P("(-3/2)^5", xy11) == Poly.const(2, Fraction(-243, 32))
+    assert P("(-1)^" + "9" * 30, xy11) == Poly.const(2, -1)
 
 
 def test_monomial_powers_do_not_read_the_degree_cap(xy11, monkeypatch):
