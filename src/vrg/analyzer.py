@@ -12,11 +12,11 @@ assumed:
   factors raised to their indices) must agree with the per-prime factor
   pattern (no contraction may pull back with an unramified factor).
 
-The factor pattern is checked by division, not by factoring: a prime q'
-that divides ``P~(f)`` puts ``P~`` in ``(q') ∩ A``, so a ramified q' divides
-``P~(f)`` only if it lies over ``P~``.  Dividing ``P~(f)`` by every ramified
-prime over ``P~`` as often as it goes therefore leaves a constant exactly
-when every prime over ``P~`` is ramified.  Only a failing contraction is
+The factor pattern is read off the indices, not by factoring: a ramified q'
+divides ``P~(f)`` only if it lies over ``P~`` (it puts ``P~`` in ``(q') ∩ A``),
+so ``P~(f) = rest * ∏ Q^e_Q`` over the ramified Q over ``P~``.  Every input is
+weighted-homogeneous, so ``rest`` is constant exactly when ``wdeg P~(f) =
+Σ e_Q * wdeg Q``.  Only a failing contraction is divided, once, and ``rest``
 factored, to name its unramified primes in the witness.
 
 A failure of either is reported as :class:`TheoremViolationError`; with
@@ -33,6 +33,7 @@ that test a theorem rather than repeat the derivation.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -122,11 +123,13 @@ def analyze(spec: ExtensionSpec) -> AnalysisReport:
     pullbacks: dict[Poly, Poly] = {}
     data = []
     for q, mult in jac_factors.factors:
-        contraction = next((p for p, pb in pullbacks.items() if q.divides(pb)), None)
-        if contraction is None:
+        for contraction, pullback in pullbacks.items():
+            if index := valuation(q, pullback):
+                break
+        else:
             contraction = contract_prime(q, spec)
             pullbacks[contraction] = contraction.compose(spec.generators)
-        index = valuation(q, pullbacks[contraction])
+            index = valuation(q, pullbacks[contraction])
         if mult != index - 1:
             raise TheoremViolationError(
                 "theorem violation: factor"
@@ -199,20 +202,17 @@ def _characterizations(
 ) -> tuple[Poly | None, tuple[Poly, Poly] | None]:
     """Both well-ramified tests: the representation of ``R`` over the tag
     variables (None when ``R`` is not in ``A``), and the first ``(P~, rest)``
-    whose pullback ``P~(f)``, divided by each ramified prime over ``P~``
-    while it divides, leaves a non-constant ``rest`` (None when none does).
+    with ``P~(f) = rest * ∏ Q^e_Q`` over the ramified Q over ``P~`` and
+    ``rest`` not constant (None when none is), or NotDivisibleError.
     """
     representation = subalgebra_membership(r_poly, spec)
-    for contraction, rest in pullbacks.items():
-        for datum in data:
-            if datum.contraction == contraction:
-                try:
-                    while rest:  # a zero rest would divide forever
-                        rest = rest.exact_div(datum.prime)
-                except NotDivisibleError:
-                    pass
-        if not rest.is_constant():
-            return representation, (contraction, rest)
+    wdeg = lambda p: weighted_degree(p, spec.vars).degree
+    for contraction, pullback in pullbacks.items():
+        over = [d for d in data if d.contraction == contraction]
+        if wdeg(pullback) != sum(d.index * wdeg(d.prime) for d in over):
+            one = Poly.const(spec.vars.n, 1)
+            ramified = math.prod((d.prime ** d.index for d in over), start=one)
+            return representation, (contraction, pullback.exact_div(ramified))
     return representation, None
 
 
@@ -298,12 +298,8 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
 
     tags = tag_table(spec)
     pullbacks = {p: p.compose(spec.generators) for p in report.distinct_contractions()}
-    for datum in report.ramification:
-        pullback = pullbacks[datum.contraction]
-        if pullback.is_zero() or not datum.prime.divides(pullback):
-            check("jacobian exponents", False)
-            continue
-        check("jacobian exponents", valuation(datum.prime, pullback) == datum.index)
+    for d in report.ramification:
+        check("jacobian exponents", valuation(d.prime, pullbacks[d.contraction]) == d.index)
     for contraction in pullbacks:
         check(
             "contraction irreducible",
@@ -329,9 +325,13 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
         nf is not None and canonical(nf, tags) == report.S_tilde,
     )
 
-    representation, mixed = _characterizations(
-        spec, report.ramification, report.R, pullbacks
-    )
+    try:
+        representation, mixed = _characterizations(
+            spec, report.ramification, report.R, pullbacks
+        )
+    except NotDivisibleError:  # an index above its prime's valuation
+        failures.append("jacobian exponents")
+        return VerificationResult(False, tuple(failures))
     well = representation is not None
     check("characterizations agree", well == (mixed is None))
     check("well-ramified verdict", report.well_ramified == well)
@@ -350,13 +350,12 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
                 report.witness.representation == d_rep
                 and d_rep.compose(spec.generators) == report.R,
             )
+            # R/J of canonical R and J is canonical (Gauss's lemma), so the
+            # product tests D/J without a division
             check(
                 "quotient D/J",
                 report.quotient_DJ is not None
-                and not report.jacobian.is_zero()
-                and report.jacobian.divides(report.R)
-                and canonical(report.R.exact_div(report.jacobian), vars)
-                == report.quotient_DJ
+                and report.jacobian * report.quotient_DJ == report.R
                 and report.quotient_DJ == report.S,
             )
     else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -29,7 +30,7 @@ from .extension import ExtensionSpec, generator_weights, validate
 from .factor import factor
 from .fiber import branch_audit, fiber_count, fiber_points
 from .ideals import tag_table
-from .poly import canonicalize, coeff_str, format_poly, jacobian
+from .poly import _MAX_POWER_BITS, canonicalize, coeff_str, format_poly, jacobian
 from .reportio import dump_report, load_spec
 
 EXIT_OK = 0
@@ -174,12 +175,17 @@ def _cmd_wellramified(args) -> int:
 
 # p+qi, p-qi or qi, with q possibly empty; an exponent's sign stays in its part
 _GAUSSIAN = re.compile(r"(?P<p>.*?)(?P<q>[+-]?(?:[^+\-eE]|[eE][+-]?)*)i")
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
 
 
 def _parse_component(part: str):
     """A rational, or a pair ``(p, q)`` of rationals for ``p+qi``, read exactly."""
     gaussian = _GAUSSIAN.fullmatch(part)
     try:
+        # Fraction expands an exponent at once, to len(part) + |exponent| digits at most
+        exps = [abs(int(e)) for e in _EXPONENT.findall(part)]
+        if exps and (len(part) + max(exps)) * math.log2(10) > _MAX_POWER_BITS:
+            raise FiberProbeError(f"component {part!r} has over {_MAX_POWER_BITS} bits")
         if not gaussian:
             return Fraction(part)
         p, q = gaussian["p"], gaussian["q"]
@@ -197,8 +203,8 @@ def _parse_point(text: str, n: int):
 
 def _cmd_fiber(args) -> int:
     spec, _ = load_spec(args.spec)
-    report = analyze(spec)
     u = _parse_point(args.u, spec.n)
+    report = analyze(spec)
     contractions = report.distinct_contractions()
     sample = fiber_count(spec, u, contractions=contractions)
     print(f"degree r = {report.degree}")

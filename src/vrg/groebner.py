@@ -8,7 +8,8 @@ the code auditable.
 Lex (plain tuple order on exponents, the first variable largest) is the
 only monomial order.  Bases serve two jobs: the finiteness test, which any
 order decides, and the fiber probe's triangular sets, which need lex.  So
-the leading term is ``max(terms)`` and no order key is threaded through.
+no order key is threaded through: normal forms, exact division and row
+elimination share :func:`~vrg.poly.reduce_leading`, which leads by ``max``.
 
 The total degree of every input and intermediate polynomial is capped
 (:func:`~vrg.poly.max_degree_cap`, the environment variable
@@ -24,7 +25,6 @@ from typing import Sequence
 
 from .errors import DegreeCapExceededError
 from .poly import (
-    Coeff,
     Exponent,
     Poly,
     VarTable,
@@ -32,6 +32,7 @@ from .poly import (
     coeff_div,
     coeff_str,
     max_degree_cap,
+    reduce_leading,
 )
 
 
@@ -63,28 +64,19 @@ def _monic(p: Poly) -> Poly:
 
 
 def _reduce(p: Poly, basis: list[tuple[Exponent, Poly]]) -> Poly:
-    """Full normal form of p modulo the listed (leading exponent, poly) pairs."""
-    work = p.terms_dict()
-    out: dict[Exponent, Coeff] = {}
-    while work:
-        exp = max(work)
-        coeff = work.pop(exp)
+    """Full normal form of p modulo the listed (leading exponent, poly) pairs;
+    a lead that no leading exponent divides moves to the remainder."""
+
+    def row_for(exp: Exponent):
         for lt, g in basis:
             if _divides_exp(lt, exp):
                 shift = tuple(map(sub, exp, lt))
-                factor = coeff_div(coeff, g.coefficient(lt))
-                for eg, cg in g.items():
-                    t = tuple(map(add, shift, eg))
-                    if t == exp:
-                        continue
-                    s = work.get(t, 0) - factor * cg
-                    if s:
-                        work[t] = s
-                    else:
-                        work.pop(t, None)
-                break
-        else:
-            out[exp] = coeff
+                return {tuple(map(add, shift, e)): v for e, v in g.items()}, {}
+        return None
+
+    work, out = p.terms_dict(), {}
+    while (lead := reduce_leading(work, {}, row_for)) is not None:
+        out[lead] = work.pop(lead)
     return Poly._clean(p.n, out)
 
 

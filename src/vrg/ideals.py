@@ -1,7 +1,8 @@
 """Ideal-theoretic machinery: finiteness, membership, and contraction.
 
 Its two jobs shared with :mod:`vrg.fiber` are reading a zero-dimensional lex
-basis (:func:`_standard_monomials`) and exact row reduction (:func:`_eliminate`).
+basis (:func:`_standard_monomials`) and exact row reduction (:func:`_eliminate`);
+the latter runs :func:`~vrg.poly.reduce_leading`, as division and normal forms do.
 
 For a finite extension the generators are algebraically independent, so
 ``A = Q[f1..fn]`` is a polynomial ring (tag variable ``y_i`` of weight
@@ -28,8 +29,8 @@ from .poly import (
     Poly,
     VarTable,
     canonical,
-    coeff_div,
     format_poly,
+    reduce_leading,
     weighted_degree,
 )
 
@@ -115,21 +116,6 @@ def _power_images(spec: ExtensionSpec, reduce: Callable) -> Callable:
     return image
 
 
-def _reduce(rows: dict, image: dict, tag: dict) -> None:
-    """Subtract rows from the pair (image, tag) in place until the image is
-    zero or its leading key has no row; ``image - tag(f)`` is kept."""
-    while image and (lead := max(image)) in rows:
-        row = rows[lead]
-        c = coeff_div(image[lead], row[0][lead])
-        for target, part in zip((image, tag), row):
-            for e, v in part.items():
-                s = target.get(e, 0) - c * v
-                if s:
-                    target[e] = s
-                else:
-                    del target[e]
-
-
 def _eliminate(pairs: Iterable[tuple[dict, dict]]) -> tuple[dict, list]:
     """Gaussian elimination over Q on pairs ``(row, tag)`` of sparse vectors:
     the pivot rows, keyed by their leading key, and the tags whose row
@@ -137,11 +123,11 @@ def _eliminate(pairs: Iterable[tuple[dict, dict]]) -> tuple[dict, list]:
     rows: dict = {}
     kernel = []
     for pair in pairs:
-        _reduce(rows, *pair)
-        if pair[0]:
-            rows[max(pair[0])] = pair
-        else:
+        lead = reduce_leading(*pair, rows.get)
+        if lead is None:
             kernel.append(pair[1])
+        else:
+            rows[lead] = pair
     return rows, kernel
 
 
@@ -164,7 +150,7 @@ def subalgebra_membership(p: Poly, spec: ExtensionSpec) -> Poly | None:
     for d in {spec.vars.wdeg(exp) for exp, _ in p.items()}:
         rows.update(_graded_piece(image, tags.weights, d)[0])
     rest, tag = p.terms_dict(), {}
-    _reduce(rows, rest, tag)
+    reduce_leading(rest, tag, rows.get)
     # the invariant rest - tag(f) == p leaves p == -tag(f) once rest is zero
     return None if rest else Poly._clean(tags.n, {a: -c for a, c in tag.items()})
 

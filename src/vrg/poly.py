@@ -45,7 +45,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import DegreeCapExceededError, InputError, NotDivisibleError, ParseError
 
@@ -104,6 +104,28 @@ def coeff_div(a: Coeff, b: Coeff) -> Coeff:
     if type(a) is int and type(b) is int:
         return a // b if a % b == 0 else Fraction(a, b)
     return a / b
+
+
+def reduce_leading(work: dict, tag: dict, row_for: Callable) -> Exponent | None:
+    """The one reducer of exact division, normal forms and row elimination:
+    while ``row_for(max(work))`` gives a pair ``(row, row_tag)`` whose row has
+    that leading key, subtract ``c*row`` from ``work`` and ``c*row_tag`` from
+    ``tag`` in place, ``c`` cancelling the lead.  Returns the lead that no row
+    reduces, or None once work is zero."""
+    while work:
+        pair = row_for(lead := max(work))
+        if pair is None:
+            return lead
+        row, row_tag = pair
+        c = coeff_div(work[lead], row[lead])
+        for target, part in (work, row), (tag, row_tag):
+            for e, v in part.items():
+                s = target.get(e, 0) - c * v
+                if s:
+                    target[e] = s
+                else:
+                    del target[e]
+    return None
 
 
 # below Python's 4300-digit limit on one int <-> str conversion
@@ -382,26 +404,18 @@ class Poly:
             raise ValueError("exact_div expects a polynomial over the same variables")
         if q.is_zero():
             raise ZeroDivisionError("exact division by the zero polynomial")
-        if self.is_zero():
-            return Poly.zero(self.n)
-        q_exp, q_c = q.leading()
-        rem = dict(self._terms)
+        q_exp, q_terms = q.leading()[0], q._terms.items()
+
+        def shifted(lead: Exponent):
+            # q times the quotient monomial d, tagged -d so the tag is +quotient
+            d = tuple(map(sub, lead, q_exp))
+            if min(d) < 0:
+                return None
+            return {tuple(map(add, d, e)): v for e, v in q_terms}, {d: -1}
+
         quot: dict[Exponent, Coeff] = {}
-        while rem:
-            exp = max(rem)
-            c = rem[exp]
-            diff = tuple(map(sub, exp, q_exp))
-            if min(diff) < 0:
-                raise NotDivisibleError("not divisible")
-            factor = coeff_div(c, q_c)
-            quot[diff] = factor
-            for eb, cb in q._terms.items():
-                t = tuple(map(add, diff, eb))
-                s = rem.get(t, 0) - factor * cb
-                if s:
-                    rem[t] = s
-                else:
-                    rem.pop(t, None)
+        if reduce_leading(dict(self._terms), quot, shifted) is not None:
+            raise NotDivisibleError("not divisible")
         return Poly._clean(self.n, quot)
 
     def divides(self, p: "Poly") -> bool:

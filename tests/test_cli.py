@@ -154,6 +154,20 @@ def test_fiber_command_leaves_out_points_beyond_floats(capsys):
     assert out == "degree r = 2\ncount = 2\nclassification = generic\n"
 
 
+def test_fiber_command_refuses_huge_decimal_exponents_at_once(capsys):
+    # 10^1000000 has 3.3 million bits: each is refused before it is built
+    for u, part in (
+        ("1e1000000,1", "1e1000000"),
+        ("1e-1000000,1", "1e-1000000"),
+        ("1,2+1e100000i", "2+1e100000i"),
+    ):
+        start = time.perf_counter()
+        rc = main(["fiber", str(SPEC_DIR / "sym2.json"), "--u", u])
+        assert time.perf_counter() - start < 1.0, u
+        assert rc == 2, u
+        assert capsys.readouterr().err == f"error: component {part!r} has over 65536 bits\n"
+
+
 def test_fiber_audit_seed_with_failed_root_finding_exits_0(capsys):
     rc = main(
         ["analyze", str(SPEC_DIR / "sym3.json"), "--fiber", "5", "--seed", "698354534"]

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vrg import Poly, VarTable, canonical, groebner, normal_form, parse
 from vrg.errors import DegreeCapExceededError
@@ -103,3 +105,37 @@ def test_degree_cap_from_environment(xy11, monkeypatch):
         groebner(gens, xy11)
     monkeypatch.delenv("VRG_MAX_DEGREE")
     groebner([parse("X^9+Y", xy11)], xy11)
+
+
+_values = st.one_of(
+    st.integers(-4, 4), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+@st.composite
+def _ideal_and_poly(draw):
+    """Up to three generators of an ideal and a polynomial, in 2 or 3
+    variables, with up to 4 and 8 terms of degree at most 2 in each variable."""
+    n = draw(st.integers(2, 3))
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+
+    def polys(size):
+        return st.dictionaries(exps, _values, max_size=size).map(lambda t: Poly(n, t))
+
+    return n, draw(st.lists(polys(4), min_size=1, max_size=3)), draw(polys(8))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(case=_ideal_and_poly())
+def test_normal_form_is_a_full_reduction(case):
+    # the remainder keeps no term that a leading term of the reduced basis
+    # divides, and p differs from it by a member of the ideal
+    n, gens, p = case
+    vars = VarTable(tuple(f"X{i}" for i in range(n)), (1,) * n)
+    gb = groebner(gens, vars)
+    rest = normal_form(p, gb)
+    leads = [g.leading()[0] for g in gb]
+    assert not any(
+        all(a <= b for a, b in zip(lt, exp)) for exp, _ in rest.items() for lt in leads
+    )
+    assert normal_form(p - rest, gb).is_zero()
