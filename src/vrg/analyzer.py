@@ -25,9 +25,9 @@ irreducible over the rationals but not over the complex numbers in a
 configuration the analysis cannot see.
 
 :func:`analyze` and :func:`verify_report` derive S, R, S~, both
-characterizations and the witness through the same helpers; the re-check
-compares each derived field, the witness included, and adds the checks
-that test a theorem rather than repeat the derivation.
+characterizations and the witness through the same helpers.  The re-check
+does not factor J again: it takes the ramification table as a certificate
+of J's factorization, a product plus one irreducibility proof per prime.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .factor import _sort_factors, factor, lcm, valuation
 from .ideals import contract_prime, subalgebra_membership, tag_table
 from .poly import (
     Poly,
+    VarTable,
     canonical,
     canonicalize,
     format_poly,
@@ -153,7 +154,8 @@ def analyze(spec: ExtensionSpec) -> AnalysisReport:
     if well:
         witness = Witness("discriminant_representation", representation=representation)
         discriminant = (r_poly, representation)
-        quotient = canonical(r_poly.exact_div(jac), vars)
+        # m_Q = e_Q - 1 makes J = ∏Q^(e-1), both canonical, so R/J = ∏Q = S
+        quotient = s_poly
     else:
         flags = _witness_flags(spec, data, *mixed)
         witness = Witness("mixed_prime", contraction=mixed[0], pullback_factors=flags)
@@ -216,6 +218,11 @@ def _characterizations(
     return representation, None
 
 
+def _is_prime(p: Poly, vars: VarTable) -> bool:
+    """Whether p is canonical and irreducible: factor returns p itself, once."""
+    return factor(p, vars).factors == ((p, 1),)
+
+
 def _witness_flags(
     spec: ExtensionSpec,
     data: Sequence[RamificationDatum],
@@ -246,11 +253,11 @@ class VerificationResult:
 def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationResult:
     """Re-check a report against its spec from scratch.
 
-    Re-multiplies the factorizations, re-substitutes every representation,
-    re-derives S, R, S~, both well-ramified characterizations and the
-    witness with the helpers :func:`analyze` uses and compares them with
-    the report, and re-checks the degree identities.  Returns the list of
-    failed checks (empty when the report is sound).
+    Checks the primes as a certificate of J's factorization (``∏Q^(e-1) = J``,
+    each Q irreducible), re-substitutes every representation, re-derives S,
+    R, S~, both characterizations and the witness with the helpers
+    :func:`analyze` uses and compares them with the report, and re-checks
+    the degree identities.  Returns the failed checks (empty when sound).
     """
     failures: list[str] = []
     vars = spec.vars
@@ -269,45 +276,41 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
     jac, unit = canonicalize(jacobian(spec.generators, vars), vars)
     check("jacobian", jac == report.jacobian and unit == report.discarded_unit)
 
-    weights_a = generator_weights(spec)
-    expected_wdeg = sum(weights_a) - sum(vars.weights)
-    if report.jacobian.is_zero():
-        check("jacobian degree", False)
-    else:
-        wd = weighted_degree(report.jacobian, vars)
-        check("jacobian degree", wd.degree == expected_wdeg and wd.homogeneous)
+    expected_wdeg = sum(generator_weights(spec)) - sum(vars.weights)
+    wd = None if report.jacobian.is_zero() else weighted_degree(report.jacobian, vars)
+    check("jacobian degree", wd is not None and wd.degree == expected_wdeg and wd.homogeneous)
 
-    jac_factors = factor(jac, vars)
-    check(
-        "ramified primes",
-        {q for q, _ in jac_factors.factors} == {d.prime for d in report.ramification},
-    )
     # the checks below raise on indices below 1 and on constant primes or
     # contractions, which no analysis produces
+    data = report.ramification
     if not all(
         d.index >= 1 and not d.prime.is_constant() and not d.contraction.is_constant()
-        for d in report.ramification
+        for d in data
     ):
         failures.append("ramification data")
         return VerificationResult(False, tuple(failures))
 
-    rebuilt = Poly.const(vars.n, 1)
-    for datum in report.ramification:
-        rebuilt = rebuilt * datum.prime ** (datum.index - 1)
-    check("jacobian exponents", canonical(rebuilt, vars) == jac)
+    # the table is a factorization certificate: distinct primes with exponents
+    # e - 1 >= 1 whose product is J are J's irreducible factors, and no others
+    one = Poly.const(vars.n, 1)
+    rebuilt = canonical(math.prod((d.prime ** (d.index - 1) for d in data), start=one), vars)
+    check(
+        "ramified primes",
+        len({d.prime for d in data}) == len(data)
+        and all(d.index >= 2 for d in data)
+        and rebuilt == jac
+        and all(_is_prime(d.prime, vars) for d in data),
+    )
+    check("jacobian exponents", rebuilt == jac)
 
     tags = tag_table(spec)
     pullbacks = {p: p.compose(spec.generators) for p in report.distinct_contractions()}
-    for d in report.ramification:
+    for d in data:
         check("jacobian exponents", valuation(d.prime, pullbacks[d.contraction]) == d.index)
     for contraction in pullbacks:
-        check(
-            "contraction irreducible",
-            contraction == canonical(contraction, tags)
-            and [m for _, m in factor(contraction, tags).factors] == [1],
-        )
+        check("contraction irreducible", _is_prime(contraction, tags))
 
-    s_poly, r_poly, s_tilde = _products(spec, report.ramification, pullbacks)
+    s_poly, r_poly, s_tilde = _products(spec, data, pullbacks)
     check("ramified product", s_poly == report.S)
     check("discriminant candidate", r_poly == report.R)
     check("S_tilde lcm", s_tilde == report.S_tilde)
@@ -319,16 +322,12 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
         and report.jacobian.divides(s_tilde_pullback)
         and report.S.divides(s_tilde_pullback),
     )
-    nf = subalgebra_membership(canonical(s_tilde_pullback, vars), spec)
-    check(
-        "S_tilde membership",
-        nf is not None and canonical(nf, tags) == report.S_tilde,
-    )
+    # f is algebraically independent (validate passed), so S~ is the only T
+    # with T(f) = S~(f): its canonical representation is canonical(S~)
+    check("S_tilde membership", report.S_tilde == canonical(report.S_tilde, tags))
 
     try:
-        representation, mixed = _characterizations(
-            spec, report.ramification, report.R, pullbacks
-        )
+        representation, mixed = _characterizations(spec, data, report.R, pullbacks)
     except NotDivisibleError:  # an index above its prime's valuation
         failures.append("jacobian exponents")
         return VerificationResult(False, tuple(failures))
@@ -367,7 +366,7 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
             and mixed is not None
             and report.witness.contraction == mixed[0]
             and report.witness.pullback_factors
-            == _witness_flags(spec, report.ramification, *mixed),
+            == _witness_flags(spec, data, *mixed),
         )
 
     if report.fiber_audit is not None:

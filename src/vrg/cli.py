@@ -173,22 +173,21 @@ def _cmd_wellramified(args) -> int:
     return EXIT_NOT_WELL_RAMIFIED
 
 
-# p+qi, p-qi or qi, with q possibly empty; an exponent's sign stays in its part
-_GAUSSIAN = re.compile(r"(?P<p>.*?)(?P<q>[+-]?(?:[^+\-eE]|[eE][+-]?)*)i")
 _EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)")
 
 
 def _parse_component(part: str):
     """A rational, or a pair ``(p, q)`` of rationals for ``p+qi``, read exactly."""
-    gaussian = _GAUSSIAN.fullmatch(part)
     try:
         # Fraction expands an exponent at once, to len(part) + |exponent| digits at most
         exps = [abs(int(e)) for e in _EXPONENT.findall(part)]
         if exps and (len(part) + max(exps)) * math.log2(10) > _MAX_POWER_BITS:
             raise FiberProbeError(f"component {part!r} has over {_MAX_POWER_BITS} bits")
-        if not gaussian:
+        if not part.endswith("i"):
             return Fraction(part)
-        p, q = gaussian["p"], gaussian["q"]
+        # q starts at the last sign that is not an exponent's
+        k = max((k for k, c in enumerate(part) if c in "+-" and part[k - 1] not in "eE"), default=0)
+        p, q = part[:k], part[k:-1]
         return (Fraction(p or 0), Fraction(q + "1" if q in ("", "+", "-") else q))
     except (ValueError, ZeroDivisionError):
         raise FiberProbeError(f"cannot read component {part!r}") from None
@@ -212,7 +211,7 @@ def _cmd_fiber(args) -> int:
     print(f"classification = {sample.classification}")
     for idx in sample.on_branch_of:
         print(f"  on Z({format_poly(contractions[idx], tag_table(spec))})")
-    listing = fiber_points(spec, u, sample.count) if sample.count <= 16 else None
+    listing = fiber_points(spec, u) if sample.count <= 16 else None
     if listing:
         solutions, residual = listing
         print(f"residual = {residual:.3e}")

@@ -158,8 +158,7 @@ def _count(spec: ExtensionSpec, point: _Point, r: int) -> int:
             f"a fiber algebra has {len(monomials)} standard monomials, not"
             f" r*deg m = {r * degree}: B is not free of rank {r} over A"
         )
-    rows, _ = _eliminate((row, {}) for row in _trace_form(nf, trace, products))
-    return len(rows) // degree
+    return _rank(nf, trace, products) // degree
 
 
 def _algebra(spec: ExtensionSpec, point: _Point) -> tuple[list, Callable, list, list]:
@@ -199,11 +198,12 @@ def _algebra(spec: ExtensionSpec, point: _Point) -> tuple[list, Callable, list, 
     return monomials, nf, trace, products
 
 
-def _trace_form(nf: Callable, trace: list, products: list[list]) -> list[dict]:
-    """The rows ``{j: Tr(b_i*b_j)}`` of the trace form, zeros left out, with
-    one trace per distinct exponent."""
+def _rank(nf: Callable, trace: list, products: list[list]) -> int:
+    """The rank of the trace form ``Tr(b_i*b_j)``, the number of distinct
+    points over all roots of m, with one trace per distinct exponent."""
     trace_of = {g: _trace(nf(g), trace) for g in set(itertools.chain(*products))}
-    return [{j: trace_of[g] for j, g in enumerate(row) if trace_of[g]} for row in products]
+    rows = ({j: trace_of[g] for j, g in enumerate(row) if trace_of[g]} for row in products)
+    return len(_eliminate((row, {}) for row in rows)[0])
 
 
 def _combine(v: dict, rows) -> dict:
@@ -258,17 +258,17 @@ def _vanishes_at(p: Poly, point: _Point) -> bool:
     return point.m.divides(p.compose(_line(point.a, point.b)))
 
 
-def fiber_points(spec: ExtensionSpec, u: Sequence, count: int):
-    """The ``count`` points over u and the largest ``|f(x) - u|`` among them;
-    None when root finding gives up or is off, or a value is not a finite
-    float.  ``u`` is read as :func:`fiber_count` reads it, and ``count`` must
-    be the count it gives.  The points are tuples of complex numbers, in a
+def fiber_points(spec: ExtensionSpec, u: Sequence):
+    """The points over u and the largest ``|f(x) - u|`` among them; None when
+    root finding gives up or is off, or a value is not a finite float.  ``u``
+    is read as :func:`fiber_count` reads it, and the points are counted by
+    the same trace form.  The points are tuples of complex numbers, in a
     fixed order."""
     point = _exact_point(u)
     with mpmath.workdps(DEFAULT_DPS):
         try:
             targets = [[a + alpha * b for a, b in zip(point.a, point.b)] for alpha in point.roots]
-            points = _rur_points(spec, point, count * point.m.degree_in(0))
+            points = _rur_points(spec, point)
         except FiberProbeError:  # root finding gave up
             return None
         # the points over alpha = roots[0] are those where f is nearest
@@ -283,15 +283,16 @@ def fiber_points(spec: ExtensionSpec, u: Sequence, count: int):
     residual = max(offs)
     # the conjugate fibers have equal size, so a count off means a bad root
     finite = all(map(mpmath.isfinite, [residual, *itertools.chain(*solutions)]))
-    if len(solutions) != count or not finite:
+    if len(solutions) * point.m.degree_in(0) != len(points) or not finite:
         return None
     return tuple(solutions), residual
 
 
-def _rur_points(spec: ExtensionSpec, point: _Point, distinct: int) -> list[tuple]:
-    """The ``distinct`` points over all roots of m, by the rational univariate
-    representation; a point whose L-value is rational is exact."""
-    monomials, nf, trace, _ = _algebra(spec, point)
+def _rur_points(spec: ExtensionSpec, point: _Point) -> list[tuple]:
+    """The points over all roots of m, as many as the trace form's rank, by
+    the rational univariate representation; a rational L-value gives an exact point."""
+    monomials, nf, trace, products = _algebra(spec, point)
+    distinct = _rank(nf, trace, products)
     n = spec.n
     times = [[nf(_step(b, j, 1)) for b in monomials] for j in range(n)]  # NF(x_j*b_k)
     for c in itertools.count(1):

@@ -1,4 +1,5 @@
 import copy
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -184,29 +185,54 @@ def test_analyze_cyclic_quadrics():
     assert verify_report(report, spec).ok
 
 
-def _cyclotomic(d, vars):
-    """The homogenized cyclotomic polynomial Phi_d(X, Y)."""
-    phi = parse(f"X^{d}-Y^{d}", vars)
+def _cyclotomic(d, x, y):
+    """The homogenized cyclotomic polynomial Phi_d(x, y)."""
+    phi = x**d - y**d
     for e in range(1, d):
         if d % e == 0:
-            phi = phi.exact_div(_cyclotomic(e, vars))
+            phi = phi.exact_div(_cyclotomic(e, x, y))
     return phi
 
 
-@pytest.mark.parametrize("m,p", [(2, 1), (3, 1), (4, 2), (4, 4), (6, 2), (6, 3), (5, 5), (8, 4)])
-def test_imprimitive_reflection_groups_known_answers(m, p, xy11):
-    # G(m,p,2) has order 2m^2/p and invariants X^m + Y^m and (XY)^(m/p); its
-    # reflections have the lines X = zeta*Y (order 2, X^m - Y^m = prod Phi_d)
-    # and, when p < m, the axes (order m/p)
-    gens = (parse(f"X^{m}+Y^{m}", xy11), parse(f"(X*Y)^{m // p}", xy11))
-    spec = ExtensionSpec(xy11, gens)
+# the degree and the number of ramified primes of G(m,p,3)
+_G_M_P_3 = {(3, 1): (162, 9), (6, 2): (648, 15)}
+
+
+@pytest.mark.parametrize(
+    "m,p,n",
+    [
+        pytest.param(m, p, 2, id=f"{m}-{p}")
+        for m, p in [(2, 1), (3, 1), (4, 2), (4, 4), (6, 2), (6, 3), (5, 5), (8, 4)]
+    ]
+    + [pytest.param(m, p, 3, id=f"{m}-{p}-3") for m, p in _G_M_P_3],
+)
+def test_imprimitive_reflection_groups_known_answers(m, p, n):
+    # G(m,p,n) has order m^n*n!/p and invariants e_k(X1^m, ..., Xn^m) for
+    # k < n and (X1*...*Xn)^(m/p); its reflections have the hyperplanes
+    # Xi = zeta*Xj (order 2, Xi^m - Xj^m = prod Phi_d) and, when p < m, the
+    # axes (order m/p)
+    names = tuple(f"X{i}" for i in range(1, n + 1))
+    vars = VarTable(names, (1,) * n)
+    powers = [f"{v}^{m}" for v in names]
+    gens = [
+        "+".join("*".join(c) for c in itertools.combinations(powers, k)) for k in range(1, n)
+    ] + [f"({'*'.join(names)})^{m // p}"]
+    spec = ExtensionSpec(vars, tuple(parse(g, vars) for g in gens))
     report = analyze(spec)
-    assert report.degree == 2 * m * m // p
-    expected = {(canonical(_cyclotomic(d, xy11), xy11), 2) for d in range(1, m + 1) if m % d == 0}
+    assert report.degree == m**n * math.factorial(n) // p
+    x = [Poly.variable(n, i) for i in range(n)]
+    expected = {
+        (canonical(_cyclotomic(d, x[i], x[j]), vars), 2)
+        for i, j in itertools.combinations(range(n), 2)
+        for d in range(1, m + 1)
+        if m % d == 0
+    }
     if p < m:
-        expected |= {(parse("X", xy11), m // p), (parse("Y", xy11), m // p)}
+        expected |= {(xi, m // p) for xi in x}
     assert {(datum.prime, datum.index) for datum in report.ramification} == expected
     assert len(report.ramification) == len(expected)
+    if n == 3:
+        assert (report.degree, len(report.ramification)) == _G_M_P_3[m, p]
     assert report.well_ramified
     assert report.quotient_DJ == report.S
     assert verify_report(report, spec).ok
@@ -312,9 +338,13 @@ def test_tampered_index_fails(cusp_spec):
     def bump_e(data):
         data["ramification"][0]["e"] += 1
 
-    result = verify_report(_tampered(cusp_spec, bump_e), cusp_spec)
-    assert not result.ok
-    assert "jacobian exponents" in result.failures
+    def duplicate(data):
+        data["ramification"].append(data["ramification"][0])
+
+    for mutate in (bump_e, duplicate):
+        result = verify_report(_tampered(cusp_spec, mutate), cusp_spec)
+        assert not result.ok
+        assert "jacobian exponents" in result.failures
 
 
 def test_tampered_representation_fails(cusp_spec):
@@ -335,13 +365,24 @@ def test_tampered_jacobian_fails(cusp_spec):
     assert "jacobian" in result.failures
 
 
-def test_dropped_prime_fails(cusp_spec):
+def test_dropped_prime_fails(cusp_spec, mixed_spec):
     def drop(data):
         data["ramification"] = data["ramification"][1:]
 
-    result = verify_report(_tampered(cusp_spec, drop), cusp_spec)
-    assert not result.ok
-    assert "ramified primes" in result.failures
+    def merge(data):
+        # X and X^2 - Y^3 both have e = 2: one datum for their product
+        y_entry, x_entry, other = data["ramification"]
+        x_entry["Q"] = f"({x_entry['Q']})*({other['Q']})"
+        data["ramification"] = [y_entry, x_entry]
+
+    def add_unramified(data):
+        # y1(f) = X^2*Y, and Y is the unramified prime over y1
+        data["ramification"].append({"Q": "Y", "e": 1, "contraction": "y1"})
+
+    for spec, mutate in ((cusp_spec, drop), (cusp_spec, merge), (mixed_spec, add_unramified)):
+        result = verify_report(_tampered(spec, mutate), spec)
+        assert not result.ok
+        assert "ramified primes" in result.failures
 
 
 def test_flipped_verdict_fails(cusp_spec, mixed_spec):
@@ -358,9 +399,15 @@ def test_tampered_s_tilde_fails(cusp_spec):
     def scale(data):
         data["S_tilde"] = "y1*(" + data["S_tilde"] + ")"
 
+    def negate(data):
+        data["S_tilde"] = "-(" + data["S_tilde"] + ")"
+
     result = verify_report(_tampered(cusp_spec, scale), cusp_spec)
     assert not result.ok
     assert "S_tilde lcm" in result.failures
+    result = verify_report(_tampered(cusp_spec, negate), cusp_spec)
+    assert not result.ok
+    assert {"S_tilde lcm", "S_tilde membership"} <= set(result.failures)
 
 
 def test_tampered_quotient_fails(cusp_spec):
@@ -490,6 +537,29 @@ def test_well_ramified_analysis_factors_only_the_jacobian(entry, monkeypatch):
     monkeypatch.setattr(analyzer_mod, "factor", counted)
     analyze(entry.spec)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+def test_verify_report_factors_only_the_certificate(entry, monkeypatch):
+    # the primes are a factorization certificate of J, so verify_report
+    # factors each prime and contraction, and the witness rest, but never J
+    import vrg.analyzer as analyzer_mod
+
+    spec, report = entry.spec, analyze(entry.spec)
+    allowed = {d.prime for d in report.ramification} | set(report.distinct_contractions())
+    if report.witness.kind == "mixed_prime":
+        over = [d for d in report.ramification if d.contraction == report.witness.contraction]
+        ramified = math.prod((d.prime**d.index for d in over), start=Poly.const(spec.n, 1))
+        allowed.add(report.witness.contraction.compose(spec.generators).exact_div(ramified))
+    calls = []
+
+    def counted(p, vars):
+        calls.append(p)
+        return factor(p, vars)
+
+    monkeypatch.setattr(analyzer_mod, "factor", counted)
+    assert verify_report(report, spec).ok
+    assert calls and all(p in allowed for p in calls)
 
 
 def test_analyze_is_thread_safe(cusp_spec, mixed_spec, sym2_spec):

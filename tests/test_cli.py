@@ -168,6 +168,16 @@ def test_fiber_command_refuses_huge_decimal_exponents_at_once(capsys):
         assert capsys.readouterr().err == f"error: component {part!r} has over 65536 bits\n"
 
 
+def test_fiber_command_refuses_a_long_component_at_once(capsys):
+    # a 20000-digit component is read in one pass, then refused for its length
+    part = "1" * 20000
+    start = time.perf_counter()
+    rc = main(["fiber", str(SPEC_DIR / "sym2.json"), "--u", f"{part},1"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: cannot read component {part!r}\n"
+
+
 def test_fiber_audit_seed_with_failed_root_finding_exits_0(capsys):
     rc = main(
         ["analyze", str(SPEC_DIR / "sym3.json"), "--fiber", "5", "--seed", "698354534"]

@@ -31,7 +31,7 @@ def test_fiber_sym2_regular_point(sym2_spec):
     sample = fiber_count(sym2_spec, (Fraction(0), Fraction(-1)))
     assert sample.count == 2
     assert sample.classification == "generic"
-    solutions, residual = fiber_points(sym2_spec, (Fraction(0), Fraction(-1)), sample.count)
+    solutions, residual = fiber_points(sym2_spec, (Fraction(0), Fraction(-1)))
     points = {tuple(round(c.real) for c in p) for p in solutions}
     assert points == {(1, -1), (-1, 1)}
     assert residual < 1e-6
@@ -72,7 +72,7 @@ def test_fiber_complex_base_point(sym2_spec):
     assert sample.u == (0.5 + 0.25j, Fraction(-1))
     assert sample.count == 2
     assert sample.classification == "generic"
-    _, residual = fiber_points(sym2_spec, (0.5 + 0.25j, complex(-1.0)), sample.count)
+    _, residual = fiber_points(sym2_spec, (0.5 + 0.25j, complex(-1.0)))
     assert residual < 1e-6
     # mpmath coordinates are taken at their exact binary values
     mp_sample = fiber_count(sym2_spec, (mpmath.mpc(0.5, 0.25), mpmath.mpf(-1)))
@@ -282,7 +282,7 @@ def test_rational_fibers_are_listed_without_root_finding(monkeypatch):
     for spec, u, count in cases:
         u = tuple(map(Fraction, u))
         assert fiber_count(spec, u).count == count
-        solutions, residual = fiber_points(spec, u, count)
+        solutions, residual = fiber_points(spec, u)
         assert len(solutions) == count
         assert residual == 0.0
         assert all(c.imag == 0 and c.real == round(c.real) for x in solutions for c in x)
@@ -305,7 +305,7 @@ def test_listing_has_count_distinct_points_over_u(name, u, count):
     else:
         spec, _ = load_spec(ROOT / "perfbench" / "specs" / f"{name}.json")
     assert fiber_count(spec, u).count == count
-    solutions, residual = fiber_points(spec, u, count)
+    solutions, residual = fiber_points(spec, u)
     assert len(solutions) == count
     for i, x in enumerate(solutions):
         for y in solutions[:i]:
