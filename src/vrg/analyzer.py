@@ -24,10 +24,11 @@ exact arithmetic it can only come from a bug or from a factor that is
 irreducible over the rationals but not over the complex numbers in a
 configuration the analysis cannot see.
 
-:func:`analyze` and :func:`verify_report` derive S, R, S~, both
-characterizations and the witness through the same helpers.  The re-check
-does not factor J again: it takes the ramification table as a certificate
-of J's factorization, a product plus one irreducibility proof per prime.
+:func:`analyze` and :func:`verify_report` derive S, R, S~ (the product of
+the distinct contractions), the factor pattern and the witness through the
+same helpers.  The re-check takes certificates: the ramification table for
+J's factorization (a product plus one irreducibility proof per prime), and a
+``D~`` with ``D~(f) = R`` for R in A; only without one does it solve for R.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import Mapping, Sequence
 
 from .errors import NotDivisibleError, TheoremViolationError
 from .extension import ExtensionSpec, generator_weights, validate
-from .factor import _sort_factors, factor, lcm, valuation
+from .factor import _sort_factors, factor, valuation
 from .ideals import contract_prime, subalgebra_membership, tag_table
 from .poly import (
     Poly,
@@ -142,7 +143,8 @@ def analyze(spec: ExtensionSpec) -> AnalysisReport:
         data.append(RamificationDatum(prime=q, contraction=contraction, index=index))
 
     s_poly, r_poly, s_tilde = _products(spec, data, pullbacks)
-    representation, mixed = _characterizations(spec, data, r_poly, pullbacks)
+    representation = subalgebra_membership(r_poly, spec)
+    mixed = _mixed_prime(spec, data, pullbacks)
     well = representation is not None
     if well != (mixed is None):
         raise TheoremViolationError(
@@ -182,40 +184,34 @@ def _products(
     data: Sequence[RamificationDatum],
     pullbacks: Mapping[Poly, Poly],
 ) -> tuple[Poly, Poly, Poly]:
-    """``S = ∏Q``, ``R = ∏Q^e`` and ``S~``, the lcm of the contractions
-    (the keys of ``pullbacks``), each in canonical form."""
-    vars = spec.vars
-    tags = tag_table(spec)
-    s_poly = r_poly = Poly.const(vars.n, 1)
-    for datum in data:
-        s_poly = s_poly * datum.prime
-        r_poly = r_poly * datum.prime ** datum.index
-    s_tilde = Poly.const(tags.n, 1)
-    for contraction in pullbacks:
-        s_tilde = lcm(s_tilde, contraction, tags)
+    """``S = ∏Q``, ``R = ∏Q^e`` and ``S~``, each in canonical form.  The
+    contractions (the keys of ``pullbacks``) are distinct primes of the
+    polynomial ring A, so ``S~``, their lcm, is their product."""
+    vars, tags = spec.vars, tag_table(spec)
+    one = Poly.const(vars.n, 1)
+    s_poly = math.prod((d.prime for d in data), start=one)
+    r_poly = math.prod((d.prime ** d.index for d in data), start=one)
+    s_tilde = math.prod(pullbacks, start=Poly.const(tags.n, 1))
     return canonical(s_poly, vars), canonical(r_poly, vars), canonical(s_tilde, tags)
 
 
-def _characterizations(
+def _mixed_prime(
     spec: ExtensionSpec,
     data: Sequence[RamificationDatum],
-    r_poly: Poly,
     pullbacks: Mapping[Poly, Poly],
-) -> tuple[Poly | None, tuple[Poly, Poly] | None]:
-    """Both well-ramified tests: the representation of ``R`` over the tag
-    variables (None when ``R`` is not in ``A``), and the first ``(P~, rest)``
-    with ``P~(f) = rest * ∏ Q^e_Q`` over the ramified Q over ``P~`` and
-    ``rest`` not constant (None when none is), or NotDivisibleError.
+) -> tuple[Poly, Poly] | None:
+    """The factor-pattern test: the first ``(P~, rest)`` with ``P~(f) = rest *
+    ∏ Q^e_Q`` over the ramified Q over ``P~`` and ``rest`` not constant
+    (None when none is), or NotDivisibleError.
     """
-    representation = subalgebra_membership(r_poly, spec)
     wdeg = lambda p: weighted_degree(p, spec.vars).degree
     for contraction, pullback in pullbacks.items():
         over = [d for d in data if d.contraction == contraction]
         if wdeg(pullback) != sum(d.index * wdeg(d.prime) for d in over):
             one = Poly.const(spec.vars.n, 1)
             ramified = math.prod((d.prime ** d.index for d in over), start=one)
-            return representation, (contraction, pullback.exact_div(ramified))
-    return representation, None
+            return contraction, pullback.exact_div(ramified)
+    return None
 
 
 def _is_prime(p: Poly, vars: VarTable) -> bool:
@@ -254,10 +250,11 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
     """Re-check a report against its spec from scratch.
 
     Checks the primes as a certificate of J's factorization (``∏Q^(e-1) = J``,
-    each Q irreducible), re-substitutes every representation, re-derives S,
-    R, S~, both characterizations and the witness with the helpers
-    :func:`analyze` uses and compares them with the report, and re-checks
-    the degree identities.  Returns the failed checks (empty when sound).
+    each Q irreducible) and ``D~(f) = R`` as one of R in A (else solves for
+    R's membership), re-substitutes every representation, re-derives S, R,
+    S~, the factor pattern and the witness with the helpers :func:`analyze`
+    uses and compares them with the report, and re-checks the degree
+    identities.  Returns the failed checks (empty when sound).
     """
     failures: list[str] = []
     vars = spec.vars
@@ -327,11 +324,12 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
     check("S_tilde membership", report.S_tilde == canonical(report.S_tilde, tags))
 
     try:
-        representation, mixed = _characterizations(spec, data, report.R, pullbacks)
+        mixed = _mixed_prime(spec, data, pullbacks)
     except NotDivisibleError:  # an index above its prime's valuation
         failures.append("jacobian exponents")
         return VerificationResult(False, tuple(failures))
-    well = representation is not None
+    composed = report.discriminant and report.discriminant[1].compose(spec.generators)
+    well = composed == report.R or subalgebra_membership(report.R, spec) is not None
     check("characterizations agree", well == (mixed is None))
     check("well-ramified verdict", report.well_ramified == well)
 
@@ -346,8 +344,7 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
             check("discriminant is R", d_poly == report.R)
             check(
                 "discriminant representation",
-                report.witness.representation == d_rep
-                and d_rep.compose(spec.generators) == report.R,
+                report.witness.representation == d_rep and composed == report.R,
             )
             # R/J of canonical R and J is canonical (Gauss's lemma), so the
             # product tests D/J without a division
@@ -365,8 +362,7 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
             and report.witness.kind == "mixed_prime"
             and mixed is not None
             and report.witness.contraction == mixed[0]
-            and report.witness.pullback_factors
-            == _witness_flags(spec, data, *mixed),
+            and report.witness.pullback_factors == _witness_flags(spec, data, *mixed),
         )
 
     if report.fiber_audit is not None:

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .extension import ExtensionSpec, generator_weights, validate
 from .factor import factor
-from .fiber import branch_audit, fiber_count, fiber_points
+from .fiber import _probe, branch_audit
 from .ideals import tag_table
 from .poly import _MAX_POWER_BITS, canonicalize, coeff_str, format_poly, jacobian
 from .reportio import dump_report, load_spec
@@ -205,13 +205,12 @@ def _cmd_fiber(args) -> int:
     u = _parse_point(args.u, spec.n)
     report = analyze(spec)
     contractions = report.distinct_contractions()
-    sample = fiber_count(spec, u, contractions=contractions)
+    sample, listing = _probe(spec, u, contractions, 16)
     print(f"degree r = {report.degree}")
     print(f"count = {sample.count}")
     print(f"classification = {sample.classification}")
     for idx in sample.on_branch_of:
         print(f"  on Z({format_poly(contractions[idx], tag_table(spec))})")
-    listing = fiber_points(spec, u) if sample.count <= 16 else None
     if listing:
         solutions, residual = listing
         print(f"residual = {residual:.3e}")

@@ -148,23 +148,23 @@ def _basis(spec: ExtensionSpec, point: _Point) -> GroebnerBasis:
     return groebner(gens, spec.vars)
 
 
-def _count(spec: ExtensionSpec, point: _Point, r: int) -> int:
+def _count(spec: ExtensionSpec, point: _Point, r: int, algebra: tuple | None = None) -> int:
     """The number of points over ``a + alpha*b``, from the rank of the
     trace form on the standard monomials of the fiber basis."""
-    monomials, nf, trace, products = _algebra(spec, point)
+    monomials, _, _, rank = algebra or _algebra(spec, point)
     degree = point.m.degree_in(0)
     if len(monomials) != r * degree:
         raise TheoremViolationError(
             f"a fiber algebra has {len(monomials)} standard monomials, not"
             f" r*deg m = {r * degree}: B is not free of rank {r} over A"
         )
-    return _rank(nf, trace, products) // degree
+    return rank // degree
 
 
-def _algebra(spec: ExtensionSpec, point: _Point) -> tuple[list, Callable, list, list]:
+def _algebra(spec: ExtensionSpec, point: _Point) -> tuple[list, Callable, list, int]:
     """The algebra Q[X]/I of the fiber basis over the point: its standard
-    monomials b_k, their normal forms, the traces ``Tr(b_k)``, and the
-    exponents of the products ``b_k*b_l``.
+    monomials b_k, their normal forms, the traces ``Tr(b_k)``, and the rank
+    of ``Tr(b_i*b_j)``, the number of distinct points over all roots of m.
 
     A normal form is a sparse vector ``{k: coefficient of b_k}``, memoized per
     exponent g and built a variable at a time: ``NF(x^g) = sum_k c_k
@@ -195,15 +195,10 @@ def _algebra(spec: ExtensionSpec, point: _Point) -> tuple[list, Callable, list, 
 
     products = [[tuple(map(sum, zip(bi, bj))) for bj in monomials] for bi in monomials]
     trace = [sum(nf(g).get(l, 0) for l, g in enumerate(row)) for row in products]
-    return monomials, nf, trace, products
-
-
-def _rank(nf: Callable, trace: list, products: list[list]) -> int:
-    """The rank of the trace form ``Tr(b_i*b_j)``, the number of distinct
-    points over all roots of m, with one trace per distinct exponent."""
+    # the trace form's rows, with one trace per distinct exponent
     trace_of = {g: _trace(nf(g), trace) for g in set(itertools.chain(*products))}
     rows = ({j: trace_of[g] for j, g in enumerate(row) if trace_of[g]} for row in products)
-    return len(_eliminate((row, {}) for row in rows)[0])
+    return monomials, nf, trace, len(_eliminate((row, {}) for row in rows)[0])
 
 
 def _combine(v: dict, rows) -> dict:
@@ -237,12 +232,19 @@ def fiber_count(
     (tag-variable polynomials) are only used to annotate which branch
     hypersurfaces the base point lies on.
     """
+    return _probe(spec, u, contractions, 0)[0]
+
+
+def _probe(spec: ExtensionSpec, u: Sequence, contractions, list_up_to: float) -> tuple:
+    """:func:`fiber_count`'s sample and, if its count is at most ``list_up_to``,
+    :func:`fiber_points`' listing (else None), both from one fiber algebra."""
     if len(u) != spec.n:
         raise FiberProbeError(f"base point needs {spec.n} components")
     point = _exact_point(u)
     r = validate(spec)
-    count = _count(spec, point, r)
-    return FiberSample(
+    algebra = _algebra(spec, point)
+    count = _count(spec, point, r, algebra)
+    sample = FiberSample(
         u=point.u,
         count=count,
         classification="generic" if count == r else "branch",
@@ -250,6 +252,7 @@ def fiber_count(
             idx for idx, p in enumerate(contractions or ()) if _vanishes_at(p, point)
         ),
     )
+    return sample, _listing(spec, point, algebra) if count <= list_up_to else None
 
 
 def _vanishes_at(p: Poly, point: _Point) -> bool:
@@ -264,11 +267,14 @@ def fiber_points(spec: ExtensionSpec, u: Sequence):
     is read as :func:`fiber_count` reads it, and the points are counted by
     the same trace form.  The points are tuples of complex numbers, in a
     fixed order."""
-    point = _exact_point(u)
+    return _probe(spec, u, (), math.inf)[1]
+
+
+def _listing(spec: ExtensionSpec, point: _Point, algebra: tuple):
     with mpmath.workdps(DEFAULT_DPS):
         try:
             targets = [[a + alpha * b for a, b in zip(point.a, point.b)] for alpha in point.roots]
-            points = _rur_points(spec, point)
+            points = _rur_points(spec, algebra)
         except FiberProbeError:  # root finding gave up
             return None
         # the points over alpha = roots[0] are those where f is nearest
@@ -288,11 +294,10 @@ def fiber_points(spec: ExtensionSpec, u: Sequence):
     return tuple(solutions), residual
 
 
-def _rur_points(spec: ExtensionSpec, point: _Point) -> list[tuple]:
+def _rur_points(spec: ExtensionSpec, algebra: tuple) -> list[tuple]:
     """The points over all roots of m, as many as the trace form's rank, by
     the rational univariate representation; a rational L-value gives an exact point."""
-    monomials, nf, trace, products = _algebra(spec, point)
-    distinct = _rank(nf, trace, products)
+    monomials, nf, trace, distinct = algebra
     n = spec.n
     times = [[nf(_step(b, j, 1)) for b in monomials] for j in range(n)]  # NF(x_j*b_k)
     for c in itertools.count(1):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vrg import (
@@ -17,11 +17,14 @@ from vrg import (
     canonical,
     degree,
     factor,
+    jacobian,
+    lcm,
     load_report,
     load_spec,
     parse,
     report_from_dict,
     report_to_dict,
+    subalgebra_membership,
     tag_table,
     validate,
     verify_report,
@@ -194,8 +197,8 @@ def _cyclotomic(d, x, y):
     return phi
 
 
-# the degree and the number of ramified primes of G(m,p,3)
-_G_M_P_3 = {(3, 1): (162, 9), (6, 2): (648, 15)}
+# the degree and the number of ramified primes of G(m,p,n) for n > 2
+_G_M_P_N = {(3, 1, 3): (162, 9), (6, 2, 3): (648, 15), (2, 1, 4): (384, 16)}
 
 
 @pytest.mark.parametrize(
@@ -204,7 +207,7 @@ _G_M_P_3 = {(3, 1): (162, 9), (6, 2): (648, 15)}
         pytest.param(m, p, 2, id=f"{m}-{p}")
         for m, p in [(2, 1), (3, 1), (4, 2), (4, 4), (6, 2), (6, 3), (5, 5), (8, 4)]
     ]
-    + [pytest.param(m, p, 3, id=f"{m}-{p}-3") for m, p in _G_M_P_3],
+    + [pytest.param(m, p, n, id=f"{m}-{p}-{n}") for m, p, n in _G_M_P_N],
 )
 def test_imprimitive_reflection_groups_known_answers(m, p, n):
     # G(m,p,n) has order m^n*n!/p and invariants e_k(X1^m, ..., Xn^m) for
@@ -231,8 +234,8 @@ def test_imprimitive_reflection_groups_known_answers(m, p, n):
         expected |= {(xi, m // p) for xi in x}
     assert {(datum.prime, datum.index) for datum in report.ramification} == expected
     assert len(report.ramification) == len(expected)
-    if n == 3:
-        assert (report.degree, len(report.ramification)) == _G_M_P_3[m, p]
+    if n > 2:
+        assert (report.degree, len(report.ramification)) == _G_M_P_N[m, p, n]
     assert report.well_ramified
     assert report.quotient_DJ == report.S
     assert verify_report(report, spec).ok
@@ -276,6 +279,37 @@ def test_scaling_the_generators(entry, scales):
         assert other.witness.pullback_factors == report.witness.pullback_factors
     assert verify_report(report, spec).ok
     assert verify_report(other, scaled).ok
+
+
+_WEIGHT_ONE = [e for e in CORPUS if set(e.spec.vars.weights) == {1}]
+_ENTRY = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+
+
+@pytest.mark.parametrize("entry", _WEIGHT_ONE, ids=lambda e: e.name)
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(entries=st.lists(_ENTRY, min_size=9, max_size=9))
+def test_linear_change_of_coordinates(entry, entries):
+    # X -> M*X for an invertible M is an automorphism of B carrying f to
+    # f(M*X): each prime Q moves to Q(M*X) with its index, and the tag side
+    # (the contractions and S~) does not move
+    spec, vars, n = entry.spec, entry.spec.vars, entry.spec.n
+    x = [Poly.variable(n, j) for j in range(n)]
+    mx = [sum((c * xj for c, xj in zip(entries[i * n :], x)), Poly.zero(n)) for i in range(n)]
+    assume(not jacobian(mx, vars).is_zero())
+    moved = ExtensionSpec(vars, tuple(f.compose(mx) for f in spec.generators))
+    report, other = analyze(spec), analyze(moved)
+    assert other.degree == report.degree
+    assert sorted(d.index for d in other.ramification) == sorted(
+        d.index for d in report.ramification
+    )
+    assert {(d.prime, d.index, d.contraction) for d in other.ramification} == {
+        (canonical(d.prime.compose(mx), vars), d.index, d.contraction)
+        for d in report.ramification
+    }
+    assert set(other.distinct_contractions()) == set(report.distinct_contractions())
+    assert other.S_tilde == report.S_tilde
+    assert other.well_ramified == report.well_ramified
+    assert verify_report(other, moved).ok
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +385,22 @@ def test_tampered_representation_fails(cusp_spec):
     def scale_rep(data):
         data["discriminant"]["D_rep"] = "y1*(" + data["discriminant"]["D_rep"] + ")"
 
+    def double_both(data):
+        # D~ and the witness agree, but 2*D~(f) is not R
+        for node, key in ((data["discriminant"], "D_rep"), (data["witness"], "representation")):
+            node[key] = "2*(" + node[key] + ")"
+
+    def drop_discriminant(data):
+        data["discriminant"] = None
+
     result = verify_report(_tampered(cusp_spec, scale_rep), cusp_spec)
     assert not result.ok
     assert "discriminant representation" in result.failures
+    for mutate, failure in (
+        (double_both, "discriminant representation"),
+        (drop_discriminant, "discriminant present"),
+    ):
+        assert verify_report(_tampered(cusp_spec, mutate), cusp_spec).failures == (failure,)
 
 
 def test_tampered_jacobian_fails(cusp_spec):
@@ -560,6 +607,47 @@ def test_verify_report_factors_only_the_certificate(entry, monkeypatch):
     monkeypatch.setattr(analyzer_mod, "factor", counted)
     assert verify_report(report, spec).ok
     assert calls and all(p in allowed for p in calls)
+
+
+def _g313():
+    vars = VarTable(("X1", "X2", "X3"), (1, 1, 1))
+    gens = ("X1^3+X2^3+X3^3", "X1^3*X2^3+X1^3*X3^3+X2^3*X3^3", "X1*X2*X3")
+    return ExtensionSpec(vars, tuple(parse(g, vars) for g in gens))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [pytest.param(e.spec, id=e.name) for e in CORPUS] + [pytest.param(_g313(), id="G(3,1,3)")],
+)
+def test_s_tilde_is_the_lcm_of_the_contractions(spec):
+    # the distinct contractions are distinct primes of A, so the product
+    # that analyze takes is their lcm
+    report = analyze(spec)
+    tags = tag_table(spec)
+    expected = Poly.const(tags.n, 1)
+    for contraction in report.distinct_contractions():
+        expected = lcm(expected, contraction, tags)
+    assert report.S_tilde == expected
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+def test_verify_report_takes_r_in_a_from_the_discriminant(entry, monkeypatch):
+    # D~(f) = R proves that R is in A, so only a report without a
+    # discriminant runs the membership solve; analyze always runs it once
+    import vrg.analyzer as analyzer_mod
+
+    calls = []
+
+    def counted(p, spec):
+        calls.append(p)
+        return subalgebra_membership(p, spec)
+
+    monkeypatch.setattr(analyzer_mod, "subalgebra_membership", counted)
+    report = analyze(entry.spec)
+    assert len(calls) == 1
+    calls.clear()
+    assert verify_report(report, entry.spec).ok
+    assert len(calls) == (0 if entry.well_ramified else 1)
 
 
 def test_analyze_is_thread_safe(cusp_spec, mixed_spec, sym2_spec):

@@ -95,6 +95,20 @@ def test_fiber_command(capsys):
     assert "count = 2" in out
 
 
+@pytest.mark.parametrize("spec, u", [("sym2.json", "0,-1"), ("powers.json", "1/2,3")])
+def test_fiber_command_builds_one_fiber_algebra(capsys, monkeypatch, spec, u):
+    # the count and the listing read the same fiber algebra
+    import vrg.fiber as fiber_mod
+
+    calls = []
+    real = fiber_mod._algebra
+    monkeypatch.setattr(fiber_mod, "_algebra", lambda *args: calls.append(args) or real(*args))
+    rc = main(["fiber", str(SPEC_DIR / spec), "--u", u])
+    assert rc == 0
+    assert "residual = " in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_fiber_command_at_cusp_origin(capsys):
     # the only preimage of u = 0 is the origin, a root of multiplicity 12
     rc = main(["fiber", str(SPEC_DIR / "cusp.json"), "--u", "0,0"])
