@@ -76,7 +76,13 @@ def validate(spec: ExtensionSpec) -> int:
     from .ideals import check_finite
 
     generator_weights(spec)
-    if not check_finite(spec):
+    return finite_degree(spec, check_finite(spec))
+
+
+def finite_degree(spec: ExtensionSpec, finite: bool) -> int:
+    """The degree r of a spec with homogeneous generators, once ``finite``
+    (the verdict of a zero-dimensionality test on them) holds."""
+    if not finite:
         raise NotFiniteError(
             "extension not finite: the generators vanish on a positive-"
             "dimensional set"

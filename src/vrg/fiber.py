@@ -5,18 +5,21 @@ monic irreducible ``m`` in ``Q[s]``: the point is ``a + alpha*b`` for a root
 ``alpha`` of ``m``.  A rational point ``u`` is ``a = u, b = e_1, m = s``; a
 complex one ``p + q*i`` is ``a = p, b = q, m = s^2 + 1``; a branch point of
 the audit is where a rational line meets the branch hypersurface, with ``m``
-an irreducible factor of the contraction restricted to the line.  With
-``s = (f_k - a_k)/b_k`` for the first ``b_k != 0``, the fibers over all roots
-of ``m`` are eliminated together by one lex Groebner basis over the
-rationals, of ``f_j - a_j - b_j*s`` for ``j != k`` and ``m(s)``.
+an irreducible factor of the contraction restricted to the line.
 
-The count is exact.  ``B`` is free of rank ``r`` over ``A``, so the basis has
-``r*deg m`` standard monomials, which every sample checks.  The rank of the
-trace form ``Tr(b_i*b_j)`` on them is the number of distinct points over all
-roots of ``m`` (Pedersen-Roy-Szpirglas 1993; Cox-Little-O'Shea, *Using
-Algebraic Geometry*, ch. 2 section 5), and conjugate fibers have equal size.
-The standard monomials are read by :mod:`vrg.ideals`, which also takes the
-rank, by the same exact row reduction over Q that solves its graded pieces.
+The count is exact.  ``B`` is free of rank ``r`` over ``A`` on the standard
+monomials ``b_l`` of the generators' lex basis, so the fibers over all roots
+of ``m`` make up the algebra ``B (x)_A Q[s]/(m)``, with Q-basis
+``b_l*alpha^t``.  :func:`_tables` writes each border monomial ``x_j*b_k`` as
+``sum_l c_l(f)*b_l`` once per spec, by the graded elimination of
+:mod:`vrg.ideals` on the rows ``f^a*b_l``, which also checks that B is free;
+:func:`_algebra` specializes the ``c_l`` at the point, in ``Q[s]/(m)``, and
+needs no Groebner basis of its own.  The rank of the trace form
+``Tr(v*w)`` on that basis is the number of distinct points over all roots
+of ``m`` (Pedersen-Roy-Szpirglas 1993; Cox-Little-O'Shea, *Using Algebraic
+Geometry*, ch. 2 section 5), and conjugate fibers have equal size.  The
+rank is taken by the same exact row reduction over Q that solves the graded
+pieces.
 
 :func:`fiber_points`, the listing that ``vrg fiber`` prints, reads the points
 off the same trace algebra by the rational univariate representation
@@ -38,17 +41,18 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import add
 from typing import Callable, Sequence
 
 import mpmath
 
 from ._zfactor import _derivative, _divmod, _gcd, _primitive, factor_squarefree
 from .errors import FiberProbeError, TheoremViolationError
-from .extension import ExtensionSpec, validate
+from .extension import ExtensionSpec, finite_degree, generator_weights
 from .factor import factor
-from .groebner import GroebnerBasis, groebner, normal_form
-from .ideals import _eliminate, _standard_monomials, tag_table
-from .poly import Exponent, Poly, VarTable, format_poly
+from .groebner import groebner
+from .ideals import _eliminate, _graded_piece, _power_images, _standard_monomials, tag_table
+from .poly import Exponent, Poly, VarTable, format_poly, reduce_leading
 
 DEFAULT_DPS = 50
 
@@ -137,68 +141,200 @@ def _exact_point(u) -> _Point:
     return _Point(a, b, _S**2 + 1)
 
 
-def _basis(spec: ExtensionSpec, point: _Point) -> GroebnerBasis:
-    """Reduced lex basis of the fibers over ``a + alpha*b`` for all roots alpha of m."""
-    k = next(j for j, bj in enumerate(point.b) if bj)
-    s = (spec.generators[k] - point.a[k]) / point.b[k]
-    gens = [
-        point.m.compose([s]) if j == k else f - point.a[j] - point.b[j] * s
-        for j, f in enumerate(spec.generators)
-    ]
-    return groebner(gens, spec.vars)
+def _tables(spec: ExtensionSpec, r: int | None = None) -> tuple[list, dict]:
+    """B as a free A-module, once per spec: the origin basis ``b_k``, the
+    standard monomials of the generators' lex basis, and for each border
+    monomial ``x_j*b_k`` outside it, its coordinates ``{l: c_l}`` with
+    ``x_j*b_k = sum_l c_l(f)*b_l``, each ``c_l`` a sparse polynomial ``{a:
+    coefficient of y^a}`` in the tags.  They are found by graded elimination
+    of the rows ``f^a*b_l`` in each degree of a border monomial.
 
-
-def _count(spec: ExtensionSpec, point: _Point, r: int, algebra: tuple | None = None) -> int:
-    """The number of points over ``a + alpha*b``, from the rank of the
-    trace form on the standard monomials of the fiber basis."""
-    monomials, _, _, rank = algebra or _algebra(spec, point)
-    degree = point.m.degree_in(0)
-    if len(monomials) != r * degree:
-        raise TheoremViolationError(
-            f"a fiber algebra has {len(monomials)} standard monomials, not"
-            f" r*deg m = {r * degree}: B is not free of rank {r} over A"
-        )
-    return rank // degree
-
-
-def _algebra(spec: ExtensionSpec, point: _Point) -> tuple[list, Callable, list, int]:
-    """The algebra Q[X]/I of the fiber basis over the point: its standard
-    monomials b_k, their normal forms, the traces ``Tr(b_k)``, and the rank
-    of ``Tr(b_i*b_j)``, the number of distinct points over all roots of m.
-
-    A normal form is a sparse vector ``{k: coefficient of b_k}``, memoized per
-    exponent g and built a variable at a time: ``NF(x^g) = sum_k c_k
-    NF(x_j*b_k)`` where ``NF(x^(g - e_j)) = sum_k c_k b_k``.  ``Tr(b_k)`` sums
-    the ``b_l`` coefficients of ``NF(b_k*b_l)``, and ``Tr(v) = sum_k v_k
-    Tr(b_k)``.
+    Freeness of rank r is checked here, once per spec: the origin basis has
+    r elements, no degree has a linear relation among its rows, and every
+    border monomial reduces to zero against them.  Without ``r`` the spec is
+    validated as :func:`~vrg.extension.validate` does, with finiteness read
+    off the origin basis.
     """
-    gb = _basis(spec, point)
     n = spec.n
-    monomials = _standard_monomials(gb, n)
-    index = {e: k for k, e in enumerate(monomials)}
-    memo: dict[Exponent, dict[int, object]] = {e: {k: 1} for e, k in index.items()}
+    if r is None:
+        generator_weights(spec)
+    basis = _standard_monomials(groebner(spec.generators, spec.vars), n)
+    if r is None:
+        r = finite_degree(spec, bool(basis))
+    if len(basis) != r:
+        raise TheoremViolationError(
+            f"the origin basis has {len(basis)} standard monomials, not"
+            f" r = {r}: B is not free of rank {r} over A"
+        )
+    border = {_step(b, j, 1) for b in basis for j in range(n)} - set(basis)
+    power = _power_images(spec, lambda g: g)
+
+    def image(a: Exponent, l: int) -> Poly:  # f^a*b_l
+        return Poly._clean(n, {tuple(map(add, e, basis[l])): c for e, c in power(a).items()})
+
+    weights, shifts = tag_table(spec).weights, [spec.vars.wdeg(b) for b in basis]
+    table = {}
+    for d in sorted({spec.vars.wdeg(g) for g in border}):
+        rows, kernel = _graded_piece(image, weights, d, shifts)
+        if kernel:
+            raise TheoremViolationError(
+                f"the rows f^a*b_l of degree {d} are linearly dependent:"
+                " B is not free over A on the origin basis"
+            )
+        for g in (g for g in border if spec.vars.wdeg(g) == d):
+            rest, tag = {g: 1}, {}
+            reduce_leading(rest, tag, rows.get)
+            if rest:
+                raise TheoremViolationError(
+                    f"the border monomial {format_poly(Poly._clean(n, {g: 1}), spec.vars)}"
+                    " is not in the span of the origin basis over A: B is not free over A on it"
+                )
+            coordinates: dict = {}
+            for (a, l), c in tag.items():  # g - tag(f, b) == rest == 0
+                coordinates.setdefault(l, {})[a] = -c
+            table[g] = coordinates
+    return basis, table
+
+
+def _count(spec: ExtensionSpec, point: _Point, tables: tuple) -> int:
+    """The number of points over ``a + alpha*b``: the trace form's rank
+    over ``deg m``, as conjugate fibers have equal size."""
+    return _algebra(spec, point, tables)[3] // point.m.degree_in(0)
+
+
+class _Residue:
+    """An element of ``Q[s]/(m)``, for a monic m of degree D >= 2: its D
+    coefficients, lowest degree first, with those of m."""
+
+    __slots__ = ("c", "m")
+
+    def __init__(self, c: tuple, m: list):
+        self.c, self.m = c, m
+
+    def __add__(self, other) -> "_Residue":
+        if isinstance(other, _Residue):
+            return _Residue(tuple(map(add, self.c, other.c)), self.m)
+        return _Residue((self.c[0] + other,) + self.c[1:], self.m)
+
+    __radd__ = __add__
+
+    def __mul__(self, other) -> "_Residue":
+        if not isinstance(other, _Residue):
+            return _Residue(tuple(c * other for c in self.c), self.m)
+        size = len(self.c)
+        out = [0] * (2 * size - 1)
+        for i, x in enumerate(self.c):
+            if x:
+                for j, y in enumerate(other.c):
+                    out[i + j] += x * y
+        for k in range(2 * size - 2, size - 1, -1):  # s^k = s^(k-D)*(s^D - m)
+            if out[k]:
+                for e, me in enumerate(self.m[:size]):
+                    out[k - size + e] -= out[k] * me
+        return _Residue(tuple(out[:size]), self.m)
+
+    __rmul__ = __mul__
+
+    def __bool__(self) -> bool:
+        return any(self.c)
+
+
+def _coefficients(x) -> tuple:
+    """The coefficients of ``x`` in Q[s]/(m), lowest degree first; a
+    rational is its constant term."""
+    return x.c if isinstance(x, _Residue) else (x,)
+
+
+def _power_sums(m: list, count: int) -> list:
+    """``Tr(alpha^e)``, the sum of ``alpha^e`` over the roots of the monic m
+    (lowest degree first), for ``e < count``, by Newton's identities."""
+    size = len(m) - 1
+    p = [size]
+    for k in range(1, count):
+        total = sum(m[size - i] * p[k - i] for i in range(1, min(k, size + 1)))
+        p.append(-(total + k * m[size - k] if k <= size else total))
+    return p
+
+
+def _algebra(spec: ExtensionSpec, point: _Point, tables: tuple) -> tuple[list, Callable, list, int]:
+    """The fiber algebra ``B (x)_A Q(alpha)`` over the point, of dimension
+    ``r*deg m`` over Q: its Q-basis ``b_l*alpha^t``, written as the exponents
+    ``b_l + (t,)`` of ``x^(b_l)*s^t``, their normal forms, the traces
+    ``Tr(b_l*alpha^t)``, and the rank of the trace form on that basis, the
+    number of distinct points over all roots of m.
+
+    The border tables are specialized at ``y = a + s*b`` in ``Q[s]/(m)``: at
+    the rational point u when m is linear.  Over that field, a normal form
+    is a sparse vector ``{k: coefficient of b_k}``, memoized per exponent g
+    and built a variable at a time: ``NF(x^g) = sum_k c_k NF(x_j*b_k)`` where
+    ``NF(x^(g - e_j)) = sum_k c_k b_k``.  ``Tr(b_k)`` sums the ``b_l``
+    coefficients of ``NF(b_k*b_l)``, ``Tr(v) = sum_k v_k Tr(b_k)``, and the
+    trace to Q of ``alpha^t*v`` is ``sum_e v_e Tr(alpha^(t+e))``.
+    """
+    n, (basis, border) = spec.n, tables
+    m = [point.m.coefficient((e,)) for e in range(point.m.degree_in(0) + 1)]
+    size = len(m) - 1
+    alpha = -m[0] if size == 1 else _Residue((0, 1) + (0,) * (size - 2), m)
+    y = [ai + alpha * bi for ai, bi in zip(point.a, point.b)]
+    powers = {(0,) * n: 1}
+
+    def power(a: Exponent):  # y^a
+        if a not in powers:
+            i = next(i for i, e in enumerate(a) if e)
+            powers[a] = power(_step(a, i, -1)) * y[i]
+        return powers[a]
+
+    memo: dict[Exponent, dict[int, object]] = {e: {k: 1} for k, e in enumerate(basis)}
+    for g, coordinates in border.items():
+        values = {l: sum(c * power(a) for a, c in poly.items()) for l, poly in coordinates.items()}
+        memo[g] = {l: v for l, v in values.items() if v}
 
     def nf(g: Exponent) -> dict[int, object]:
         if g in memo:
             return memo[g]
-        steps = [j for j in range(n) if g[j]]
-        if any(_step(g, j, -1) in index for j in steps):  # next to the standard monomials
-            out = {index[e]: c for e, c in normal_form(Poly._clean(n, {g: 1}), gb).items()}
-        else:  # _combine inlined: every audit sample runs this
-            out = {}
-            for k, c in nf(_step(g, steps[0], -1)).items():
-                for l, d in nf(_step(monomials[k], steps[0], 1)).items():
-                    out[l] = out.get(l, 0) + c * d
-            out = {l: c for l, c in out.items() if c}
+        j = next(j for j, e in enumerate(g) if e)
+        out: dict[int, object] = {}  # _combine inlined: every audit sample runs this
+        for k, c in nf(_step(g, j, -1)).items():
+            for l, d in memo[_step(basis[k], j, 1)].items():
+                out[l] = out.get(l, 0) + c * d
+        out = {l: c for l, c in out.items() if c}
         memo[g] = out
         return out
 
-    products = [[tuple(map(sum, zip(bi, bj))) for bj in monomials] for bi in monomials]
+    products = [[tuple(map(add, bi, bj)) for bj in basis] for bi in basis]
     trace = [sum(nf(g).get(l, 0) for l, g in enumerate(row)) for row in products]
-    # the trace form's rows, with one trace per distinct exponent
-    trace_of = {g: _trace(nf(g), trace) for g in set(itertools.chain(*products))}
-    rows = ({j: trace_of[g] for j, g in enumerate(row) if trace_of[g]} for row in products)
-    return monomials, nf, trace, len(_eliminate((row, {}) for row in rows)[0])
+    sums = _power_sums(m, 3 * size - 2)
+
+    def to_q(x, t: int):  # the trace to Q of alpha^t*x
+        return sum(c * sums[t + e] for e, c in enumerate(_coefficients(x)))
+
+    # for each distinct product g, the traces to Q of alpha^t*Tr(g), t < 2D - 1
+    trace_of = {
+        g: [to_q(x, t) for t in range(2 * size - 1)]
+        for g in set(itertools.chain(*products))
+        for x in [_trace(nf(g), trace)]
+    }
+    rows = (
+        {j * size + u: v for j, g in enumerate(row) for u in range(size) if (v := trace_of[g][t + u])}
+        for row in products
+        for t in range(size)
+    )
+    rank = len(_eliminate((row, {}) for row in rows)[0])
+
+    def nf_q(g: Exponent) -> dict[int, object]:  # NF(x^(g[:n])*s^g[n]) over Q
+        shift = 1
+        for _ in range(g[n] if len(g) > n else 0):
+            shift = shift * alpha
+        return {
+            l * size + e: c
+            for l, x in nf(g[:n]).items()
+            for e, c in enumerate(_coefficients(x * shift))
+            if c
+        }
+
+    monomials = [b + (t,) for b in basis for t in range(size)]
+    traces = [to_q(x, t) for x in trace for t in range(size)]
+    return monomials, nf_q, traces, rank
 
 
 def _combine(v: dict, rows) -> dict:
@@ -241,9 +377,10 @@ def _probe(spec: ExtensionSpec, u: Sequence, contractions, list_up_to: float) ->
     if len(u) != spec.n:
         raise FiberProbeError(f"base point needs {spec.n} components")
     point = _exact_point(u)
-    r = validate(spec)
-    algebra = _algebra(spec, point)
-    count = _count(spec, point, r, algebra)
+    tables = _tables(spec)
+    r = len(tables[0])  # the origin basis
+    algebra = _algebra(spec, point, tables)
+    count = algebra[3] // point.m.degree_in(0)
     sample = FiberSample(
         u=point.u,
         count=count,
@@ -382,13 +519,14 @@ def branch_audit(spec: ExtensionSpec, report, samples: int = 20, seed: int = 0) 
     r = report.degree
     contractions = report.distinct_contractions()
     tags = tag_table(spec)
+    tables = _tables(spec, r)
     rng = random.Random(seed)
 
     def tally(head: dict, key: str, draw, passes) -> dict:
         entry = {**head, "requested": samples, key: 0, "violations": []}
         for _ in range(samples):
             point = draw()
-            count = _count(spec, point, r)
+            count = _count(spec, point, tables)
             if passes(count):
                 entry[key] += 1
             else:

@@ -6,9 +6,10 @@ criteria, normal selection, and full interreduction is enough and keeps
 the code auditable.
 
 Lex (plain tuple order on exponents, the first variable largest) is the
-only monomial order.  Bases serve two jobs: the finiteness test, which any
-order decides, and the fiber probe's triangular sets, which need lex.  So
-no order key is threaded through: normal forms, exact division and row
+only monomial order.  Bases serve two jobs, and any order would do for
+both: the finiteness test, and the standard monomials that the fiber
+tables take as a free basis of B over A.  So no order key is threaded
+through: normal forms, exact division and row
 elimination share :func:`~vrg.poly.reduce_leading`, which leads by ``max``.
 
 The total degree of every input and intermediate polynomial is capped

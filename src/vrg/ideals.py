@@ -1,8 +1,10 @@
 """Ideal-theoretic machinery: finiteness, membership, and contraction.
 
-Its two jobs shared with :mod:`vrg.fiber` are reading a zero-dimensional lex
-basis (:func:`_standard_monomials`) and exact row reduction (:func:`_eliminate`);
-the latter runs :func:`~vrg.poly.reduce_leading`, as division and normal forms do.
+It shares with :mod:`vrg.fiber` the reading of a zero-dimensional lex basis
+(:func:`_standard_monomials`) and the graded linear algebra: the pieces of a
+free A-module (:func:`_graded_piece`) and exact row reduction
+(:func:`_eliminate`), which runs :func:`~vrg.poly.reduce_leading`, as
+division and normal forms do.
 
 For a finite extension the generators are algebraically independent, so
 ``A = Q[f1..fn]`` is a polynomial ring (tag variable ``y_i`` of weight
@@ -19,7 +21,7 @@ lex basis of :mod:`vrg.groebner` serves and no order key is needed.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .errors import ContractionError
 from .extension import ExtensionSpec, degree
@@ -131,10 +133,19 @@ def _eliminate(pairs: Iterable[tuple[dict, dict]]) -> tuple[dict, list]:
     return rows, kernel
 
 
-def _graded_piece(image: Callable, weights: tuple[int, ...], d: int) -> tuple:
-    """:func:`_eliminate` on the pairs ``(image(a), y^a)`` of A_d: the rows
-    and a basis of the kernel of ``tag -> image`` in degree d."""
-    return _eliminate((image(a).terms_dict(), {a: 1}) for a in _tag_monomials(weights, d))
+def _graded_piece(
+    image: Callable, weights: tuple[int, ...], d: int, shifts: Sequence[int] = (0,)
+) -> tuple:
+    """:func:`_eliminate` on the pairs ``(image(a, l), y^a*e_l)`` that span
+    degree d of the free A-module on basis elements ``e_l`` of degrees
+    ``shifts``: the rows and a basis of the kernel of ``tag -> image`` in
+    degree d.  The tag ``y^a*e_l`` is the key ``(a, l)``; A itself is the
+    module with ``shifts = (0,)``."""
+    return _eliminate(
+        (image(a, l).terms_dict(), {(a, l): 1})
+        for l, shift in enumerate(shifts)
+        for a in _tag_monomials(weights, d - shift)
+    )
 
 
 def subalgebra_membership(p: Poly, spec: ExtensionSpec) -> Poly | None:
@@ -148,11 +159,11 @@ def subalgebra_membership(p: Poly, spec: ExtensionSpec) -> Poly | None:
     image = _power_images(spec, lambda g: g)
     rows: dict = {}
     for d in {spec.vars.wdeg(exp) for exp, _ in p.items()}:
-        rows.update(_graded_piece(image, tags.weights, d)[0])
+        rows.update(_graded_piece(lambda a, _: image(a), tags.weights, d)[0])
     rest, tag = p.terms_dict(), {}
     reduce_leading(rest, tag, rows.get)
     # the invariant rest - tag(f) == p leaves p == -tag(f) once rest is zero
-    return None if rest else Poly._clean(tags.n, {a: -c for a, c in tag.items()})
+    return None if rest else Poly._clean(tags.n, {a: -c for (a, _), c in tag.items()})
 
 
 def contract_prime(q: Poly, spec: ExtensionSpec) -> Poly:
@@ -176,9 +187,9 @@ def contract_prime(q: Poly, spec: ExtensionSpec) -> Poly:
     for d in range(low, top + 1):
         if top % d:
             continue
-        kernel = _graded_piece(image, tags.weights, d)[1]
+        kernel = _graded_piece(lambda a, _: image(a), tags.weights, d)[1]
         if len(kernel) == 1:
-            return canonical(Poly._clean(tags.n, kernel[0]), tags)
+            return canonical(Poly._clean(tags.n, {a: c for (a, _), c in kernel[0].items()}), tags)
         if kernel:
             raise ContractionError(
                 f"contraction of {format_poly(q, spec.vars)} is not principal:"

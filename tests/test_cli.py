@@ -109,6 +109,51 @@ def test_fiber_command_builds_one_fiber_algebra(capsys, monkeypatch, spec, u):
     assert len(calls) == 1
 
 
+def test_fiber_command_validates_the_spec_once(capsys, monkeypatch):
+    # analyze validates the spec; the fiber tables take r and finiteness
+    # from their own origin basis
+    import sys
+
+    import vrg.extension
+
+    calls = []
+    real = vrg.extension.validate
+
+    def counted(spec):
+        calls.append(spec)
+        return real(spec)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("vrg.")]:
+        if getattr(module, "validate", None) is real:
+            monkeypatch.setattr(module, "validate", counted)
+    assert main(["fiber", str(SPEC_DIR / "powers.json"), "--u", "1/2,3"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
+def _break_tables(monkeypatch, case):
+    """Make the fiber tables see one of the three failures of freeness."""
+    import vrg.fiber as fiber_mod
+
+    real_monomials, real_piece = fiber_mod._standard_monomials, fiber_mod._graded_piece
+    if case == "rank":  # the origin basis misses a monomial
+        monkeypatch.setattr(fiber_mod, "_standard_monomials", lambda *a: real_monomials(*a)[:-1])
+    elif case == "kernel":  # a graded elimination finds a relation
+        monkeypatch.setattr(fiber_mod, "_graded_piece", lambda *a: (real_piece(*a)[0], [{}]))
+    else:  # a border monomial keeps a remainder
+        monkeypatch.setattr(fiber_mod, "_graded_piece", lambda *a: ({}, []))
+
+
+@pytest.mark.parametrize("case", ["rank", "kernel", "border"])
+def test_fiber_tables_that_are_not_free_exit_4(case, capsys, monkeypatch):
+    _break_tables(monkeypatch, case)
+    assert main(["fiber", str(SPEC_DIR / "sym2.json"), "--u", "0,-1"]) == 4
+    assert "not free" in capsys.readouterr().err
+    spec = str(SPEC_DIR / "sym2.json")
+    assert main(["analyze", spec, "--fiber", "2"]) == 4
+    assert "not free" in capsys.readouterr().err
+
+
 def test_fiber_command_at_cusp_origin(capsys):
     # the only preimage of u = 0 is the origin, a root of multiplicity 12
     rc = main(["fiber", str(SPEC_DIR / "cusp.json"), "--u", "0,0"])

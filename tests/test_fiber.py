@@ -1,10 +1,11 @@
+import functools
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vrg import (
@@ -19,7 +20,10 @@ from vrg import (
     validate,
     verify_report,
 )
-from vrg.errors import FiberProbeError
+from vrg.errors import FiberProbeError, NotFiniteError, NotHomogeneousError
+from vrg.groebner import groebner, normal_form
+from vrg.ideals import _standard_monomials
+from vrg.poly import Poly
 
 from corpus import BY_NAME, CORPUS, spec_of
 
@@ -110,6 +114,16 @@ def test_gaussian_rational_pairs_are_exact(sym2_spec):
     assert (binary.count, binary.on_branch_of) == (2, ())
 
 
+def test_fiber_count_validates_the_spec(xy11):
+    # finiteness is read off the origin basis of the fiber tables
+    nonfinite = ExtensionSpec(xy11, (parse("X", xy11), parse("X*Y", xy11)))
+    with pytest.raises(NotFiniteError):
+        fiber_count(nonfinite, (Fraction(1), Fraction(2)))
+    inhomogeneous = ExtensionSpec(xy11, (parse("X^2+Y", xy11), parse("Y^2", xy11)))
+    with pytest.raises(NotHomogeneousError):
+        fiber_count(inhomogeneous, (Fraction(1), Fraction(2)))
+
+
 def test_fiber_wrong_arity(sym2_spec):
     with pytest.raises(FiberProbeError):
         fiber_count(sym2_spec, (Fraction(1),))
@@ -162,10 +176,12 @@ def test_branch_audit_takes_the_degree_from_the_report(mixed_spec, monkeypatch):
     report = analyze(mixed_spec)
     expected = branch_audit(mixed_spec, report, samples=3, seed=9)
 
-    def no_validate(spec):
+    def no_validate(*args):
         raise AssertionError("branch_audit re-validated the spec")
 
-    monkeypatch.setattr(fiber_mod, "validate", no_validate)
+    # the checks that the fiber tables make when they are not given r
+    monkeypatch.setattr(fiber_mod, "generator_weights", no_validate)
+    monkeypatch.setattr(fiber_mod, "finite_degree", no_validate)
     assert branch_audit(mixed_spec, report, samples=3, seed=9) == expected
 
 
@@ -342,7 +358,7 @@ def test_on_branch_of_is_exact_at_irrational_points():
     point = fiber_mod._point_on_hypersurface(discriminant, 3, random.Random(4))
     assert point.m.degree_in(0) == 2
     assert fiber_mod._vanishes_at(discriminant, point)
-    assert fiber_mod._count(spec, point, 6) == 3
+    assert fiber_mod._count(spec, point, fiber_mod._tables(spec)) == 3
     # a Gaussian-rational point 2^-40 off the discriminant is not on it
     u = _sym3_at_roots(1 + 1j, 1 + 1j, 2 - 1j)
     off = (u[0], u[1], u[2] + 2.0**-40)
@@ -363,24 +379,106 @@ def test_branch_audit_dihedral5_decides_every_sample():
 def test_fiber_workload_outputs_are_correct(monkeypatch):
     # what perfbench/worker.py checks of each fiber request, on its specs
     # and sample counts, at one seed; the audit counts exactly, so it never
-    # finds a root
+    # finds a root, and it builds one Groebner basis per spec, the origin
+    # basis of its tables, not one per sample
+    import vrg.fiber as fiber_mod
+
     def no_roots(*args, **kwargs):
         raise AssertionError("branch_audit called mpmath.polyroots")
 
     monkeypatch.setattr(mpmath, "polyroots", no_roots)
+    bases = []
+    real = fiber_mod.groebner
+    monkeypatch.setattr(fiber_mod, "groebner", lambda *args: bases.append(args) or real(*args))
     workload = {"sym2": 10, "mixed": 10, "powers": 10, "cusp": 5, "sym3": 5}
     for name, samples in workload.items():
         spec, _ = load_spec(ROOT / "perfbench" / "specs" / f"{name}.json")
         report = analyze(spec)
+        bases.clear()
         audit = branch_audit(spec, report, samples=samples, seed=1515)
+        assert len(bases) == 1, name
         assert audit["generic"]["equal_r"] == samples, name
         assert all(entry["below_r"] == samples for entry in audit["branch"]), name
         assert audit["all_counts_at_most_r"], name
         assert verify_report(report.with_audit(audit), spec).ok, name
 
 
+@pytest.mark.parametrize("name", ["B3", "D3"])
+def test_branch_audit_reach_specs_known_answers(name):
+    # generic fibers have r points and branch fibers fewer; r is 48 and 24
+    spec, _ = load_spec(ROOT / "perfbench" / "specs" / f"{name}.json")
+    report = analyze(spec)
+    audit = branch_audit(spec, report, samples=2, seed=7)
+    assert audit["generic"]["equal_r"] == 2
+    assert audit["branch"] and all(entry["below_r"] == 2 for entry in audit["branch"])
+    assert audit["all_counts_at_most_r"]
+    assert verify_report(report.with_audit(audit), spec).ok
+
+
+# ---------------------------------------------------------------------------
+# the per-point lex basis, as an oracle for the specialized tables
+# ---------------------------------------------------------------------------
+
+
+def _basis(spec, point):
+    """Reduced lex basis of the fibers over ``a + alpha*b`` for all roots
+    alpha of m, with s eliminated by the first coordinate where b is nonzero."""
+    k = next(j for j, bj in enumerate(point.b) if bj)
+    s = (spec.generators[k] - point.a[k]) / point.b[k]
+    gens = [
+        point.m.compose([s]) if j == k else f - point.a[j] - point.b[j] * s
+        for j, f in enumerate(spec.generators)
+    ]
+    return groebner(gens, spec.vars)
+
+
+def _rank(matrix):
+    rows = [list(row) for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            c = Fraction(rows[i][col]) / rows[rank][col]
+            rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _oracle_count(spec, point):
+    """The Hermite rank on the standard monomials of the lex basis over the
+    point, over deg m."""
+    gb = _basis(spec, point)
+    monomials = _standard_monomials(gb, spec.n)
+
+    def nf(e):
+        return normal_form(Poly(spec.n, {e: 1}), gb)
+
+    def add(e, f):
+        return tuple(x + y for x, y in zip(e, f))
+
+    trace = [sum(nf(add(b, c)).coefficient(c) for c in monomials) for b in monomials]
+    form = [
+        [sum(v * trace[monomials.index(e)] for e, v in nf(add(b, c)).items()) for c in monomials]
+        for b in monomials
+    ]
+    return _rank(form) // point.m.degree_in(0)
+
+
 SMALL_SPECS = [entry.name for entry in CORPUS if entry.spec.n <= 3]
 _small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+# the small specs with a contraction of degree at least 2 in every tag
+NONLINEAR_SPECS = ["dihedral3", "dihedral5", "sym3"]
+
+
+@functools.lru_cache(maxsize=None)
+def _nonlinear_contractions(name):
+    contractions = analyze(spec_of(name)).distinct_contractions()
+    return [p for p in contractions if all(p.degree_in(k) != 1 for k in range(p.n))]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -391,15 +489,47 @@ _small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 )
 def test_fiber_algebras_are_flat(name, real, imag):
     # B is free of rank r over A: over any base point, rational or
-    # Gaussian-rational, the fiber algebra has r*deg m standard monomials
-    # and at most r distinct points over each root of m
+    # Gaussian-rational, the lex basis of the fiber has r*deg m standard
+    # monomials, and there are at most r distinct points over each root of m
     import vrg.fiber as fiber_mod
-    from vrg.ideals import _standard_monomials
 
     spec = spec_of(name)
     r = BY_NAME[name].degree
     point = fiber_mod._exact_point(tuple(zip(real, imag))[: spec.n])
     degree = point.m.degree_in(0)
-    gb = fiber_mod._basis(spec, point)
+    gb = _basis(spec, point)
     assert len(_standard_monomials(gb, spec.n)) == r * degree
-    assert 1 <= fiber_mod._count(spec, point, r) <= r
+    assert 1 <= fiber_mod._count(spec, point, fiber_mod._tables(spec)) <= r
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(("rational", "gaussian", "hypersurface")),
+    data=st.data(),
+    real=st.lists(_small, min_size=3, max_size=3),
+    imag=st.lists(_small, min_size=3, max_size=3),
+    seed=st.integers(0, 2**32),
+)
+def test_specialized_tables_count_as_the_lex_basis_oracle(kind, data, real, imag, seed):
+    # the count from the tables specialized at the point equals the Hermite
+    # rank on the standard monomials of the point's own lex basis
+    import vrg.fiber as fiber_mod
+
+    name = data.draw(st.sampled_from(NONLINEAR_SPECS if kind == "hypersurface" else SMALL_SPECS))
+    spec = spec_of(name)
+    if kind == "hypersurface":
+        # a point over an irreducible factor m of degree 2 or more
+        contractions = _nonlinear_contractions(name)
+        assert contractions
+        rng = random.Random(seed)
+        p = contractions[seed % len(contractions)]
+        for _ in range(20):
+            point = fiber_mod._point_on_hypersurface(p, spec.n, rng)
+            if point.m.degree_in(0) >= 2:
+                break
+        assume(point.m.degree_in(0) >= 2)
+    else:
+        parts = zip(real, imag) if kind == "gaussian" else real
+        point = fiber_mod._exact_point(tuple(parts)[: spec.n])
+    count = fiber_mod._count(spec, point, fiber_mod._tables(spec))
+    assert count == _oracle_count(spec, point)
