@@ -27,6 +27,8 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from .poly import exponents_of_degree
+
 # the modular images tried before lifting the one with the fewest factors
 _PRIMES_TRIED = 3
 
@@ -330,13 +332,6 @@ def factor_squarefree(f: list[int]) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def _monomials(m: int, d: int) -> list[tuple[int, ...]]:
-    """Exponent vectors in m variables of total degree d."""
-    if m == 1:
-        return [(d,)]
-    return [(i,) + rest for i in range(d, -1, -1) for rest in _monomials(m - 1, d - i)]
-
-
 def series_mul(a: dict, b: dict, k: int) -> dict:
     """a * b over Q, dropping every term of total degree above k in y."""
     out: dict = {}
@@ -356,7 +351,7 @@ def series_quotient(f: dict, lead: dict, m: int, k: int) -> dict:
     rest = [(e, c[0]) for e, c in lead.items() if any(e)]
     out: dict = {}
     for d in range(k + 1):
-        for e in _monomials(m, d):
+        for e in exponents_of_degree((1,) * m, d):
             acc = f.get(e, [])
             for le, lc in rest:
                 prior = tuple(x - y for x, y in zip(e, le))
@@ -400,7 +395,7 @@ def lift(f: dict, units: list[list], m: int, k: int) -> list[dict]:
                         e = tuple(x + y for x, y in zip(ea, eb))
                         piece[e] = _add(piece.get(e, []), _mul(pa, pb, 0), 0)
             prefix[j].append({e: c for e, c in piece.items() if c})
-        for e in _monomials(m, d):
+        for e in exponents_of_degree((1,) * m, d):
             error = _sub(f.get(e, []), prefix[-1][d].get(e, []), 0)
             if not error:
                 continue

@@ -39,7 +39,9 @@ class SpecFileError(InputError):
 
 
 class DegreeCapExceededError(VrgError):
-    """An intermediate Groebner polynomial exceeded the configured degree cap."""
+    """A polynomial passed a cap: an intermediate Groebner polynomial, or a
+    power ``base^e`` written in an expression, above the degree cap; or a
+    written power of a constant above 65536 bits (``poly._MAX_POWER_BITS``)."""
 
 
 class ContractionError(VrgError):

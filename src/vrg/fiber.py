@@ -5,7 +5,8 @@ monic irreducible ``m`` in ``Q[s]``: the point is ``a + alpha*b`` for a root
 ``alpha`` of ``m``.  A rational point ``u`` is ``a = u, b = e_1, m = s``; a
 complex one ``p + q*i`` is ``a = p, b = q, m = s^2 + 1``; a branch point of
 the audit is where a rational line meets the branch hypersurface, with ``m``
-an irreducible factor of the contraction restricted to the line.
+an irreducible factor of the contraction restricted to the line.  It is on
+``p = 0`` when ``p(a + alpha*b)`` is 0 in ``Q[s]/(m)``, alpha the residue of s.
 
 The count is exact.  ``B`` is free of rank ``r`` over ``A`` on the standard
 monomials ``b_l`` of the generators' lex basis, so the fibers over all roots
@@ -83,17 +84,28 @@ class _Point:
     m: Poly
 
     @cached_property
+    def coefficients(self) -> list:
+        """Those of m, lowest degree first."""
+        return [self.m.coefficient((d,)) for d in range(self.m.degree_in(0) + 1)]
+
+    @cached_property
     def roots(self) -> tuple:
         """The roots of m (exact when m is linear), largest imaginary part
         first: alpha = i for ``s^2 + 1``."""
-        return _roots([self.m.coefficient((d,)) for d in range(self.m.degree_in(0) + 1)])
+        return _roots(self.coefficients)
+
+    @cached_property
+    def residue(self):
+        """The residue of s in ``Q[s]/(m)``: the root of m when m is linear."""
+        m = self.coefficients
+        return -m[0] if len(m) == 2 else _Residue((0, 1) + (0,) * (len(m) - 3), m)
 
     @property
     def u(self) -> tuple[Component, ...]:
-        alpha = self.roots[0]
+        y = _along(self.a, self.b, self.roots[0])
         if self.m.degree_in(0) == 1:
-            return tuple(ai + alpha * bi for ai, bi in zip(self.a, self.b))
-        return tuple(complex(ai + alpha * bi) if bi else ai for ai, bi in zip(self.a, self.b))
+            return tuple(y)
+        return tuple(complex(yi) if bi else ai for ai, bi, yi in zip(self.a, self.b, y))
 
 
 def _roots(p: list) -> tuple:
@@ -114,9 +126,10 @@ def _rational_point(u: tuple[Fraction, ...]) -> _Point:
     return _Point(u, (1,) + (0,) * (len(u) - 1), _S)
 
 
-def _line(a, b) -> list[Poly]:
-    """The coordinates of ``a + s*b`` as polynomials in s."""
-    return [Poly(1, {(0,): ai, (1,): bi}) for ai, bi in zip(a, b)]
+def _along(a, b, alpha) -> list:
+    """The coordinates of ``a + alpha*b``, for alpha in any commutative ring
+    containing Q: a root of m, the residue of s modulo m, or s itself."""
+    return [ai + alpha * bi for ai, bi in zip(a, b)]
 
 
 def _rational(x) -> Fraction:
@@ -141,26 +154,24 @@ def _exact_point(u) -> _Point:
     return _Point(a, b, _S**2 + 1)
 
 
-def _tables(spec: ExtensionSpec, r: int | None = None) -> tuple[list, dict]:
+def _tables(spec: ExtensionSpec) -> tuple[list, dict]:
     """B as a free A-module, once per spec: the origin basis ``b_k``, the
     standard monomials of the generators' lex basis, and for each border
     monomial ``x_j*b_k`` outside it, its coordinates ``{l: c_l}`` with
-    ``x_j*b_k = sum_l c_l(f)*b_l``, each ``c_l`` a sparse polynomial ``{a:
-    coefficient of y^a}`` in the tags.  They are found by graded elimination
-    of the rows ``f^a*b_l`` in each degree of a border monomial.
+    ``x_j*b_k = sum_l c_l(f)*b_l``, each ``c_l`` a polynomial in the tags.
+    They are found by graded elimination of the rows ``f^a*b_l`` in each
+    degree of a border monomial.
 
-    Freeness of rank r is checked here, once per spec: the origin basis has
-    r elements, no degree has a linear relation among its rows, and every
-    border monomial reduces to zero against them.  Without ``r`` the spec is
-    validated as :func:`~vrg.extension.validate` does, with finiteness read
-    off the origin basis.
+    The spec is validated as :func:`~vrg.extension.validate` does, with
+    finiteness read off the origin basis, and freeness of rank r is checked
+    here, once per spec: the origin basis has r elements, no degree has a
+    linear relation among its rows, and every border monomial reduces to
+    zero against them.
     """
     n = spec.n
-    if r is None:
-        generator_weights(spec)
+    generator_weights(spec)
     basis = _standard_monomials(groebner(spec.generators, spec.vars), n)
-    if r is None:
-        r = finite_degree(spec, bool(basis))
+    r = finite_degree(spec, bool(basis))
     if len(basis) != r:
         raise TheoremViolationError(
             f"the origin basis has {len(basis)} standard monomials, not"
@@ -192,7 +203,7 @@ def _tables(spec: ExtensionSpec, r: int | None = None) -> tuple[list, dict]:
             coordinates: dict = {}
             for (a, l), c in tag.items():  # g - tag(f, b) == rest == 0
                 coordinates.setdefault(l, {})[a] = -c
-            table[g] = coordinates
+            table[g] = {l: Poly._clean(n, terms) for l, terms in coordinates.items()}
     return basis, table
 
 
@@ -263,30 +274,21 @@ def _algebra(spec: ExtensionSpec, point: _Point, tables: tuple) -> tuple[list, C
     ``Tr(b_l*alpha^t)``, and the rank of the trace form on that basis, the
     number of distinct points over all roots of m.
 
-    The border tables are specialized at ``y = a + s*b`` in ``Q[s]/(m)``: at
-    the rational point u when m is linear.  Over that field, a normal form
-    is a sparse vector ``{k: coefficient of b_k}``, memoized per exponent g
-    and built a variable at a time: ``NF(x^g) = sum_k c_k NF(x_j*b_k)`` where
-    ``NF(x^(g - e_j)) = sum_k c_k b_k``.  ``Tr(b_k)`` sums the ``b_l``
+    The border tables are specialized at ``y = a + alpha*b`` in ``Q[s]/(m)``,
+    alpha the residue of s: at the rational point u when m is linear.  Over
+    that field, a normal form is a sparse vector ``{k: coefficient of b_k}``,
+    memoized per exponent g and built a variable at a time: ``NF(x^g) =
+    sum_k c_k NF(x_j*b_k)`` where ``NF(x^(g - e_j)) = sum_k c_k b_k``.  ``Tr(b_k)`` sums the ``b_l``
     coefficients of ``NF(b_k*b_l)``, ``Tr(v) = sum_k v_k Tr(b_k)``, and the
     trace to Q of ``alpha^t*v`` is ``sum_e v_e Tr(alpha^(t+e))``.
     """
     n, (basis, border) = spec.n, tables
-    m = [point.m.coefficient((e,)) for e in range(point.m.degree_in(0) + 1)]
+    m, alpha = point.coefficients, point.residue
     size = len(m) - 1
-    alpha = -m[0] if size == 1 else _Residue((0, 1) + (0,) * (size - 2), m)
-    y = [ai + alpha * bi for ai, bi in zip(point.a, point.b)]
-    powers = {(0,) * n: 1}
-
-    def power(a: Exponent):  # y^a
-        if a not in powers:
-            i = next(i for i, e in enumerate(a) if e)
-            powers[a] = power(_step(a, i, -1)) * y[i]
-        return powers[a]
-
+    y = _along(point.a, point.b, alpha)
     memo: dict[Exponent, dict[int, object]] = {e: {k: 1} for k, e in enumerate(basis)}
     for g, coordinates in border.items():
-        values = {l: sum(c * power(a) for a, c in poly.items()) for l, poly in coordinates.items()}
+        values = {l: c.evaluate(y) for l, c in coordinates.items()}
         memo[g] = {l: v for l, v in values.items() if v}
 
     def nf(g: Exponent) -> dict[int, object]:
@@ -393,9 +395,9 @@ def _probe(spec: ExtensionSpec, u: Sequence, contractions, list_up_to: float) ->
 
 
 def _vanishes_at(p: Poly, point: _Point) -> bool:
-    """Whether p vanishes at the point, decided exactly: whether m divides p
-    on the line ``a + s*b``."""
-    return point.m.divides(p.compose(_line(point.a, point.b)))
+    """Whether p vanishes at the point, decided exactly in ``Q[s]/(m)``: at
+    ``a + alpha*b``, alpha the residue of s."""
+    return not p.evaluate(_along(point.a, point.b, point.residue))
 
 
 def fiber_points(spec: ExtensionSpec, u: Sequence):
@@ -410,7 +412,7 @@ def fiber_points(spec: ExtensionSpec, u: Sequence):
 def _listing(spec: ExtensionSpec, point: _Point, algebra: tuple):
     with mpmath.workdps(DEFAULT_DPS):
         try:
-            targets = [[a + alpha * b for a, b in zip(point.a, point.b)] for alpha in point.roots]
+            targets = [_along(point.a, point.b, alpha) for alpha in point.roots]
             points = _rur_points(spec, algebra)
         except FiberProbeError:  # root finding gave up
             return None
@@ -502,7 +504,7 @@ def _point_on_hypersurface(p: Poly, n: int, rng: random.Random) -> _Point:
     axis = tuple(int(k == j) for k in range(n))
     for _ in range(200):
         a = tuple(Fraction(0) if k == j else _random_rational(rng) for k in range(n))
-        on_line = p.compose(_line(a, axis))
+        on_line = p.compose(_along(a, axis, _S))
         if on_line.is_constant():
             continue
         m = on_line if on_line.degree_in(0) == 1 else factor(on_line, _LINE).factors[0][0]
@@ -519,7 +521,7 @@ def branch_audit(spec: ExtensionSpec, report, samples: int = 20, seed: int = 0) 
     r = report.degree
     contractions = report.distinct_contractions()
     tags = tag_table(spec)
-    tables = _tables(spec, r)
+    tables = _tables(spec)
     rng = random.Random(seed)
 
     def tally(head: dict, key: str, draw, passes) -> dict:

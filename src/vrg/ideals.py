@@ -31,6 +31,7 @@ from .poly import (
     Poly,
     VarTable,
     canonical,
+    exponents_of_degree,
     format_poly,
     reduce_leading,
     weighted_degree,
@@ -87,18 +88,6 @@ def tag_table(spec: ExtensionSpec) -> VarTable:
 # ---------------------------------------------------------------------------
 
 
-def _tag_monomials(weights: tuple[int, ...], d: int) -> list[Exponent]:
-    """Exponent vectors a with sum(a_i * weights[i]) == d."""
-    if not weights:
-        return [()] if d == 0 else []
-    *head, w = weights
-    return [
-        a + (k,)
-        for k in range(d // w + 1)
-        for a in _tag_monomials(tuple(head), d - k * w)
-    ]
-
-
 def _power_images(spec: ExtensionSpec, reduce: Callable) -> Callable:
     """``a -> reduce(f^a)``, memoized; built as ``reduce(f^(a - e_i) * f_i)``
     along a chain of smaller powers, walked without recursion."""
@@ -144,7 +133,7 @@ def _graded_piece(
     return _eliminate(
         (image(a, l).terms_dict(), {(a, l): 1})
         for l, shift in enumerate(shifts)
-        for a in _tag_monomials(weights, d - shift)
+        for a in exponents_of_degree(weights, d - shift)
     )
 
 

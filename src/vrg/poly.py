@@ -44,6 +44,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Number
 from operator import add, sub
 from typing import Callable, Iterator, Mapping, Sequence
 
@@ -452,43 +453,31 @@ class Poly:
         m = args[0].n
         if any(a.n != m for a in args):
             raise ValueError("compose arguments live in different rings")
-        powers: list[dict[int, Poly]] = [{0: Poly.const(m, 1)} for _ in range(self.n)]
+        return Poly.zero(m) + self.evaluate(args)
 
-        def power(j: int, e: int) -> Poly:
-            cache = powers[j]
-            if e not in cache:
-                cache[e] = power(j, e - 1) * args[j]
+    def evaluate(self, values: Sequence) -> object:
+        """The value at ``values``, one per variable, in any commutative ring
+        containing Q: numbers, polynomials or residues modulo a polynomial.
+        Each power is made once: a number's by ``**``, which rounds a float or
+        mpmath value once, any other's by multiplying the power below it."""
+        if len(values) != self.n:
+            raise ValueError("evaluate needs one value per variable")
+        powers = [[1, v] for v in values]
+
+        def power(j: int, e: int):
+            cache, v = powers[j], values[j]
+            while len(cache) <= e:
+                cache.append(v ** len(cache) if isinstance(v, Number) else cache[-1] * v)
             return cache[e]
 
-        total = Poly.zero(m)
+        total = 0
         for exp, c in self._terms.items():
-            term = Poly.const(m, c)
+            term = c
             for j, e in enumerate(exp):
                 if e:
                     term = term * power(j, e)
             total = total + term
         return total
-
-    def evaluate(self, values: Sequence) -> object:
-        """Evaluate at a point; works for Fraction, complex, or mpmath values."""
-        if len(values) != self.n:
-            raise ValueError("evaluate needs one value per variable")
-        powers = [dict() for _ in range(self.n)]
-
-        def power(j: int, e: int):
-            cache = powers[j]
-            if e not in cache:
-                cache[e] = values[j] ** e
-            return cache[e]
-
-        total = None
-        for exp, c in self._terms.items():
-            term = Fraction(c)
-            for j, e in enumerate(exp):
-                if e:
-                    term = term * power(j, e)
-            total = term if total is None else total + term
-        return Fraction(0) if total is None else total
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +497,18 @@ def weighted_degree(p: Poly, vars: VarTable) -> WeightedDegree:
         raise ValueError("degree undefined for the zero polynomial")
     degrees = {vars.wdeg(exp) for exp, _ in p.items()}
     return WeightedDegree(degree=max(degrees), homogeneous=len(degrees) == 1)
+
+
+def exponents_of_degree(weights: tuple[int, ...], d: int) -> list[Exponent]:
+    """Exponent vectors a with sum(a_i * weights[i]) == d."""
+    if not weights:
+        return [()] if d == 0 else []
+    *head, w = weights
+    return [
+        a + (k,)
+        for k in range(d // w + 1)
+        for a in exponents_of_degree(tuple(head), d - k * w)
+    ]
 
 
 # ---------------------------------------------------------------------------

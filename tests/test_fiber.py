@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 from fractions import Fraction
@@ -170,19 +171,17 @@ def test_branch_audit_deterministic(sym2_spec):
     assert third != first
 
 
-def test_branch_audit_takes_the_degree_from_the_report(mixed_spec, monkeypatch):
-    import vrg.fiber as fiber_mod
-
+def test_branch_audit_takes_the_degree_from_the_report(mixed_spec):
+    # the counts are compared with the report's degree, not with the rank of
+    # the fiber tables: a report that claims r + 1 fails every generic sample
     report = analyze(mixed_spec)
-    expected = branch_audit(mixed_spec, report, samples=3, seed=9)
-
-    def no_validate(*args):
-        raise AssertionError("branch_audit re-validated the spec")
-
-    # the checks that the fiber tables make when they are not given r
-    monkeypatch.setattr(fiber_mod, "generator_weights", no_validate)
-    monkeypatch.setattr(fiber_mod, "finite_degree", no_validate)
-    assert branch_audit(mixed_spec, report, samples=3, seed=9) == expected
+    r = report.degree
+    claimed = dataclasses.replace(report, degree=r + 1)
+    audit = branch_audit(mixed_spec, claimed, samples=3, seed=9)
+    assert audit["degree"] == r + 1
+    assert audit["generic"]["equal_r"] == 0
+    assert [v["count"] for v in audit["generic"]["violations"]] == [r] * 3
+    assert all(entry["below_r"] == 3 for entry in audit["branch"])
 
 
 def test_branch_audit_mixed(mixed_spec):
@@ -533,3 +532,46 @@ def test_specialized_tables_count_as_the_lex_basis_oracle(kind, data, real, imag
         point = fiber_mod._exact_point(tuple(parts)[: spec.n])
     count = fiber_mod._count(spec, point, fiber_mod._tables(spec))
     assert count == _oracle_count(spec, point)
+
+
+# ---------------------------------------------------------------------------
+# vanishing at a point, against division on its line
+# ---------------------------------------------------------------------------
+
+
+def _vanishes_by_division(p, point):
+    """Whether m divides p restricted to the line ``a + s*b``: the definition
+    that evaluation in ``Q[s]/(m)`` replaces."""
+    line = [Poly(1, {(0,): ai, (1,): bi}) for ai, bi in zip(point.a, point.b)]
+    return point.m.divides(p.compose(line))
+
+
+@pytest.mark.parametrize("name", NONLINEAR_SPECS)
+def test_vanishing_agrees_with_division_on_hypersurface_points(name):
+    import vrg.fiber as fiber_mod
+
+    spec = spec_of(name)
+    contractions = analyze(spec).distinct_contractions()
+    rng = random.Random(f"vanishes-{name}")
+    points = [fiber_mod._point_on_hypersurface(p, spec.n, rng) for p in contractions for _ in range(8)]
+    assert any(point.m.degree_in(0) >= 2 for point in points)
+    for point in points:
+        assert any(fiber_mod._vanishes_at(q, point) for q in contractions)
+        for q in contractions:
+            assert fiber_mod._vanishes_at(q, point) == _vanishes_by_division(q, point)
+
+
+def test_vanishing_agrees_with_division_at_gaussian_points():
+    import vrg.fiber as fiber_mod
+
+    (discriminant,) = analyze(spec_of("sym3")).distinct_contractions()
+    rng = random.Random("vanishes-gaussian")
+    for _ in range(8):
+        a, b, c = _gaussian_rationals(rng, 3)
+        on = _sym3_at_roots(a, a, b)
+        cases = [(on, True), (_sym3_at_roots(a, b, c), False), (on[:2] + (on[2] + 2.0**-40,), False)]
+        for u, expected in cases:
+            point = fiber_mod._exact_point(u)
+            assert point.m.degree_in(0) == 2
+            assert fiber_mod._vanishes_at(discriminant, point) is expected
+            assert _vanishes_by_division(discriminant, point) is expected

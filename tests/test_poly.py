@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from vrg import Poly, VarTable, canonicalize, format_poly, jacobian, parse, weighted_degree
 from vrg.errors import DegreeCapExceededError, InputError, NotDivisibleError, ParseError
+from vrg.fiber import _Residue
 from vrg.poly import coeff_str, read_int
 
 
@@ -218,6 +219,46 @@ def test_arithmetic_results_keep_the_kernel_invariant(case):
         results.append((p * q).exact_div(q))
     for r in results:
         _assert_valid(r, n)
+
+
+# the residue rings Q[s]/(m) for m = s^2 + 1 and the irreducible cubic
+# s^3 - s - 1 (it has no rational root), coefficients lowest degree first
+_MODULI = ([1, 0, 1], [-1, -1, 0, 1])
+
+
+@st.composite
+def _ring_values(draw):
+    """n values in a ring containing Q, with the map that takes an element
+    of that ring, or a rational in it, to a form that == compares."""
+    n = draw(st.sampled_from((2, 3)))
+    ring = draw(st.sampled_from(("fraction", "poly", "residue")))
+    if ring == "fraction":
+        return [draw(_coeffs) for _ in range(n)], Fraction
+    if ring == "poly":
+        values = [draw(_mixed_polys(2, max_exp=1, max_size=3)) for _ in range(n)]
+        return values, lambda x: Poly.zero(2) + x
+    m = draw(st.sampled_from(_MODULI))
+    size = len(m) - 1
+    values = [_Residue(tuple(draw(_coeffs) for _ in range(size)), m) for _ in range(n)]
+    return values, lambda x: x.c if isinstance(x, _Residue) else (x,) + (0,) * (size - 1)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_ring_values(), st.data())
+def test_evaluate_respects_sums_and_products(case, data):
+    values, canonical_form = case
+    p, q = (data.draw(_mixed_polys(len(values))) for _ in range(2))
+    at_p, at_q = p.evaluate(values), q.evaluate(values)
+    assert canonical_form((p + q).evaluate(values)) == canonical_form(at_p + at_q)
+    assert canonical_form((p * q).evaluate(values)) == canonical_form(at_p * at_q)
+
+
+def test_compose_of_a_constant_is_a_poly_over_the_arguments_ring():
+    args = [Poly.variable(3, 0), Poly.variable(3, 2)]
+    for c in (0, 5, Fraction(-2, 3)):
+        composed = Poly.const(2, c).compose(args)
+        assert isinstance(composed, Poly) and composed.n == 3
+        assert composed == Poly.const(3, c)
 
 
 def test_integral_products_of_fractions_are_ints():
