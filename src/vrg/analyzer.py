@@ -27,13 +27,16 @@ configuration the analysis cannot see.
 :func:`analyze` and :func:`verify_report` derive S, R, S~ (the product of
 the distinct contractions), the factor pattern and the witness through the
 same helpers.  The re-check takes certificates: the ramification table for
-J's factorization (a product plus one irreducibility proof per prime), and a
-``D~`` with ``D~(f) = R`` for R in A; only without one does it solve for R.
+J's factorization (a product plus one irreducibility proof per prime), a
+nonzero value of ``P~(f) / ∏ Q^e_Q`` at a rational zero of each Q for its
+index, and a ``D~`` with ``D~(f) = R`` for R in A; only without one does it
+solve for R.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +53,7 @@ from .poly import (
     canonicalize,
     format_poly,
     jacobian,
+    rational_zero,
     weighted_degree,
 )
 
@@ -237,6 +241,24 @@ def _witness_flags(
 # ---------------------------------------------------------------------------
 
 
+def _exact_indices(over: Sequence[RamificationDatum], pullback: Poly) -> bool:
+    """Whether each prime Q over one contraction divides its pullback exactly
+    ``e_Q`` times: ``∏ Q^e_Q`` divides it, once, and no Q divides the quotient
+    ``rest``.  That is shown by ``rest(x0) != 0`` at a rational zero x0 of Q,
+    drawn from the integers 1, 2, ... so that it is the same on every run,
+    and by division when Q is nonlinear in every variable or rest(x0) is 0."""
+    one = Poly.const(pullback.n, 1)
+    try:
+        rest = pullback.exact_div(math.prod((d.prime ** d.index for d in over), start=one))
+    except NotDivisibleError:
+        return False
+    for d in over:
+        zero = rational_zero(d.prime, itertools.count(1).__next__)
+        if (zero is None or not rest.evaluate(zero)) and d.prime.divides(rest):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class VerificationResult:
     ok: bool
@@ -250,11 +272,12 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
     """Re-check a report against its spec from scratch.
 
     Checks the primes as a certificate of J's factorization (``∏Q^(e-1) = J``,
-    each Q irreducible) and ``D~(f) = R`` as one of R in A (else solves for
-    R's membership), re-substitutes every representation, re-derives S, R,
-    S~, the factor pattern and the witness with the helpers :func:`analyze`
-    uses and compares them with the report, and re-checks the degree
-    identities.  Returns the failed checks (empty when sound).
+    each Q irreducible), the indices by one division per contraction
+    (:func:`_exact_indices`), and ``D~(f) = R`` as a certificate of R in A
+    (else solves for R's membership), re-substitutes every representation,
+    re-derives S, R, S~, the factor pattern and the witness with the helpers
+    :func:`analyze` uses and compares them with the report, and re-checks the
+    degree identities.  Returns the failed checks (empty when sound).
     """
     failures: list[str] = []
     vars = spec.vars
@@ -302,8 +325,9 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
 
     tags = tag_table(spec)
     pullbacks = {p: p.compose(spec.generators) for p in report.distinct_contractions()}
-    for d in data:
-        check("jacobian exponents", valuation(d.prime, pullbacks[d.contraction]) == d.index)
+    for contraction, pullback in pullbacks.items():
+        over = [d for d in data if d.contraction == contraction]
+        check("jacobian exponents", _exact_indices(over, pullback))
     for contraction in pullbacks:
         check("contraction irreducible", _is_prime(contraction, tags))
 

@@ -3,10 +3,14 @@
 Every base point is held exactly, as rational vectors ``a`` and ``b`` and a
 monic irreducible ``m`` in ``Q[s]``: the point is ``a + alpha*b`` for a root
 ``alpha`` of ``m``.  A rational point ``u`` is ``a = u, b = e_1, m = s``; a
-complex one ``p + q*i`` is ``a = p, b = q, m = s^2 + 1``; a branch point of
-the audit is where a rational line meets the branch hypersurface, with ``m``
-an irreducible factor of the contraction restricted to the line.  It is on
-``p = 0`` when ``p(a + alpha*b)`` is 0 in ``Q[s]/(m)``, alpha the residue of s.
+complex one ``p + q*i`` is ``a = p, b = q, m = s^2 + 1``.  A branch point
+of the audit for a contraction ``P~`` is the image ``u = f(x0)`` of a
+rational zero x0 of a ramified prime Q over ``P~`` that has degree 1 in some
+variable: Q divides ``P~(f)``, so u is on ``P~ = 0``.  When no prime over
+``P~`` is linear in a variable, the branch point is where a rational line
+meets ``P~ = 0``, with ``m`` an irreducible factor of ``P~`` restricted to
+the line.  A point is on ``p = 0`` when ``p(a + alpha*b)`` is 0 in
+``Q[s]/(m)``, alpha the residue of s.
 
 The count is exact.  ``B`` is free of rank ``r`` over ``A`` on the standard
 monomials ``b_l`` of the generators' lex basis, so the fibers over all roots
@@ -20,7 +24,12 @@ needs no Groebner basis of its own.  The rank of the trace form
 of ``m`` (Pedersen-Roy-Szpirglas 1993; Cox-Little-O'Shea, *Using Algebraic
 Geometry*, ch. 2 section 5), and conjugate fibers have equal size.  The
 rank is taken by the same exact row reduction over Q that solves the graded
-pieces.
+pieces.  The audit's generic samples first try a cheaper proof: the same
+normal forms and traces mod the prime ``2^61 - 1``.  When the prime divides
+no denominator of the tables or of the point, the form mod p is the image of
+the form over Q, whose rank is at least as large; so full rank mod p proves
+full rank over Q, and the count ``len(basis)``.  A short rank proves nothing,
+and the exact rank decides.
 
 :func:`fiber_points`, the listing that ``vrg fiber`` prints, reads the points
 off the same trace algebra by the rational univariate representation
@@ -52,8 +61,15 @@ from .errors import FiberProbeError, TheoremViolationError
 from .extension import ExtensionSpec, finite_degree, generator_weights
 from .factor import factor
 from .groebner import groebner
-from .ideals import _eliminate, _graded_piece, _power_images, _standard_monomials, tag_table
-from .poly import Exponent, Poly, VarTable, format_poly, reduce_leading
+from .ideals import (
+    _eliminate,
+    _eliminate_mod,
+    _graded_piece,
+    _power_images,
+    _standard_monomials,
+    tag_table,
+)
+from .poly import Exponent, Poly, VarTable, format_poly, rational_zero, reduce_leading
 
 DEFAULT_DPS = 50
 
@@ -267,29 +283,30 @@ def _power_sums(m: list, count: int) -> list:
     return p
 
 
-def _algebra(spec: ExtensionSpec, point: _Point, tables: tuple) -> tuple[list, Callable, list, int]:
-    """The fiber algebra ``B (x)_A Q(alpha)`` over the point, of dimension
-    ``r*deg m`` over Q: its Q-basis ``b_l*alpha^t``, written as the exponents
-    ``b_l + (t,)`` of ``x^(b_l)*s^t``, their normal forms, the traces
-    ``Tr(b_l*alpha^t)``, and the rank of the trace form on that basis, the
-    number of distinct points over all roots of m.
+def _normal_forms(tables: tuple, y: Sequence, modulus: int = 0) -> tuple[list, Callable, list]:
+    """The fiber algebra over ``y``: the exponents of the products
+    ``b_k*b_l``, the normal-form map and the traces ``Tr(b_k)``.  The border
+    tables are specialized at y, with values in a field containing Q, or in
+    the integers mod a prime ``modulus`` when one is given (the tables then
+    hold their coefficients mod it, and y its residues).
 
-    The border tables are specialized at ``y = a + alpha*b`` in ``Q[s]/(m)``,
-    alpha the residue of s: at the rational point u when m is linear.  Over
-    that field, a normal form is a sparse vector ``{k: coefficient of b_k}``,
-    memoized per exponent g and built a variable at a time: ``NF(x^g) =
-    sum_k c_k NF(x_j*b_k)`` where ``NF(x^(g - e_j)) = sum_k c_k b_k``.  ``Tr(b_k)`` sums the ``b_l``
-    coefficients of ``NF(b_k*b_l)``, ``Tr(v) = sum_k v_k Tr(b_k)``, and the
-    trace to Q of ``alpha^t*v`` is ``sum_e v_e Tr(alpha^(t+e))``.
+    A normal form is a sparse vector ``{k: coefficient of b_k}``, memoized
+    per exponent g and built a variable at a time: ``NF(x^g) = sum_k c_k
+    NF(x_j*b_k)`` where ``NF(x^(g - e_j)) = sum_k c_k b_k``.  ``Tr(b_k)``
+    sums the ``b_l`` coefficients of ``NF(b_k*b_l)``.  Only sums and
+    products are taken, so mod a prime that divides no denominator of the
+    tables or of y, every value is the image of its value over Q.
     """
-    n, (basis, border) = spec.n, tables
-    m, alpha = point.coefficients, point.residue
-    size = len(m) - 1
-    y = _along(point.a, point.b, alpha)
+    basis, border = tables
+
+    def reduced(v: dict) -> dict:
+        if modulus:
+            return {l: r for l, c in v.items() if (r := c % modulus)}
+        return {l: c for l, c in v.items() if c}
+
     memo: dict[Exponent, dict[int, object]] = {e: {k: 1} for k, e in enumerate(basis)}
     for g, coordinates in border.items():
-        values = {l: c.evaluate(y) for l, c in coordinates.items()}
-        memo[g] = {l: v for l, v in values.items() if v}
+        memo[g] = reduced({l: c.evaluate(y) for l, c in coordinates.items()})
 
     def nf(g: Exponent) -> dict[int, object]:
         if g in memo:
@@ -299,12 +316,30 @@ def _algebra(spec: ExtensionSpec, point: _Point, tables: tuple) -> tuple[list, C
         for k, c in nf(_step(g, j, -1)).items():
             for l, d in memo[_step(basis[k], j, 1)].items():
                 out[l] = out.get(l, 0) + c * d
-        out = {l: c for l, c in out.items() if c}
-        memo[g] = out
+        memo[g] = out = reduced(out)
         return out
 
     products = [[tuple(map(add, bi, bj)) for bj in basis] for bi in basis]
     trace = [sum(nf(g).get(l, 0) for l, g in enumerate(row)) for row in products]
+    return products, nf, trace
+
+
+def _algebra(spec: ExtensionSpec, point: _Point, tables: tuple) -> tuple[list, Callable, list, int]:
+    """The fiber algebra ``B (x)_A Q(alpha)`` over the point, of dimension
+    ``r*deg m`` over Q: its Q-basis ``b_l*alpha^t``, written as the exponents
+    ``b_l + (t,)`` of ``x^(b_l)*s^t``, their normal forms, the traces
+    ``Tr(b_l*alpha^t)``, and the rank of the trace form on that basis, the
+    number of distinct points over all roots of m.
+
+    :func:`_normal_forms` specializes the border tables at ``y = a +
+    alpha*b`` in ``Q[s]/(m)``, alpha the residue of s: at the rational point
+    u when m is linear.  Over that field, ``Tr(v) = sum_k v_k Tr(b_k)``, and
+    the trace to Q of ``alpha^t*v`` is ``sum_e v_e Tr(alpha^(t+e))``.
+    """
+    n, basis = spec.n, tables[0]
+    m, alpha = point.coefficients, point.residue
+    size = len(m) - 1
+    products, nf, trace = _normal_forms(tables, _along(point.a, point.b, alpha))
     sums = _power_sums(m, 3 * size - 2)
 
     def to_q(x, t: int):  # the trace to Q of alpha^t*x
@@ -512,40 +547,118 @@ def _point_on_hypersurface(p: Poly, n: int, rng: random.Random) -> _Point:
     raise FiberProbeError("could not sample a point on the hypersurface")
 
 
+# a Mersenne prime, for the generic samples' certificate
+_P = 2**61 - 1
+
+
+def _mod_p(c) -> int:
+    """The image of the rational c in the integers mod _P; ValueError when _P
+    divides its denominator."""
+    return c.numerator * pow(c.denominator, -1, _P) % _P
+
+
+def _tables_mod_p(tables: tuple) -> tuple | None:
+    """The fiber tables with every coefficient taken mod _P; None when _P
+    divides a denominator of one."""
+    basis, border = tables
+    try:
+        return basis, {
+            g: {
+                l: Poly._clean(c.n, {e: r for e, v in c.items() if (r := _mod_p(v))})
+                for l, c in coordinates.items()
+            }
+            for g, coordinates in border.items()
+        }
+    except ValueError:
+        return None
+
+
+def _full_rank_mod_p(u: tuple[Fraction, ...], modular: tuple | None) -> bool:
+    """Whether the trace form over the rational point u has full rank mod _P,
+    from the tables mod _P: proof that u has ``len(basis)`` points.  Every
+    entry of the form over Q is a sum of products of the tables' coefficients
+    and u's coordinates, so when _P divides none of their denominators its
+    entries mod _P are the images of the entries over Q, and the rank mod _P
+    is at most the rank over Q, itself at most ``len(basis)``.  False when _P
+    divides a denominator, or the rank mod _P is short: the exact count then
+    decides."""
+    if modular is None:
+        return False
+    try:
+        y = [_mod_p(c) for c in u]
+    except ValueError:
+        return False
+    products, nf, trace = _normal_forms(modular, y, _P)
+    trace_of = {g: _trace(nf(g), trace) % _P for g in set(itertools.chain(*products))}
+    rows = ({k: v for k, g in enumerate(row) if (v := trace_of[g])} for row in products)
+    return len(_eliminate_mod(((row, {}) for row in rows), _P)[0]) == len(products)
+
+
+def _branch_point(spec: ExtensionSpec, report, p: Poly, rng: random.Random) -> _Point:
+    """A point of the branch hypersurface ``p = 0`` of a contraction in the
+    report: ``u = f(x0)`` at a rational zero x0 of the first ramified prime Q
+    over p that has degree 1 in a variable, on it since Q divides ``p(f)``;
+    else :func:`_point_on_hypersurface`."""
+    draw = lambda: _random_rational(rng)
+    primes = (d.prime for d in report.ramification if d.contraction == p)
+    zero = next(filter(None, (rational_zero(q, draw) for q in primes)), None)
+    if zero is None:
+        return _point_on_hypersurface(p, spec.n, rng)
+    point = _rational_point(tuple(Fraction(f.evaluate(zero)) for f in spec.generators))
+    if not _vanishes_at(p, point):
+        raise TheoremViolationError(
+            f"the image of the zero {tuple(map(str, zero))} of a prime over"
+            f" {format_poly(p, tag_table(spec))} is off that branch hypersurface:"
+            " the prime does not lie over the contraction"
+        )
+    return point
+
+
 def branch_audit(spec: ExtensionSpec, report, samples: int = 20, seed: int = 0) -> dict:
     """Sampled evidence for the fiber-cardinality statements, counted exactly.
 
     Generic points must hit the full degree r; points on each branch
-    hypersurface must stay below r.
+    hypersurface must stay below r.  Generic points are drawn first.  Each
+    is counted ``len(basis)`` when its trace form has full rank mod _P
+    (:func:`_full_rank_mod_p`), and exactly otherwise.  A branch point of a
+    contraction is the image of a rational zero of a ramified prime over it
+    (:func:`_branch_point`), and is always counted exactly: its trace form
+    is short by design.
     """
     r = report.degree
     contractions = report.distinct_contractions()
     tags = tag_table(spec)
     tables = _tables(spec)
+    modular = _tables_mod_p(tables)
     rng = random.Random(seed)
 
-    def tally(head: dict, key: str, draw, passes) -> dict:
+    def tally(head: dict, key: str, draw, count, passes) -> dict:
         entry = {**head, "requested": samples, key: 0, "violations": []}
         for _ in range(samples):
             point = draw()
-            count = _count(spec, point, tables)
-            if passes(count):
+            found = count(point)
+            if passes(found):
                 entry[key] += 1
             else:
-                entry["violations"].append({"u": list(map(str, point.u)), "count": count})
+                entry["violations"].append({"u": list(map(str, point.u)), "count": found})
         return entry
+
+    def exact(point: _Point) -> int:
+        return _count(spec, point, tables)
 
     generic = tally(
         {},
         "equal_r",
         lambda: _rational_point(_generic_point(spec, contractions, rng)),
+        lambda point: len(tables[0]) if _full_rank_mod_p(point.a, modular) else exact(point),
         lambda count: count == r,
     )
     branch = [
         tally(
             {"contraction": format_poly(p, tags)},
             "below_r",
-            lambda: _point_on_hypersurface(p, spec.n, rng),
+            lambda: _branch_point(spec, report, p, rng),
+            exact,
             lambda count: count < r,
         )
         for p in contractions

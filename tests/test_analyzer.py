@@ -381,6 +381,39 @@ def test_tampered_index_fails(cusp_spec):
         assert "jacobian exponents" in result.failures
 
 
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
+def test_jacobian_exponents_by_certificate(entry, monkeypatch):
+    # one division by ∏Q^e per contraction; then Q ∤ rest by a nonzero value
+    # at a zero of Q, or, for a Q nonlinear in every variable, by division
+    import dataclasses
+
+    import vrg.analyzer as analyzer_mod
+
+    spec = entry.spec
+    report = analyze(spec)
+    divisions = []
+    real = Poly.divides
+    monkeypatch.setattr(Poly, "divides", lambda q, p: divisions.append(q) or real(q, p))
+    pullbacks = {p: p.compose(spec.generators) for p in report.distinct_contractions()}
+    for contraction, pullback in pullbacks.items():
+        over = [d for d in report.ramification if d.contraction == contraction]
+        assert analyzer_mod._exact_indices(over, pullback)
+    nonlinear = [
+        d.prime
+        for d in report.ramification
+        if all(d.prime.degree_in(k) != 1 for k in range(spec.n))
+    ]
+    assert divisions == nonlinear
+    monkeypatch.undo()
+    # an index one off either way fails, the low one through rest(x0) == 0
+    for i, d in enumerate(report.ramification):
+        for index in (d.index - 1, d.index + 1):
+            data = list(report.ramification)
+            data[i] = dataclasses.replace(d, index=index)
+            tampered = dataclasses.replace(report, ramification=tuple(data))
+            assert "jacobian exponents" in verify_report(tampered, spec).failures, (i, index)
+
+
 def test_tampered_representation_fails(cusp_spec):
     def scale_rep(data):
         data["discriminant"]["D_rep"] = "y1*(" + data["discriminant"]["D_rep"] + ")"

@@ -21,7 +21,7 @@ from vrg import (
     validate,
     verify_report,
 )
-from vrg.errors import FiberProbeError, NotFiniteError, NotHomogeneousError
+from vrg.errors import FiberProbeError, NotFiniteError, NotHomogeneousError, TheoremViolationError
 from vrg.groebner import groebner, normal_form
 from vrg.ideals import _standard_monomials
 from vrg.poly import Poly
@@ -193,9 +193,10 @@ def test_branch_audit_mixed(mixed_spec):
 
 
 def test_branch_audit_without_linear_coordinate(xy11):
-    # the contraction y1^2 - 4*y2^3 is nonlinear in every coordinate, so a
-    # branch point lies over an irreducible factor of degree 2 or 3 on its
-    # line, and its fiber is eliminated together with the conjugate ones
+    # the contraction y1^2 - 4*y2^3 is nonlinear in every coordinate, but the
+    # ramified prime X - Y over it is linear, so its branch points are the
+    # rational images f(t, t); the line points over factors of degree 2 or
+    # more are covered by test_on_branch_of_is_exact_at_irrational_points
     spec = ExtensionSpec(xy11, (parse("X^3+Y^3", xy11), parse("X*Y", xy11)))
     report = analyze(spec)
     audit = branch_audit(spec, report, samples=6, seed=11)
@@ -366,7 +367,8 @@ def test_on_branch_of_is_exact_at_irrational_points():
 
 
 def test_branch_audit_dihedral5_decides_every_sample():
-    # the contraction y1^2 - 4*y2^5 is nonlinear in both tags
+    # the contraction y1^2 - 4*y2^5 is nonlinear in both tags; its branch
+    # points are the images of the zeros of the ramified prime X - Y
     spec = spec_of("dihedral5")
     audit = branch_audit(spec, analyze(spec), samples=4, seed=0)
     assert audit["generic"]["equal_r"] == 4
@@ -412,6 +414,141 @@ def test_branch_audit_reach_specs_known_answers(name):
     assert audit["branch"] and all(entry["below_r"] == 2 for entry in audit["branch"])
     assert audit["all_counts_at_most_r"]
     assert verify_report(report.with_audit(audit), spec).ok
+
+
+# ---------------------------------------------------------------------------
+# branch points as images of ramified points; generic counts certified mod p
+# ---------------------------------------------------------------------------
+
+
+def test_branch_points_are_rational_images_of_linear_ramified_primes():
+    import vrg.fiber as fiber_mod
+
+    cases = 0
+    for entry in CORPUS:
+        spec, r = entry.spec, entry.degree
+        report = analyze(spec)
+        tables = fiber_mod._tables(spec)
+        for p in report.distinct_contractions():
+            primes = [d.prime for d in report.ramification if d.contraction == p]
+            if not any(q.degree_in(k) == 1 for q in primes for k in range(spec.n)):
+                continue
+            cases += 1
+            rng = random.Random(f"image-{entry.name}")
+            for _ in range(4):
+                point = fiber_mod._branch_point(spec, report, p, rng)
+                assert point.m == fiber_mod._S, entry.name
+                assert fiber_mod._vanishes_at(p, point), entry.name
+                assert fiber_mod._count(spec, point, tables) < r, entry.name
+    assert cases >= 12
+
+
+def test_branch_points_without_a_linear_prime_lie_on_a_line(cusp_spec, monkeypatch):
+    # cusp's y1^2 - 4*y2 has only X^2 - Y^3 over it, nonlinear in X and Y
+    import vrg.fiber as fiber_mod
+
+    report = analyze(cusp_spec)
+    on_lines = []
+    real = fiber_mod._point_on_hypersurface
+    monkeypatch.setattr(
+        fiber_mod, "_point_on_hypersurface", lambda p, *args: on_lines.append(p) or real(p, *args)
+    )
+    audit = branch_audit(cusp_spec, report, samples=3, seed=2)
+    assert all(entry["below_r"] == 3 for entry in audit["branch"])
+    assert {fiber_mod.format_poly(p, fiber_mod.tag_table(cusp_spec)) for p in on_lines} == {
+        "y1^2 - 4*y2"
+    }
+    assert len(on_lines) == 3
+
+
+def test_branch_point_off_its_contraction_is_a_theorem_violation(sym2_spec):
+    # X - Y lies over y1^2 - 4*y2, not over y2: a report that says otherwise
+    # draws the image of a zero of X - Y, which is off Z(y2)
+    report = analyze(sym2_spec)
+    (datum,) = report.ramification
+    wrong = dataclasses.replace(datum, contraction=Poly(2, {(0, 1): 1}))
+    claimed = dataclasses.replace(report, ramification=(wrong,))
+    with pytest.raises(TheoremViolationError, match="off that branch hypersurface"):
+        branch_audit(sym2_spec, claimed, samples=2, seed=0)
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda entry: entry.name)
+def test_certificate_agrees_with_the_exact_count(entry):
+    # full rank mod p at a rational point exactly when the exact count is
+    # len(basis): at generic points, and never at points of the branch locus
+    import vrg.fiber as fiber_mod
+
+    spec = entry.spec
+    report = analyze(spec)
+    contractions = report.distinct_contractions()
+    tables = fiber_mod._tables(spec)
+    modular = fiber_mod._tables_mod_p(tables)
+    assert modular is not None
+    for seed in range(4):
+        rng = random.Random(seed)
+        points = [fiber_mod._generic_point(spec, contractions, rng) for _ in range(5)]
+        points += [fiber_mod._branch_point(spec, report, p, rng).a for p in contractions]
+        for u in points:
+            exact = fiber_mod._count(spec, fiber_mod._rational_point(u), tables)
+            assert fiber_mod._full_rank_mod_p(u, modular) == (exact == len(tables[0])), u
+
+
+def test_audit_without_the_certificate_is_identical(monkeypatch):
+    # a short rank mod p sends every generic sample to the exact count
+    import vrg.fiber as fiber_mod
+
+    cases = [(entry.spec, seed) for entry in CORPUS for seed in (0, 1)]
+    certified = [branch_audit(spec, analyze(spec), samples=4, seed=seed) for spec, seed in cases]
+    monkeypatch.setattr(fiber_mod, "_full_rank_mod_p", lambda u, modular: False)
+    exact = [branch_audit(spec, analyze(spec), samples=4, seed=seed) for spec, seed in cases]
+    assert repr(certified) == repr(exact)
+
+
+def test_a_denominator_divisible_by_p_falls_back_to_the_exact_count(xy11, monkeypatch):
+    import vrg.fiber as fiber_mod
+
+    p = fiber_mod._P
+    with pytest.raises(ValueError):
+        fiber_mod._mod_p(Fraction(3, 2 * p))
+    assert fiber_mod._mod_p(Fraction(3, 2)) == 3 * (p + 1) // 2 % p
+    sym2 = ExtensionSpec(xy11, (parse("X+Y", xy11), parse("X*Y", xy11)))
+    modular = fiber_mod._tables_mod_p(fiber_mod._tables(sym2))
+    assert fiber_mod._full_rank_mod_p((Fraction(1), Fraction(-1)), modular)
+    assert not fiber_mod._full_rank_mod_p((Fraction(1, p), Fraction(-1)), modular)
+    # Y^2 = f1*Y - f2/p: a table coefficient with p in its denominator
+    spec = ExtensionSpec(xy11, (parse("X+Y", xy11), parse(f"{p}*X*Y", xy11)))
+    assert fiber_mod._tables_mod_p(fiber_mod._tables(spec)) is None
+    report = analyze(spec)
+    audit = branch_audit(spec, report, samples=5, seed=3)
+    assert audit["generic"]["equal_r"] == 5
+    monkeypatch.setattr(fiber_mod, "_full_rank_mod_p", lambda u, modular: False)
+    assert branch_audit(spec, report, samples=5, seed=3) == audit
+
+
+def test_audits_in_one_process_match_fresh_processes():
+    # nothing of one spec's tables carries over to the next audit
+    import json
+    import os
+    import subprocess
+    import sys
+
+    names = ["sym3", "dihedral4", "mixed2"]
+    in_process = {}
+    for name in names + names[::-1]:
+        in_process.setdefault(name, []).append(
+            branch_audit(spec_of(name), analyze(spec_of(name)), samples=4, seed=5)
+        )
+    script = (
+        "import json, sys; from corpus import spec_of; from vrg import analyze, branch_audit;"
+        " name = sys.argv[1];"
+        " print(json.dumps(branch_audit(spec_of(name), analyze(spec_of(name)), samples=4, seed=5)))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])}
+    for name in names:
+        command = [sys.executable, "-c", script, name]
+        fresh = subprocess.run(command, env=env, capture_output=True, text=True, check=True)
+        for audit in in_process[name]:
+            assert json.dumps(audit) == fresh.stdout.strip(), name
 
 
 # ---------------------------------------------------------------------------
