@@ -591,7 +591,7 @@ def _full_rank_mod_p(u: tuple[Fraction, ...], modular: tuple | None) -> bool:
     products, nf, trace = _normal_forms(modular, y, _P)
     trace_of = {g: _trace(nf(g), trace) % _P for g in set(itertools.chain(*products))}
     rows = ({k: v for k, g in enumerate(row) if (v := trace_of[g])} for row in products)
-    return len(_eliminate_mod(((row, {}) for row in rows), _P)[0]) == len(products)
+    return len(_eliminate_mod(rows, _P)) == len(products)
 
 
 def _branch_point(spec: ExtensionSpec, report, p: Poly, rng: random.Random) -> _Point:

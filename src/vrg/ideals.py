@@ -4,8 +4,8 @@ It shares with :mod:`vrg.fiber` the reading of a zero-dimensional lex basis
 (:func:`_standard_monomials`) and the graded linear algebra: the pieces of a
 free A-module (:func:`_graded_piece`) and exact row reduction
 (:func:`_eliminate`), which runs :func:`~vrg.poly.reduce_leading`, as
-division and normal forms do.  :func:`_eliminate_mod` is the same reduction
-over the integers mod a prime, whose full rank certifies full rank over Q.
+division and normal forms do.  :func:`_eliminate_mod` reduces rows over the
+integers mod a prime, whose full rank certifies full rank over Q.
 
 For a finite extension the generators are algebraically independent, so
 ``A = Q[f1..fn]`` is a polynomial ring (tag variable ``y_i`` of weight
@@ -123,31 +123,28 @@ def _eliminate(pairs: Iterable[tuple[dict, dict]]) -> tuple[dict, list]:
     return rows, kernel
 
 
-def _eliminate_mod(pairs: Iterable[tuple[dict, dict]], p: int) -> tuple[dict, list]:
-    """:func:`_eliminate` over the field of p elements, p a prime, on sparse
-    vectors of ints in ``[0, p)``; every pivot row is scaled to lead with 1.
-    Rows of p-integral rationals that are independent mod p are independent
-    over Q, so a full rank here is a certificate of full rank there."""
-    rows: dict = {}
-    kernel = []
-    for work, tag in pairs:
+def _eliminate_mod(rows: Iterable[dict], p: int) -> dict:
+    """Row reduction over the field of p elements, p a prime, on sparse
+    vectors of ints in ``[0, p)``: the pivot rows, keyed by their leading key
+    and scaled to lead with 1; their number is the rank.  Rows of p-integral
+    rationals that are independent mod p are independent over Q, so a full
+    rank here is a certificate of full rank there."""
+    pivots: dict = {}
+    for work in rows:
         while work:
-            pivot = rows.get(lead := max(work))
+            pivot = pivots.get(lead := max(work))
             if pivot is None:
                 inverse = pow(work[lead], -1, p)
-                rows[lead] = tuple({e: v * inverse % p for e, v in x.items()} for x in (work, tag))
+                pivots[lead] = {e: v * inverse % p for e, v in work.items()}
                 break
             c = work[lead]
-            for target, part in (work, pivot[0]), (tag, pivot[1]):
-                for e, v in part.items():
-                    s = (target.get(e, 0) - c * v) % p
-                    if s:
-                        target[e] = s
-                    else:
-                        del target[e]
-        else:
-            kernel.append(tag)
-    return rows, kernel
+            for e, v in pivot.items():
+                s = (work.get(e, 0) - c * v) % p
+                if s:
+                    work[e] = s
+                else:
+                    del work[e]
+    return pivots
 
 
 def _graded_piece(

@@ -480,16 +480,16 @@ class Poly:
         return total
 
 
-def rational_zero(p: Poly, draw: Callable[[], Fraction], tries: int = 200) -> tuple | None:
+def rational_zero(p: Poly, draw: Callable[[], Fraction]) -> tuple | None:
     """A rational zero of p, for p of degree 1 in some variable x_j: the other
     coordinates are drawn in order, and x_j solves ``c1*x_j + c0 = 0``, with
     ``c0 = p(x_j = 0)`` and ``c1 = p(x_j = 1) - c0`` at them.  Draws again
     while c1 is 0 there.  None when p is nonlinear in every variable, or
-    after ``tries`` draws."""
+    after 200 draws."""
     j = next((k for k in range(p.n) if p.degree_in(k) == 1), None)
     if j is None:
         return None
-    for _ in range(tries):
+    for _ in range(200):
         x = [0 if k == j else draw() for k in range(p.n)]
         c0 = p.evaluate(x)
         x[j] = 1
