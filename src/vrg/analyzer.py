@@ -1,10 +1,8 @@
 """Ramification analysis of a finite graded polynomial extension.
 
 The pipeline computes the Jacobian determinant of the generators, factors
-it, contracts each irreducible factor to the subalgebra, and reads off
-the ramification index of the factor as the valuation of the contraction
-generator's pullback.  Two cross-checking facts are enforced rather than
-assumed:
+it, and contracts each irreducible factor to the subalgebra.  Two
+cross-checking facts are enforced rather than assumed:
 
 * each factor's multiplicity in the Jacobian must be exactly its
   ramification index minus one, and
@@ -12,12 +10,13 @@ assumed:
   factors raised to their indices) must agree with the per-prime factor
   pattern (no contraction may pull back with an unramified factor).
 
-The factor pattern is read off the indices, not by factoring: a ramified q'
-divides ``P~(f)`` only if it lies over ``P~`` (it puts ``P~`` in ``(q') ∩ A``),
-so ``P~(f) = rest * ∏ Q^e_Q`` over the ramified Q over ``P~``.  Every input is
-weighted-homogeneous, so ``rest`` is constant exactly when ``wdeg P~(f) =
-Σ e_Q * wdeg Q``.  Only a failing contraction is divided, once, and ``rest``
-factored, to name its unramified primes in the witness.
+Both rest on one certificate per contraction ``P~`` (:func:`_rests`): a
+ramified Q divides ``P~(f)`` only if it lies over ``P~`` (it puts ``P~`` in
+``(Q) ∩ A``), so with ``e_Q = m_Q + 1`` from J's factorization, ``P~(f) =
+rest * ∏ Q^e_Q`` over the ramified Q over ``P~``, and no such Q divides
+``rest``.  A contraction pulls back with an unramified factor exactly when
+its ``rest`` is not constant; only then is ``rest`` factored, to name those
+primes in the witness.
 
 A failure of either is reported as :class:`TheoremViolationError`; with
 exact arithmetic it can only come from a bug or from a factor that is
@@ -25,12 +24,11 @@ irreducible over the rationals but not over the complex numbers in a
 configuration the analysis cannot see.
 
 :func:`analyze` and :func:`verify_report` derive S, R, S~ (the product of
-the distinct contractions), the factor pattern and the witness through the
-same helpers.  The re-check takes certificates: the ramification table for
-J's factorization (a product plus one irreducibility proof per prime), a
-nonzero value of ``P~(f) / ∏ Q^e_Q`` at a rational zero of each Q for its
-index, and a ``D~`` with ``D~(f) = R`` for R in A; only without one does it
-solve for R.
+the distinct contractions), the rests, the factor pattern and the witness
+through the same helpers.  The re-check takes certificates: the
+ramification table for J's factorization (a product plus one
+irreducibility proof per prime), the rests for the indices, and a ``D~``
+with ``D~(f) = R`` for R in A; only without one does it solve for R.
 """
 
 from __future__ import annotations
@@ -113,7 +111,11 @@ class AnalysisReport:
 
 
 def analyze(spec: ExtensionSpec) -> AnalysisReport:
-    """Run the full pipeline; raises on invalid or inconsistent input."""
+    """Run the full pipeline; raises on invalid or inconsistent input.
+
+    Each index is ``m_Q + 1`` for Q's multiplicity in J, certified with the
+    factor pattern by :func:`_rests`; a failed certificate is a
+    :class:`TheoremViolationError` naming the prime and its true index."""
     r = validate(spec)
     vars = spec.vars
     jac_raw = jacobian(spec.generators, vars)
@@ -129,26 +131,28 @@ def analyze(spec: ExtensionSpec) -> AnalysisReport:
     pullbacks: dict[Poly, Poly] = {}
     data = []
     for q, mult in jac_factors.factors:
-        for contraction, pullback in pullbacks.items():
-            if index := valuation(q, pullback):
-                break
-        else:
+        contraction = next((p for p, pullback in pullbacks.items() if q.divides(pullback)), None)
+        if contraction is None:
             contraction = contract_prime(q, spec)
             pullbacks[contraction] = contraction.compose(spec.generators)
-            index = valuation(q, pullbacks[contraction])
-        if mult != index - 1:
+        data.append(RamificationDatum(prime=q, contraction=contraction, index=mult + 1))
+
+    rests = _rests(data, pullbacks)
+    for d in data:
+        if rests[d.contraction] is None and (
+            index := valuation(d.prime, pullbacks[d.contraction])
+        ) != d.index:
             raise TheoremViolationError(
                 "theorem violation: factor"
-                f" {format_poly(q, vars)} has multiplicity {mult} in the"
-                f" Jacobian but ramification index {index}; expected"
+                f" {format_poly(d.prime, vars)} has multiplicity {d.index - 1} in"
+                f" the Jacobian but ramification index {index}; expected"
                 " multiplicity = index - 1 (suspect factor may not be"
                 " absolutely irreducible)"
             )
-        data.append(RamificationDatum(prime=q, contraction=contraction, index=index))
 
     s_poly, r_poly, s_tilde = _products(spec, data, pullbacks)
     representation = subalgebra_membership(r_poly, spec)
-    mixed = _mixed_prime(spec, data, pullbacks)
+    mixed = _mixed_prime(rests)
     well = representation is not None
     if well != (mixed is None):
         raise TheoremViolationError(
@@ -199,23 +203,36 @@ def _products(
     return canonical(s_poly, vars), canonical(r_poly, vars), canonical(s_tilde, tags)
 
 
-def _mixed_prime(
-    spec: ExtensionSpec,
-    data: Sequence[RamificationDatum],
-    pullbacks: Mapping[Poly, Poly],
-) -> tuple[Poly, Poly] | None:
-    """The factor-pattern test: the first ``(P~, rest)`` with ``P~(f) = rest *
-    ∏ Q^e_Q`` over the ramified Q over ``P~`` and ``rest`` not constant
-    (None when none is), or NotDivisibleError.
-    """
-    wdeg = lambda p: weighted_degree(p, spec.vars).degree
+def _rests(
+    data: Sequence[RamificationDatum], pullbacks: Mapping[Poly, Poly]
+) -> dict[Poly, Poly | None]:
+    """Each contraction's ``rest = P~(f) / ∏ Q^e_Q`` over the data Q over it,
+    or None unless each such Q divides ``P~(f)`` exactly ``e_Q`` times: the
+    product divides it, once, and no Q divides ``rest``.  That is shown by
+    ``rest(x0) != 0`` at a rational zero x0 of Q, drawn from the integers
+    1, 2, ... so that it is the same on every run, and by division when Q
+    is nonlinear in every variable or rest(x0) is 0."""
+    rests: dict[Poly, Poly | None] = {}
     for contraction, pullback in pullbacks.items():
         over = [d for d in data if d.contraction == contraction]
-        if wdeg(pullback) != sum(d.index * wdeg(d.prime) for d in over):
-            one = Poly.const(spec.vars.n, 1)
-            ramified = math.prod((d.prime ** d.index for d in over), start=one)
-            return contraction, pullback.exact_div(ramified)
-    return None
+        one = Poly.const(pullback.n, 1)
+        try:
+            rest = pullback.exact_div(math.prod((d.prime**d.index for d in over), start=one))
+        except NotDivisibleError:
+            rest = None
+        for d in over if rest is not None else ():
+            zero = rational_zero(d.prime, itertools.count(1).__next__)
+            if (zero is None or not rest.evaluate(zero)) and d.prime.divides(rest):
+                rest = None
+                break
+        rests[contraction] = rest
+    return rests
+
+
+def _mixed_prime(rests: Mapping[Poly, Poly]) -> tuple[Poly, Poly] | None:
+    """The factor-pattern test: the first ``(P~, rest)`` with ``rest`` not
+    constant (an unramified factor of ``P~(f)``), or None."""
+    return next(((p, rest) for p, rest in rests.items() if not rest.is_constant()), None)
 
 
 def _is_prime(p: Poly, vars: VarTable) -> bool:
@@ -241,24 +258,6 @@ def _witness_flags(
 # ---------------------------------------------------------------------------
 
 
-def _exact_indices(over: Sequence[RamificationDatum], pullback: Poly) -> bool:
-    """Whether each prime Q over one contraction divides its pullback exactly
-    ``e_Q`` times: ``∏ Q^e_Q`` divides it, once, and no Q divides the quotient
-    ``rest``.  That is shown by ``rest(x0) != 0`` at a rational zero x0 of Q,
-    drawn from the integers 1, 2, ... so that it is the same on every run,
-    and by division when Q is nonlinear in every variable or rest(x0) is 0."""
-    one = Poly.const(pullback.n, 1)
-    try:
-        rest = pullback.exact_div(math.prod((d.prime ** d.index for d in over), start=one))
-    except NotDivisibleError:
-        return False
-    for d in over:
-        zero = rational_zero(d.prime, itertools.count(1).__next__)
-        if (zero is None or not rest.evaluate(zero)) and d.prime.divides(rest):
-            return False
-    return True
-
-
 @dataclass(frozen=True)
 class VerificationResult:
     ok: bool
@@ -272,11 +271,11 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
     """Re-check a report against its spec from scratch.
 
     Checks the primes as a certificate of J's factorization (``∏Q^(e-1) = J``,
-    each Q irreducible), the indices by one division per contraction
-    (:func:`_exact_indices`), and ``D~(f) = R`` as a certificate of R in A
-    (else solves for R's membership), re-substitutes every representation,
-    re-derives S, R, S~, the factor pattern and the witness with the helpers
-    :func:`analyze` uses and compares them with the report, and re-checks the
+    each Q irreducible), the indices by the rests of :func:`_rests`, as
+    :func:`analyze` does, and ``D~(f) = R`` as a certificate of R in A (else
+    solves for R's membership), re-substitutes every representation,
+    re-derives S, R, S~, the factor pattern and the witness from the same
+    rests and helpers and compares them with the report, and re-checks the
     degree identities.  Returns the failed checks (empty when sound).
     """
     failures: list[str] = []
@@ -291,6 +290,17 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
         check("degree", r == report.degree)
     except Exception:
         failures.append("degree")
+        return VerificationResult(False, tuple(failures))
+
+    # a report for another ring: the checks below would combine polynomials
+    # over different variable counts (the tag ring has one per generator)
+    w = report.witness
+    polys = [report.jacobian, report.S, report.R, report.S_tilde, report.quotient_DJ]
+    polys += [w.representation, w.contraction, *(q for q, _ in w.pullback_factors)]
+    polys += [*(report.discriminant or ()), *(d.prime for d in report.ramification)]
+    polys += [d.contraction for d in report.ramification]
+    if any(p is not None and p.n != vars.n for p in polys):
+        failures.append("polynomial ring")
         return VerificationResult(False, tuple(failures))
 
     jac, unit = canonicalize(jacobian(spec.generators, vars), vars)
@@ -325,9 +335,9 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
 
     tags = tag_table(spec)
     pullbacks = {p: p.compose(spec.generators) for p in report.distinct_contractions()}
-    for contraction, pullback in pullbacks.items():
-        over = [d for d in data if d.contraction == contraction]
-        check("jacobian exponents", _exact_indices(over, pullback))
+    rests = _rests(data, pullbacks)
+    certified = None not in rests.values()
+    check("jacobian exponents", certified)
     for contraction in pullbacks:
         check("contraction irreducible", _is_prime(contraction, tags))
 
@@ -347,11 +357,9 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
     # with T(f) = S~(f): its canonical representation is canonical(S~)
     check("S_tilde membership", report.S_tilde == canonical(report.S_tilde, tags))
 
-    try:
-        mixed = _mixed_prime(spec, data, pullbacks)
-    except NotDivisibleError:  # an index above its prime's valuation
-        failures.append("jacobian exponents")
+    if not certified:  # no factor pattern to compare
         return VerificationResult(False, tuple(failures))
+    mixed = _mixed_prime(rests)
     composed = report.discriminant and report.discriminant[1].compose(spec.generators)
     well = composed == report.R or subalgebra_membership(report.R, spec) is not None
     check("characterizations agree", well == (mixed is None))

@@ -51,6 +51,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from numbers import Real
 from operator import add
 from typing import Callable, Sequence
 
@@ -150,6 +151,8 @@ def _along(a, b, alpha) -> list:
 
 def _rational(x) -> Fraction:
     """The exact value of a finite rational, float or mpmath mpf."""
+    if not isinstance(x, Real):
+        raise FiberProbeError(f"base point component {x!r} is not a number")
     if not mpmath.isfinite(x):
         raise FiberProbeError(f"base point component {x} is not finite")
     if hasattr(x, "man_exp"):  # an mpf, whose value is +-man * 2**exp
@@ -162,7 +165,11 @@ def _exact_point(u) -> _Point:
     """A base point from its coordinates; a float, complex or mpmath
     coordinate is its exact binary value, and a pair ``(p, q)`` is
     ``p + q*i``."""
-    parts = [value if isinstance(value, tuple) else (value.real, value.imag) for value in u]
+    parts = [
+        value if isinstance(value, tuple) and len(value) == 2
+        else (getattr(value, "real", value), getattr(value, "imag", 0))
+        for value in u
+    ]
     a = tuple(_rational(p) for p, _ in parts)
     b = tuple(_rational(q) for _, q in parts)
     if not any(b):
@@ -625,6 +632,8 @@ def branch_audit(spec: ExtensionSpec, report, samples: int = 20, seed: int = 0) 
     (:func:`_branch_point`), and is always counted exactly: its trace form
     is short by design.
     """
+    if not isinstance(samples, int) or samples < 0:
+        raise FiberProbeError(f"the sample count must be a nonnegative integer, got {samples!r}")
     r = report.degree
     contractions = report.distinct_contractions()
     tags = tag_table(spec)

@@ -41,6 +41,10 @@ from vrg.errors import (
 from corpus import CORPUS, spec_of
 
 
+# weights 1, 2, 3 and a mixed-prime witness
+MIXEDW = load_spec(Path(__file__).resolve().parent.parent / "perfbench/specs/mixedw.json")[0]
+
+
 def assoc(p, q, vars):
     return canonical(p, vars) == canonical(q, vars)
 
@@ -395,9 +399,8 @@ def test_jacobian_exponents_by_certificate(entry, monkeypatch):
     real = Poly.divides
     monkeypatch.setattr(Poly, "divides", lambda q, p: divisions.append(q) or real(q, p))
     pullbacks = {p: p.compose(spec.generators) for p in report.distinct_contractions()}
-    for contraction, pullback in pullbacks.items():
-        over = [d for d in report.ramification if d.contraction == contraction]
-        assert analyzer_mod._exact_indices(over, pullback)
+    rests = analyzer_mod._rests(report.ramification, pullbacks)
+    assert all(rest is not None for rest in rests.values())
     nonlinear = [
         d.prime
         for d in report.ramification
@@ -412,6 +415,42 @@ def test_jacobian_exponents_by_certificate(entry, monkeypatch):
             data[i] = dataclasses.replace(d, index=index)
             tampered = dataclasses.replace(report, ramification=tuple(data))
             assert "jacobian exponents" in verify_report(tampered, spec).failures, (i, index)
+
+
+def test_one_certificate_derives_indices_and_pattern(monkeypatch):
+    # analyze takes e_Q = m_Q + 1 and certifies it, so it never counts a
+    # valuation; verify_report divides each contraction's pullback once and
+    # reads the factor pattern and the witness off the same rests
+    import collections
+
+    import vrg.analyzer as analyzer_mod
+
+    def no_valuation(q, p):
+        raise AssertionError("valuation called")
+
+    monkeypatch.setattr(analyzer_mod, "valuation", no_valuation)
+    for entry in CORPUS:
+        analyze(entry.spec)
+    monkeypatch.undo()
+
+    spec = MIXEDW
+    report = analyze(spec)
+    assert report.witness.kind == "mixed_prime"
+    pullbacks = [p.compose(spec.generators) for p in report.distinct_contractions()]
+    dividends = collections.Counter()
+    real = Poly.exact_div
+    monkeypatch.setattr(Poly, "exact_div", lambda p, q: dividends.update([p]) or real(p, q))
+    assert verify_report(report, spec).ok
+    assert len(pullbacks) > 1
+    assert [dividends[p] for p in pullbacks] == [1] * len(pullbacks)
+
+
+def test_report_for_another_ring_fails_without_raising():
+    sym2, sym3 = spec_of("sym2"), spec_of("sym3")
+    for report, spec in ((analyze(sym3), sym2), (analyze(sym2), sym3)):
+        result = verify_report(report, spec)
+        assert not result.ok
+        assert "polynomial ring" in result.failures
 
 
 def test_tampered_representation_fails(cusp_spec):
@@ -528,7 +567,7 @@ def _mutations(value, key, spec):
     if isinstance(value, bool):
         return [not value]
     if isinstance(value, int):
-        return [value + 1]
+        return [value + 1, value - 1]
     if isinstance(value, str):
         ring = tag_table(spec) if key in _TAG_KEYS else spec.vars
         return [f"2*({value})", f"{ring.names[0]}*({value})"]
@@ -542,15 +581,17 @@ def _mutations(value, key, spec):
         pytest.param(spec_of("mixed2"), id="mixed"),
         pytest.param(spec_of("sym2"), id="sym2"),
         pytest.param(spec_of("dihedral4"), id="dihedral4"),
+        pytest.param(MIXEDW, id="perfbench-mixedw"),
     ],
 )
 def test_tamper_walk_rejects_every_leaf_mutation(spec):
-    # scale every polynomial by 2 and by a variable, flip every bool and
-    # bump every int of the report: each must fail verification or be
-    # refused by the reader
+    # scale every polynomial by 2 and by a variable, flip every bool, bump
+    # and lower every int of the report, and drop and duplicate each
+    # ramification datum: each must fail verification or be refused by the
+    # reader
     data = report_to_dict(analyze(spec), spec)
     walked = {k: v for k, v in data.items() if k not in ("warnings", "fiber_audit")}
-    accepted = []
+    tampered_reports = []
     for path, value in _leaves(walked):
         for mutated in _mutations(value, path[-1], spec):
             tampered = copy.deepcopy(data)
@@ -558,12 +599,20 @@ def test_tamper_walk_rejects_every_leaf_mutation(spec):
             for key in path[:-1]:
                 node = node[key]
             node[path[-1]] = mutated
-            try:
-                report = report_from_dict(tampered, spec)
-            except VrgError:
-                continue
-            if verify_report(report, spec).ok:
-                accepted.append((path, mutated))
+            tampered_reports.append(((path, mutated), tampered))
+    for i in range(len(data["ramification"])):
+        for label, copies in (("drop", []), ("duplicate", [data["ramification"][i]] * 2)):
+            tampered = copy.deepcopy(data)
+            tampered["ramification"][i : i + 1] = copies
+            tampered_reports.append(((label, i), tampered))
+    accepted = []
+    for mutation, tampered in tampered_reports:
+        try:
+            report = report_from_dict(tampered, spec)
+        except VrgError:
+            continue
+        if verify_report(report, spec).ok:
+            accepted.append(mutation)
     assert accepted == []
 
 
@@ -583,10 +632,7 @@ MIXED_PRIME_SPECS = [
         _spec(("X", "Y", "Z"), (1, 2, 3), ("X^2+Y", "Y^3+Z^2", "X^6+X^3*Z+Z^2")),
         id="mixedw-cross",
     ),
-    pytest.param(
-        load_spec(Path(__file__).resolve().parent.parent / "perfbench/specs/mixedw.json")[0],
-        id="perfbench-mixedw",
-    ),
+    pytest.param(MIXEDW, id="perfbench-mixedw"),
 ]
 
 
@@ -709,5 +755,10 @@ def test_corrupt_factorization_raises_theorem_violation(cusp_spec, monkeypatch):
         return fac
 
     monkeypatch.setattr(analyzer_mod, "factor", corrupt)
-    with pytest.raises(TheoremViolationError):
+    # Y now has multiplicity 3, so the certificate for e = 4 fails and the
+    # message gives Y's true index
+    with pytest.raises(
+        TheoremViolationError,
+        match="factor Y has multiplicity 3 in the Jacobian but ramification index 3",
+    ):
         analyze(cusp_spec)

@@ -130,6 +130,18 @@ def test_fiber_wrong_arity(sym2_spec):
         fiber_count(sym2_spec, (Fraction(1),))
 
 
+@pytest.mark.parametrize("bad", ["1", None, (1, 2, 3), ("1", 0)])
+def test_fiber_rejects_components_that_are_not_numbers(sym2_spec, bad):
+    with pytest.raises(FiberProbeError, match="is not a number"):
+        fiber_count(sym2_spec, (bad, 2))
+
+
+@pytest.mark.parametrize("samples", [-1, 1.5, "2"])
+def test_branch_audit_rejects_a_bad_sample_count(sym2_spec, samples):
+    with pytest.raises(FiberProbeError, match="sample count"):
+        branch_audit(sym2_spec, analyze(sym2_spec), samples=samples)
+
+
 @pytest.mark.parametrize(
     "seed",
     [
