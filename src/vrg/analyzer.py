@@ -281,8 +281,8 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
     failures: list[str] = []
     vars = spec.vars
 
-    def check(name: str, ok: bool) -> None:
-        if not ok:
+    def check(name: str, ok: bool) -> None:  # each failed check is named once
+        if not ok and name not in failures:
             failures.append(name)
 
     try:

@@ -17,23 +17,29 @@ monomials ``b_l`` of the generators' lex basis, so the fibers over all roots
 of ``m`` make up the algebra ``B (x)_A Q[s]/(m)``, with Q-basis
 ``b_l*alpha^t``.  :func:`_tables` writes each border monomial ``x_j*b_k`` as
 ``sum_l c_l(f)*b_l`` once per spec, by the graded elimination of
-:mod:`vrg.ideals` on the rows ``f^a*b_l``, which also checks that B is free;
-:func:`_algebra` specializes the ``c_l`` at the point, in ``Q[s]/(m)``, and
-needs no Groebner basis of its own.  The rank of the trace form
-``Tr(v*w)`` on that basis is the number of distinct points over all roots
-of ``m`` (Pedersen-Roy-Szpirglas 1993; Cox-Little-O'Shea, *Using Algebraic
-Geometry*, ch. 2 section 5), and conjugate fibers have equal size.  The
-rank is taken by the same exact row reduction over Q that solves the graded
-pieces.  The audit's generic samples first try a cheaper proof: the same
-normal forms and traces mod the prime ``2^61 - 1``.  When the prime divides
-no denominator of the tables or of the point, the form mod p is the image of
-the form over Q, whose rank is at least as large; so full rank mod p proves
-full rank over Q, and the count ``len(basis)``.  A short rank proves nothing,
-and the exact rank decides.
+:mod:`vrg.ideals` on the rows ``f^a*b_l``, which also checks that B is free.
+From those tables it builds, also once per spec, the trace form over A: one
+run of :func:`_normal_forms` with the tags as the point gives, for each
+product exponent ``g = b_k + b_l``, the tag polynomial ``Tr(x^g)``.
+:func:`_algebra` evaluates the form at the point, in ``Q[s]/(m)``, and needs
+no Groebner basis or normal form of its own.  The rank of the trace form
+``Tr(v*w)`` on the basis ``b_l*alpha^t`` is the number of distinct points
+over all roots of ``m`` (Pedersen-Roy-Szpirglas 1993; Cox-Little-O'Shea,
+*Using Algebraic Geometry*, ch. 2 section 5), and conjugate fibers have
+equal size.  The rank is taken by the same exact row reduction over Q that
+solves the graded pieces.  The audit's generic samples first try a cheaper
+proof: the form over A with its coefficients mod the prime ``2^61 - 1``,
+evaluated at the point mod that prime.  Each coefficient of the form is a
+sum of products of the tables' coefficients, so when the prime divides no
+denominator of the form or of the point, the form mod p is the image of the
+form over Q, whose rank is at least as large; so full rank mod p proves full
+rank over Q, and the count ``len(basis)``.  A short rank proves nothing, and
+the exact rank decides.
 
 :func:`fiber_points`, the listing that ``vrg fiber`` prints, reads the points
 off the same trace algebra by the rational univariate representation
-(Rouillier 1999).  For ``L = sum_j c^j x_j``, ``c = 1, 2, ...``, the power
+(Rouillier 1999), with the normal forms of the border tables specialized at
+the point.  For ``L = sum_j c^j x_j``, ``c = 1, 2, ...``, the power
 sums ``Tr(L^i)`` give the characteristic polynomial of ``L`` (Newton's
 identities), and ``L`` separates the points exactly when its square-free part
 ``f`` has the counted number of roots.  A point is then ``x_j = g_j(t)/g_0(t)``
@@ -53,7 +59,7 @@ from fractions import Fraction
 from functools import cached_property
 from numbers import Real
 from operator import add
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import mpmath
 
@@ -177,13 +183,23 @@ def _exact_point(u) -> _Point:
     return _Point(a, b, _S**2 + 1)
 
 
-def _tables(spec: ExtensionSpec) -> tuple[list, dict]:
+class _Tables(NamedTuple):
+    """B as a free A-module, built once per spec by :func:`_tables`."""
+
+    basis: list  # the origin basis b_k, exponents with b_0 = 1
+    border: dict  # x_j*b_k outside it: {l: c_l}, x_j*b_k = sum_l c_l(f)*b_l
+    products: list  # the exponents of b_k*b_l, row k
+    form: dict  # Tr(x^g) in the tags, for each distinct product g
+
+
+def _tables(spec: ExtensionSpec) -> _Tables:
     """B as a free A-module, once per spec: the origin basis ``b_k``, the
     standard monomials of the generators' lex basis, and for each border
     monomial ``x_j*b_k`` outside it, its coordinates ``{l: c_l}`` with
     ``x_j*b_k = sum_l c_l(f)*b_l``, each ``c_l`` a polynomial in the tags.
     They are found by graded elimination of the rows ``f^a*b_l`` in each
-    degree of a border monomial.
+    degree of a border monomial.  Then the trace form over A,
+    ``Tr(b_k*b_l)``: :func:`_normal_forms` with the tags as the point.
 
     The spec is validated as :func:`~vrg.extension.validate` does, with
     finiteness read off the origin basis, and freeness of rank r is checked
@@ -227,13 +243,18 @@ def _tables(spec: ExtensionSpec) -> tuple[list, dict]:
             for (a, l), c in tag.items():  # g - tag(f, b) == rest == 0
                 coordinates.setdefault(l, {})[a] = -c
             table[g] = {l: Poly._clean(n, terms) for l, terms in coordinates.items()}
-    return basis, table
+    products = [[tuple(map(add, bk, bl)) for bl in basis] for bk in basis]
+    nf = _normal_forms(basis, table, [Poly.variable(n, j) for j in range(n)])
+    trace = [sum(nf(g).get(l, 0) for l, g in enumerate(row)) for row in products]  # Tr(b_k)
+    zero = Poly.zero(n)  # a trace of 0 is the int 0
+    form = {g: zero + _trace(nf(g), trace) for g in set(itertools.chain(*products))}
+    return _Tables(basis, table, products, form)
 
 
-def _count(spec: ExtensionSpec, point: _Point, tables: tuple) -> int:
+def _count(point: _Point, tables: _Tables) -> int:
     """The number of points over ``a + alpha*b``: the trace form's rank
     over ``deg m``, as conjugate fibers have equal size."""
-    return _algebra(spec, point, tables)[3] // point.m.degree_in(0)
+    return _algebra(point, tables)[1] // point.m.degree_in(0)
 
 
 class _Residue:
@@ -290,80 +311,77 @@ def _power_sums(m: list, count: int) -> list:
     return p
 
 
-def _normal_forms(tables: tuple, y: Sequence, modulus: int = 0) -> tuple[list, Callable, list]:
-    """The fiber algebra over ``y``: the exponents of the products
-    ``b_k*b_l``, the normal-form map and the traces ``Tr(b_k)``.  The border
-    tables are specialized at y, with values in a field containing Q, or in
-    the integers mod a prime ``modulus`` when one is given (the tables then
-    hold their coefficients mod it, and y its residues).
+def _normal_forms(basis: list, border: dict, y: Sequence) -> Callable:
+    """The normal-form map of the fiber algebra over ``y``, with the border
+    tables specialized at y, in any commutative ring containing Q: the tags
+    themselves for the form over A, or a point's coordinates.
 
     A normal form is a sparse vector ``{k: coefficient of b_k}``, memoized
     per exponent g and built a variable at a time: ``NF(x^g) = sum_k c_k
-    NF(x_j*b_k)`` where ``NF(x^(g - e_j)) = sum_k c_k b_k``.  ``Tr(b_k)``
-    sums the ``b_l`` coefficients of ``NF(b_k*b_l)``.  Only sums and
-    products are taken, so mod a prime that divides no denominator of the
-    tables or of y, every value is the image of its value over Q.
+    NF(x_j*b_k)`` where ``NF(x^(g - e_j)) = sum_k c_k b_k``.  Only sums and
+    products are taken, so specializing the form over A at a point gives
+    the values this map would give there.
     """
-    basis, border = tables
-
-    def reduced(v: dict) -> dict:
-        if modulus:
-            return {l: r for l, c in v.items() if (r := c % modulus)}
-        return {l: c for l, c in v.items() if c}
-
     memo: dict[Exponent, dict[int, object]] = {e: {k: 1} for k, e in enumerate(basis)}
-    for g, coordinates in border.items():
-        memo[g] = reduced({l: c.evaluate(y) for l, c in coordinates.items()})
 
     def nf(g: Exponent) -> dict[int, object]:
         if g in memo:
             return memo[g]
-        j = next(j for j, e in enumerate(g) if e)
-        out: dict[int, object] = {}  # _combine inlined: every audit sample runs this
-        for k, c in nf(_step(g, j, -1)).items():
-            for l, d in memo[_step(basis[k], j, 1)].items():
-                out[l] = out.get(l, 0) + c * d
-        memo[g] = out = reduced(out)
+        if g in border:
+            out = {l: v for l, c in border[g].items() if (v := c.evaluate(y))}
+        else:
+            j = next(j for j, e in enumerate(g) if e)
+            v = nf(_step(g, j, -1))
+            out = _combine(v, {k: nf(_step(basis[k], j, 1)) for k in v})
+        memo[g] = out
         return out
 
-    products = [[tuple(map(add, bi, bj)) for bj in basis] for bi in basis]
-    trace = [sum(nf(g).get(l, 0) for l, g in enumerate(row)) for row in products]
-    return products, nf, trace
+    return nf
 
 
-def _algebra(spec: ExtensionSpec, point: _Point, tables: tuple) -> tuple[list, Callable, list, int]:
-    """The fiber algebra ``B (x)_A Q(alpha)`` over the point, of dimension
-    ``r*deg m`` over Q: its Q-basis ``b_l*alpha^t``, written as the exponents
-    ``b_l + (t,)`` of ``x^(b_l)*s^t``, their normal forms, the traces
-    ``Tr(b_l*alpha^t)``, and the rank of the trace form on that basis, the
-    number of distinct points over all roots of m.
+def _algebra(point: _Point, tables: _Tables) -> tuple[list, int]:
+    """The traces ``Tr(b_l*alpha^t)`` on the Q-basis ``b_l*alpha^t`` of the
+    fiber algebra ``B (x)_A Q(alpha)`` over the point, of dimension ``r*deg
+    m`` over Q, and the rank of its trace form, the number of distinct
+    points over all roots of m.
 
-    :func:`_normal_forms` specializes the border tables at ``y = a +
-    alpha*b`` in ``Q[s]/(m)``, alpha the residue of s: at the rational point
-    u when m is linear.  Over that field, ``Tr(v) = sum_k v_k Tr(b_k)``, and
-    the trace to Q of ``alpha^t*v`` is ``sum_e v_e Tr(alpha^(t+e))``.
+    The trace form over A is evaluated at ``y = a + alpha*b`` in
+    ``Q[s]/(m)``, alpha the residue of s: at the rational point u when m is
+    linear.  The trace to Q of ``alpha^t*v`` is ``sum_e v_e Tr(alpha^(t+e))``,
+    and ``Tr(b_l)`` is the form's entry at ``b_l = b_l*b_0``.
     """
-    n, basis = spec.n, tables[0]
-    m, alpha = point.coefficients, point.residue
+    m = point.coefficients
     size = len(m) - 1
-    products, nf, trace = _normal_forms(tables, _along(point.a, point.b, alpha))
+    y = _along(point.a, point.b, point.residue)
     sums = _power_sums(m, 3 * size - 2)
 
     def to_q(x, t: int):  # the trace to Q of alpha^t*x
         return sum(c * sums[t + e] for e, c in enumerate(_coefficients(x)))
 
-    # for each distinct product g, the traces to Q of alpha^t*Tr(g), t < 2D - 1
+    # for each distinct product g, the traces to Q of alpha^t*Tr(x^g), t < 2D - 1
     trace_of = {
         g: [to_q(x, t) for t in range(2 * size - 1)]
-        for g in set(itertools.chain(*products))
-        for x in [_trace(nf(g), trace)]
+        for g, p in tables.form.items()
+        for x in [p.evaluate(y)]
     }
     rows = (
         {j * size + u: v for j, g in enumerate(row) for u in range(size) if (v := trace_of[g][t + u])}
-        for row in products
+        for row in tables.products
         for t in range(size)
     )
     rank = len(_eliminate((row, {}) for row in rows)[0])
+    return [trace_of[b][t] for b in tables.basis for t in range(size)], rank
+
+
+def _fiber_basis(spec: ExtensionSpec, point: _Point, tables: _Tables) -> tuple[list, Callable]:
+    """The Q-basis ``b_l*alpha^t`` of the fiber algebra over the point,
+    written as the exponents ``b_l + (t,)`` of ``x^(b_l)*s^t``, and their
+    normal forms over Q, from the border tables specialized at ``a +
+    alpha*b`` by :func:`_normal_forms`."""
+    n, basis = spec.n, tables.basis
+    alpha = point.residue
+    size = point.m.degree_in(0)
+    nf = _normal_forms(basis, tables.border, _along(point.a, point.b, alpha))
 
     def nf_q(g: Exponent) -> dict[int, object]:  # NF(x^(g[:n])*s^g[n]) over Q
         shift = 1
@@ -376,9 +394,7 @@ def _algebra(spec: ExtensionSpec, point: _Point, tables: tuple) -> tuple[list, C
             if c
         }
 
-    monomials = [b + (t,) for b in basis for t in range(size)]
-    traces = [to_q(x, t) for x in trace for t in range(size)]
-    return monomials, nf_q, traces, rank
+    return [b + (t,) for b in basis for t in range(size)], nf_q
 
 
 def _combine(v: dict, rows) -> dict:
@@ -422,9 +438,9 @@ def _probe(spec: ExtensionSpec, u: Sequence, contractions, list_up_to: float) ->
         raise FiberProbeError(f"base point needs {spec.n} components")
     point = _exact_point(u)
     tables = _tables(spec)
-    r = len(tables[0])  # the origin basis
-    algebra = _algebra(spec, point, tables)
-    count = algebra[3] // point.m.degree_in(0)
+    r = len(tables.basis)
+    traces, rank = _algebra(point, tables)
+    count = rank // point.m.degree_in(0)
     sample = FiberSample(
         u=point.u,
         count=count,
@@ -433,7 +449,8 @@ def _probe(spec: ExtensionSpec, u: Sequence, contractions, list_up_to: float) ->
             idx for idx, p in enumerate(contractions or ()) if _vanishes_at(p, point)
         ),
     )
-    return sample, _listing(spec, point, algebra) if count <= list_up_to else None
+    listing = _listing(spec, point, tables, traces, rank) if count <= list_up_to else None
+    return sample, listing
 
 
 def _vanishes_at(p: Poly, point: _Point) -> bool:
@@ -451,11 +468,11 @@ def fiber_points(spec: ExtensionSpec, u: Sequence):
     return _probe(spec, u, (), math.inf)[1]
 
 
-def _listing(spec: ExtensionSpec, point: _Point, algebra: tuple):
+def _listing(spec: ExtensionSpec, point: _Point, tables: _Tables, traces: list, distinct: int):
     with mpmath.workdps(DEFAULT_DPS):
         try:
             targets = [_along(point.a, point.b, alpha) for alpha in point.roots]
-            points = _rur_points(spec, algebra)
+            points = _rur_points(spec, *_fiber_basis(spec, point, tables), traces, distinct)
         except FiberProbeError:  # root finding gave up
             return None
         # the points over alpha = roots[0] are those where f is nearest
@@ -475,10 +492,11 @@ def _listing(spec: ExtensionSpec, point: _Point, algebra: tuple):
     return tuple(solutions), residual
 
 
-def _rur_points(spec: ExtensionSpec, algebra: tuple) -> list[tuple]:
+def _rur_points(
+    spec: ExtensionSpec, monomials: list, nf: Callable, trace: list, distinct: int
+) -> list[tuple]:
     """The points over all roots of m, as many as the trace form's rank, by
     the rational univariate representation; a rational L-value gives an exact point."""
-    monomials, nf, trace, distinct = algebra
     n = spec.n
     times = [[nf(_step(b, j, 1)) for b in monomials] for j in range(n)]  # NF(x_j*b_k)
     for c in itertools.count(1):
@@ -564,40 +582,36 @@ def _mod_p(c) -> int:
     return c.numerator * pow(c.denominator, -1, _P) % _P
 
 
-def _tables_mod_p(tables: tuple) -> tuple | None:
-    """The fiber tables with every coefficient taken mod _P; None when _P
-    divides a denominator of one."""
-    basis, border = tables
+def _form_mod_p(tables: _Tables) -> tuple | None:
+    """The products and the trace form over A with every coefficient taken
+    mod _P, once per audit; None when _P divides a denominator of one."""
     try:
-        return basis, {
-            g: {
-                l: Poly._clean(c.n, {e: r for e, v in c.items() if (r := _mod_p(v))})
-                for l, c in coordinates.items()
-            }
-            for g, coordinates in border.items()
+        return tables.products, {
+            g: Poly._clean(p.n, {e: r for e, c in p.items() if (r := _mod_p(c))})
+            for g, p in tables.form.items()
         }
     except ValueError:
         return None
 
 
 def _full_rank_mod_p(u: tuple[Fraction, ...], modular: tuple | None) -> bool:
-    """Whether the trace form over the rational point u has full rank mod _P,
-    from the tables mod _P: proof that u has ``len(basis)`` points.  Every
-    entry of the form over Q is a sum of products of the tables' coefficients
-    and u's coordinates, so when _P divides none of their denominators its
-    entries mod _P are the images of the entries over Q, and the rank mod _P
-    is at most the rank over Q, itself at most ``len(basis)``.  False when _P
-    divides a denominator, or the rank mod _P is short: the exact count then
-    decides."""
+    """Whether the trace form at the rational point u has full rank mod _P,
+    from the form over A mod _P: proof that u has ``len(basis)`` points.
+    Every coefficient of the form is a sum of products of the tables'
+    coefficients, so when _P divides none of the form's denominators or u's,
+    its entries at u mod _P are the images of the entries over Q, and the
+    rank mod _P is at most the rank over Q, itself at most ``len(basis)``.
+    False when _P divides a denominator, or the rank mod _P is short: the
+    exact count then decides."""
     if modular is None:
         return False
     try:
         y = [_mod_p(c) for c in u]
     except ValueError:
         return False
-    products, nf, trace = _normal_forms(modular, y, _P)
-    trace_of = {g: _trace(nf(g), trace) % _P for g in set(itertools.chain(*products))}
-    rows = ({k: v for k, g in enumerate(row) if (v := trace_of[g])} for row in products)
+    products, form = modular
+    value = {g: p.evaluate(y) % _P for g, p in form.items()}
+    rows = ({k: v for k, g in enumerate(row) if (v := value[g])} for row in products)
     return len(_eliminate_mod(rows, _P)) == len(products)
 
 
@@ -638,7 +652,7 @@ def branch_audit(spec: ExtensionSpec, report, samples: int = 20, seed: int = 0) 
     contractions = report.distinct_contractions()
     tags = tag_table(spec)
     tables = _tables(spec)
-    modular = _tables_mod_p(tables)
+    modular = _form_mod_p(tables)
     rng = random.Random(seed)
 
     def tally(head: dict, key: str, draw, count, passes) -> dict:
@@ -653,13 +667,13 @@ def branch_audit(spec: ExtensionSpec, report, samples: int = 20, seed: int = 0) 
         return entry
 
     def exact(point: _Point) -> int:
-        return _count(spec, point, tables)
+        return _count(point, tables)
 
     generic = tally(
         {},
         "equal_r",
         lambda: _rational_point(_generic_point(spec, contractions, rng)),
-        lambda point: len(tables[0]) if _full_rank_mod_p(point.a, modular) else exact(point),
+        lambda point: len(tables.basis) if _full_rank_mod_p(point.a, modular) else exact(point),
         lambda count: count == r,
     )
     branch = [

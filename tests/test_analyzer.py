@@ -385,6 +385,19 @@ def test_tampered_index_fails(cusp_spec):
         assert "jacobian exponents" in result.failures
 
 
+def test_each_failed_check_is_named_once():
+    # a duplicated datum fails both "jacobian exponents" checks (the rebuilt
+    # Jacobian and the index certificate); the failure is listed once
+    spec = spec_of("cusp3")
+
+    def duplicate(data):
+        data["ramification"].insert(0, data["ramification"][0])
+
+    failures = verify_report(_tampered(spec, duplicate), spec).failures
+    assert failures.count("jacobian exponents") == 1
+    assert len(set(failures)) == len(failures)
+
+
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
 def test_jacobian_exponents_by_certificate(entry, monkeypatch):
     # one division by ∏Q^e per contraction; then Q ∤ rest by a nonzero value

@@ -370,7 +370,7 @@ def test_on_branch_of_is_exact_at_irrational_points():
     point = fiber_mod._point_on_hypersurface(discriminant, 3, random.Random(4))
     assert point.m.degree_in(0) == 2
     assert fiber_mod._vanishes_at(discriminant, point)
-    assert fiber_mod._count(spec, point, fiber_mod._tables(spec)) == 3
+    assert fiber_mod._count(point, fiber_mod._tables(spec)) == 3
     # a Gaussian-rational point 2^-40 off the discriminant is not on it
     u = _sym3_at_roots(1 + 1j, 1 + 1j, 2 - 1j)
     off = (u[0], u[1], u[2] + 2.0**-40)
@@ -451,7 +451,7 @@ def test_branch_points_are_rational_images_of_linear_ramified_primes():
                 point = fiber_mod._branch_point(spec, report, p, rng)
                 assert point.m == fiber_mod._S, entry.name
                 assert fiber_mod._vanishes_at(p, point), entry.name
-                assert fiber_mod._count(spec, point, tables) < r, entry.name
+                assert fiber_mod._count(point, tables) < r, entry.name
     assert cases >= 12
 
 
@@ -494,14 +494,14 @@ def test_certificate_agrees_with_the_exact_count(entry):
     report = analyze(spec)
     contractions = report.distinct_contractions()
     tables = fiber_mod._tables(spec)
-    modular = fiber_mod._tables_mod_p(tables)
+    modular = fiber_mod._form_mod_p(tables)
     assert modular is not None
     for seed in range(4):
         rng = random.Random(seed)
         points = [fiber_mod._generic_point(spec, contractions, rng) for _ in range(5)]
         points += [fiber_mod._branch_point(spec, report, p, rng).a for p in contractions]
         for u in points:
-            exact = fiber_mod._count(spec, fiber_mod._rational_point(u), tables)
+            exact = fiber_mod._count(fiber_mod._rational_point(u), tables)
             assert fiber_mod._full_rank_mod_p(u, modular) == (exact == len(tables[0])), u
 
 
@@ -524,17 +524,75 @@ def test_a_denominator_divisible_by_p_falls_back_to_the_exact_count(xy11, monkey
         fiber_mod._mod_p(Fraction(3, 2 * p))
     assert fiber_mod._mod_p(Fraction(3, 2)) == 3 * (p + 1) // 2 % p
     sym2 = ExtensionSpec(xy11, (parse("X+Y", xy11), parse("X*Y", xy11)))
-    modular = fiber_mod._tables_mod_p(fiber_mod._tables(sym2))
+    modular = fiber_mod._form_mod_p(fiber_mod._tables(sym2))
     assert fiber_mod._full_rank_mod_p((Fraction(1), Fraction(-1)), modular)
     assert not fiber_mod._full_rank_mod_p((Fraction(1, p), Fraction(-1)), modular)
-    # Y^2 = f1*Y - f2/p: a table coefficient with p in its denominator
+    # Y^2 = f1*Y - f2/p, so Tr(Y^2) = y1^2 - 2*y2/p: a coefficient of the
+    # form with p in its denominator
     spec = ExtensionSpec(xy11, (parse("X+Y", xy11), parse(f"{p}*X*Y", xy11)))
-    assert fiber_mod._tables_mod_p(fiber_mod._tables(spec)) is None
+    tables = fiber_mod._tables(spec)
+    assert tables.form[(0, 2)] == Poly(2, {(2, 0): 1, (0, 1): Fraction(-2, p)})
+    assert fiber_mod._form_mod_p(tables) is None
     report = analyze(spec)
     audit = branch_audit(spec, report, samples=5, seed=3)
     assert audit["generic"]["equal_r"] == 5
     monkeypatch.setattr(fiber_mod, "_full_rank_mod_p", lambda u, modular: False)
     assert branch_audit(spec, report, samples=5, seed=3) == audit
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda entry: entry.name)
+def test_trace_form_over_a_specializes_to_the_pointwise_traces(entry):
+    # the form over A, evaluated at a point, equals the traces of the normal
+    # forms over that point; Tr(1) = r, and each entry Tr(x^g) is
+    # weighted-homogeneous of tag degree wdeg(g), as the tables are graded
+    import vrg.fiber as fiber_mod
+    from vrg.ideals import tag_table
+    from vrg.poly import weighted_degree
+
+    spec, r = entry.spec, entry.degree
+    tables = fiber_mod._tables(spec)
+    tags = tag_table(spec)
+    assert tables.form[(0,) * spec.n] == Poly.const(spec.n, r)
+    for g, p in tables.form.items():
+        if p:
+            wd = weighted_degree(p, tags)
+            assert (wd.degree, wd.homogeneous) == (spec.vars.wdeg(g), True), g
+    rng = random.Random(f"form-{entry.name}")
+    draw = lambda: fiber_mod._random_rational(rng)
+    points = [fiber_mod._rational_point(tuple(draw() for _ in range(spec.n))) for _ in range(3)]
+    points.append(fiber_mod._exact_point(tuple((draw(), draw()) for _ in range(spec.n))))
+    assert points[-1].m == fiber_mod._S**2 + 1
+    for point in points:
+        size = point.m.degree_in(0)
+        y = fiber_mod._along(point.a, point.b, point.residue)
+        nf = fiber_mod._normal_forms(tables.basis, tables.border, y)
+        trace = [sum(nf(g).get(l, 0) for l, g in enumerate(row)) for row in tables.products]
+
+        def value(x):
+            c = fiber_mod._coefficients(x)
+            return tuple(c) + (0,) * (size - len(c))
+
+        for g, p in tables.form.items():
+            assert value(p.evaluate(y)) == value(fiber_mod._trace(nf(g), trace)), (point, g)
+
+
+@pytest.mark.parametrize("name", ["cusp3", "sym3", "dihedral5"])
+def test_branch_audit_builds_the_normal_forms_once(name, monkeypatch):
+    # the form over A is the only normal-form recursion of an audit: each
+    # sample, generic or branch, evaluates the form instead
+    import vrg.fiber as fiber_mod
+
+    spec = spec_of(name)
+    report = analyze(spec)
+    calls = []
+    real = fiber_mod._normal_forms
+    monkeypatch.setattr(
+        fiber_mod, "_normal_forms", lambda *args: calls.append(args[2]) or real(*args)
+    )
+    audit = branch_audit(spec, report, samples=3, seed=4)
+    assert audit["generic"]["equal_r"] == 3
+    assert all(entry["below_r"] == 3 for entry in audit["branch"])
+    assert calls == [[Poly.variable(spec.n, j) for j in range(spec.n)]]
 
 
 def test_audits_in_one_process_match_fresh_processes():
@@ -647,7 +705,7 @@ def test_fiber_algebras_are_flat(name, real, imag):
     degree = point.m.degree_in(0)
     gb = _basis(spec, point)
     assert len(_standard_monomials(gb, spec.n)) == r * degree
-    assert 1 <= fiber_mod._count(spec, point, fiber_mod._tables(spec)) <= r
+    assert 1 <= fiber_mod._count(point, fiber_mod._tables(spec)) <= r
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -679,7 +737,7 @@ def test_specialized_tables_count_as_the_lex_basis_oracle(kind, data, real, imag
     else:
         parts = zip(real, imag) if kind == "gaussian" else real
         point = fiber_mod._exact_point(tuple(parts)[: spec.n])
-    count = fiber_mod._count(spec, point, fiber_mod._tables(spec))
+    count = fiber_mod._count(point, fiber_mod._tables(spec))
     assert count == _oracle_count(spec, point)
 
 
