@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     InputError,
@@ -19,6 +20,7 @@ from .errors import (
     NotHomogeneousError,
     TheoremViolationError,
 )
+from .groebner import GroebnerBasis, groebner
 from .poly import Poly, VarTable, format_poly, weighted_degree
 
 
@@ -41,6 +43,11 @@ class ExtensionSpec:
     @property
     def n(self) -> int:
         return self.vars.n
+
+    @cached_property
+    def lex_basis(self) -> GroebnerBasis:
+        """The generators' reduced lex basis, built once, on first use."""
+        return groebner(self.generators, self.vars)
 
 
 def generator_weights(spec: ExtensionSpec) -> tuple[int, ...]:
@@ -76,13 +83,7 @@ def validate(spec: ExtensionSpec) -> int:
     from .ideals import check_finite
 
     generator_weights(spec)
-    return finite_degree(spec, check_finite(spec))
-
-
-def finite_degree(spec: ExtensionSpec, finite: bool) -> int:
-    """The degree r of a spec with homogeneous generators, once ``finite``
-    (the verdict of a zero-dimensionality test on them) holds."""
-    if not finite:
+    if not check_finite(spec):
         raise NotFiniteError(
             "extension not finite: the generators vanish on a positive-"
             "dimensional set"

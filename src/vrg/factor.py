@@ -25,6 +25,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from ._zfactor import (
     factor_squarefree,
@@ -35,13 +36,14 @@ from ._zfactor import (
     series_quotient,
 )
 from .errors import NotDivisibleError, TheoremViolationError
-from .poly import Poly, VarTable, canonical, content, format_poly, weighted_degree
+from .poly import Poly, VarTable, canonical, content, format_poly, residue, weighted_degree
 
 __all__ = [
     "Factorization",
     "factor",
     "gcd",
     "lcm",
+    "line_zero",
     "squarefree",
     "valuation",
 ]
@@ -456,3 +458,26 @@ def valuation(q: Poly, p: Poly) -> int:
             k += 1
     except NotDivisibleError:
         return k
+
+
+def line_zero(q: Poly, draw: Callable[[], Fraction]) -> tuple[tuple, Poly] | None:
+    """A zero ``x0`` of q in ``Q[s]/(m)``, with its monic irreducible m: x_j
+    is the first variable of least positive degree in q, the others are
+    drawn in order, again while q is constant on the line ``x_j = s``, and m
+    is q on that line when it is linear, else its first irreducible factor
+    over Q.  ``x0[j]`` is the residue of s, a rational when m is linear.
+    None when q is constant, or after 200 draws."""
+    j = min((k for k in range(q.n) if q.degree_in(k)), key=q.degree_in, default=None)
+    if j is None:
+        return None
+    for _ in range(200):
+        x = [Poly.variable(1, 0) if k == j else draw() for k in range(q.n)]
+        on_line = q.evaluate(x)
+        if on_line.is_constant():
+            continue
+        if on_line.degree_in(0) > 1:
+            on_line = factor(on_line, VarTable(("s",), (1,))).factors[0][0]
+        m = on_line / on_line.leading()[1]
+        x[j] = residue(m)
+        return tuple(x), m
+    return None

@@ -1,21 +1,21 @@
 """Fiber counts of the generator map over exact base points.
 
-Every base point is held exactly, as rational vectors ``a`` and ``b`` and a
-monic irreducible ``m`` in ``Q[s]``: the point is ``a + alpha*b`` for a root
-``alpha`` of ``m``.  A rational point ``u`` is ``a = u, b = e_1, m = s``; a
-complex one ``p + q*i`` is ``a = p, b = q, m = s^2 + 1``.  A branch point
-of the audit for a contraction ``P~`` is the image ``u = f(x0)`` of a
-rational zero x0 of a ramified prime Q over ``P~`` that has degree 1 in some
-variable: Q divides ``P~(f)``, so u is on ``P~ = 0``.  When no prime over
-``P~`` is linear in a variable, the branch point is where a rational line
-meets ``P~ = 0``, with ``m`` an irreducible factor of ``P~`` restricted to
-the line.  A point is on ``p = 0`` when ``p(a + alpha*b)`` is 0 in
-``Q[s]/(m)``, alpha the residue of s.
+Every base point is held exactly, as a monic irreducible ``m`` in ``Q[s]``
+and coordinates ``y`` in ``Q[s]/(m)``: the point is y at a root ``alpha``
+of m.  A rational point has ``m = s``; a complex coordinate ``p + q*i`` is
+``p + q*alpha`` with ``m = s^2 + 1``.  A branch point of the audit for a
+contraction ``P~`` is the image ``u = f(x0)`` of a zero x0 of a ramified
+prime Q over ``P~``, the one of least positive degree in a variable: Q
+divides ``P~(f)``, so u is on ``P~ = 0``.  x0 is where a rational line meets
+``Z(Q)`` (:func:`~vrg.factor.line_zero`), over ``Q[s]/(m)``, rational when m
+is linear, as it is for a Q linear in a variable; u is evaluated there, and
+is rational, with ``m = s``, when every coordinate is.  A point is on
+``p = 0`` when ``p(y)`` is 0 in ``Q[s]/(m)``.
 
 The count is exact.  ``B`` is free of rank ``r`` over ``A`` on the standard
-monomials ``b_l`` of the generators' lex basis, so the fibers over all roots
-of ``m`` make up the algebra ``B (x)_A Q[s]/(m)``, with Q-basis
-``b_l*alpha^t``.  :func:`_tables` writes each border monomial ``x_j*b_k`` as
+monomials ``b_l`` of the generators' lex basis, the spec's own, so the
+fibers over all roots of ``m`` make up the algebra ``B (x)_A Q[s]/(m)``,
+with Q-basis ``b_l*alpha^t``.  :func:`_tables` writes each border monomial ``x_j*b_k`` as
 ``sum_l c_l(f)*b_l`` once per spec, by the graded elimination of
 :mod:`vrg.ideals` on the rows ``f^a*b_l``, which also checks that B is free.
 From those tables it builds, also once per spec, the trace form over A: one
@@ -56,7 +56,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from numbers import Real
 from operator import add
 from typing import Callable, NamedTuple, Sequence
@@ -65,9 +65,8 @@ import mpmath
 
 from ._zfactor import _derivative, _divmod, _gcd, _primitive, factor_squarefree
 from .errors import FiberProbeError, TheoremViolationError
-from .extension import ExtensionSpec, finite_degree, generator_weights
-from .factor import factor
-from .groebner import groebner
+from .extension import ExtensionSpec, validate
+from .factor import line_zero
 from .ideals import (
     _eliminate,
     _eliminate_mod,
@@ -76,14 +75,13 @@ from .ideals import (
     _standard_monomials,
     tag_table,
 )
-from .poly import Exponent, Poly, VarTable, format_poly, rational_zero, reduce_leading
+from .poly import Exponent, Poly, _Residue, format_poly, reduce_leading, residue
 
 DEFAULT_DPS = 50
 
 Component = Fraction | complex
 
-# the line parameter s of a base point
-_LINE = VarTable(("s",), (1,))
+# the variable s of Q[s]/(m)
 _S = Poly.variable(1, 0)
 
 
@@ -99,11 +97,12 @@ class FiberSample:
 
 @dataclass(frozen=True)
 class _Point:
-    """The base point ``a + roots[0]*b`` for the monic irreducible ``m`` in
-    ``Q[s]``; the roots are found only when asked for."""
+    """The base point y at ``roots[0]``, for the monic irreducible ``m`` in
+    ``Q[s]``: each coordinate of y is a rational or a
+    :class:`~vrg.poly._Residue` in ``Q[s]/(m)``.  The roots are found only
+    when asked for."""
 
-    a: tuple[Fraction, ...]
-    b: tuple[Fraction, ...]
+    y: tuple
     m: Poly
 
     @cached_property
@@ -120,15 +119,13 @@ class _Point:
     @cached_property
     def residue(self):
         """The residue of s in ``Q[s]/(m)``: the root of m when m is linear."""
-        m = self.coefficients
-        return -m[0] if len(m) == 2 else _Residue((0, 1) + (0,) * (len(m) - 3), m)
+        return residue(self.m)
 
     @property
     def u(self) -> tuple[Component, ...]:
-        y = _along(self.a, self.b, self.roots[0])
-        if self.m.degree_in(0) == 1:
-            return tuple(y)
-        return tuple(complex(yi) if bi else ai for ai, bi, yi in zip(self.a, self.b, y))
+        return tuple(
+            complex(_at(x, self.roots[0])) if isinstance(x, _Residue) else x for x in self.y
+        )
 
 
 def _roots(p: list) -> tuple:
@@ -145,14 +142,9 @@ def _roots(p: list) -> tuple:
     return tuple(sorted(roots, key=lambda z: (-z.imag, z.real)))
 
 
-def _rational_point(u: tuple[Fraction, ...]) -> _Point:
-    return _Point(u, (1,) + (0,) * (len(u) - 1), _S)
-
-
-def _along(a, b, alpha) -> list:
-    """The coordinates of ``a + alpha*b``, for alpha in any commutative ring
-    containing Q: a root of m, the residue of s modulo m, or s itself."""
-    return [ai + alpha * bi for ai, bi in zip(a, b)]
+def _at(x, alpha):
+    """The value of x in ``Q[s]/(m)`` at a root alpha of m, by Horner's rule."""
+    return reduce(lambda value, c: value * alpha + c, reversed(_coefficients(x)))
 
 
 def _rational(x) -> Fraction:
@@ -179,8 +171,10 @@ def _exact_point(u) -> _Point:
     a = tuple(_rational(p) for p, _ in parts)
     b = tuple(_rational(q) for _, q in parts)
     if not any(b):
-        return _rational_point(a)
-    return _Point(a, b, _S**2 + 1)
+        return _Point(a, _S)
+    m = _S**2 + 1
+    i = residue(m)
+    return _Point(tuple(p + q * i if q else p for p, q in zip(a, b)), m)
 
 
 class _Tables(NamedTuple):
@@ -201,16 +195,15 @@ def _tables(spec: ExtensionSpec) -> _Tables:
     degree of a border monomial.  Then the trace form over A,
     ``Tr(b_k*b_l)``: :func:`_normal_forms` with the tags as the point.
 
-    The spec is validated as :func:`~vrg.extension.validate` does, with
-    finiteness read off the origin basis, and freeness of rank r is checked
-    here, once per spec: the origin basis has r elements, no degree has a
-    linear relation among its rows, and every border monomial reduces to
-    zero against them.
+    The spec is validated first, and the origin basis is read off its lex
+    basis, built once per spec.  Freeness of rank r is checked here, once
+    per spec: the origin basis has r elements, no degree has a linear
+    relation among its rows, and every border monomial reduces to zero
+    against them.
     """
     n = spec.n
-    generator_weights(spec)
-    basis = _standard_monomials(groebner(spec.generators, spec.vars), n)
-    r = finite_degree(spec, bool(basis))
+    r = validate(spec)
+    basis = _standard_monomials(spec.lex_basis, n)
     if len(basis) != r:
         raise TheoremViolationError(
             f"the origin basis has {len(basis)} standard monomials, not"
@@ -252,46 +245,9 @@ def _tables(spec: ExtensionSpec) -> _Tables:
 
 
 def _count(point: _Point, tables: _Tables) -> int:
-    """The number of points over ``a + alpha*b``: the trace form's rank
-    over ``deg m``, as conjugate fibers have equal size."""
+    """The number of points over y at alpha: the trace form's rank over
+    ``deg m``, as conjugate fibers have equal size."""
     return _algebra(point, tables)[1] // point.m.degree_in(0)
-
-
-class _Residue:
-    """An element of ``Q[s]/(m)``, for a monic m of degree D >= 2: its D
-    coefficients, lowest degree first, with those of m."""
-
-    __slots__ = ("c", "m")
-
-    def __init__(self, c: tuple, m: list):
-        self.c, self.m = c, m
-
-    def __add__(self, other) -> "_Residue":
-        if isinstance(other, _Residue):
-            return _Residue(tuple(map(add, self.c, other.c)), self.m)
-        return _Residue((self.c[0] + other,) + self.c[1:], self.m)
-
-    __radd__ = __add__
-
-    def __mul__(self, other) -> "_Residue":
-        if not isinstance(other, _Residue):
-            return _Residue(tuple(c * other for c in self.c), self.m)
-        size = len(self.c)
-        out = [0] * (2 * size - 1)
-        for i, x in enumerate(self.c):
-            if x:
-                for j, y in enumerate(other.c):
-                    out[i + j] += x * y
-        for k in range(2 * size - 2, size - 1, -1):  # s^k = s^(k-D)*(s^D - m)
-            if out[k]:
-                for e, me in enumerate(self.m[:size]):
-                    out[k - size + e] -= out[k] * me
-        return _Residue(tuple(out[:size]), self.m)
-
-    __rmul__ = __mul__
-
-    def __bool__(self) -> bool:
-        return any(self.c)
 
 
 def _coefficients(x) -> tuple:
@@ -345,14 +301,13 @@ def _algebra(point: _Point, tables: _Tables) -> tuple[list, int]:
     m`` over Q, and the rank of its trace form, the number of distinct
     points over all roots of m.
 
-    The trace form over A is evaluated at ``y = a + alpha*b`` in
-    ``Q[s]/(m)``, alpha the residue of s: at the rational point u when m is
-    linear.  The trace to Q of ``alpha^t*v`` is ``sum_e v_e Tr(alpha^(t+e))``,
-    and ``Tr(b_l)`` is the form's entry at ``b_l = b_l*b_0``.
+    The trace form over A is evaluated at the point's y in ``Q[s]/(m)``: at
+    the rational point u when m is linear.  The trace to Q of
+    ``alpha^t*v`` is ``sum_e v_e Tr(alpha^(t+e))``, and ``Tr(b_l)`` is the
+    form's entry at ``b_l = b_l*b_0``.
     """
     m = point.coefficients
     size = len(m) - 1
-    y = _along(point.a, point.b, point.residue)
     sums = _power_sums(m, 3 * size - 2)
 
     def to_q(x, t: int):  # the trace to Q of alpha^t*x
@@ -362,7 +317,7 @@ def _algebra(point: _Point, tables: _Tables) -> tuple[list, int]:
     trace_of = {
         g: [to_q(x, t) for t in range(2 * size - 1)]
         for g, p in tables.form.items()
-        for x in [p.evaluate(y)]
+        for x in [p.evaluate(point.y)]
     }
     rows = (
         {j * size + u: v for j, g in enumerate(row) for u in range(size) if (v := trace_of[g][t + u])}
@@ -376,12 +331,12 @@ def _algebra(point: _Point, tables: _Tables) -> tuple[list, int]:
 def _fiber_basis(spec: ExtensionSpec, point: _Point, tables: _Tables) -> tuple[list, Callable]:
     """The Q-basis ``b_l*alpha^t`` of the fiber algebra over the point,
     written as the exponents ``b_l + (t,)`` of ``x^(b_l)*s^t``, and their
-    normal forms over Q, from the border tables specialized at ``a +
-    alpha*b`` by :func:`_normal_forms`."""
+    normal forms over Q, from the border tables specialized at the point's
+    y by :func:`_normal_forms`."""
     n, basis = spec.n, tables.basis
     alpha = point.residue
     size = point.m.degree_in(0)
-    nf = _normal_forms(basis, tables.border, _along(point.a, point.b, alpha))
+    nf = _normal_forms(basis, tables.border, point.y)
 
     def nf_q(g: Exponent) -> dict[int, object]:  # NF(x^(g[:n])*s^g[n]) over Q
         shift = 1
@@ -454,9 +409,8 @@ def _probe(spec: ExtensionSpec, u: Sequence, contractions, list_up_to: float) ->
 
 
 def _vanishes_at(p: Poly, point: _Point) -> bool:
-    """Whether p vanishes at the point, decided exactly in ``Q[s]/(m)``: at
-    ``a + alpha*b``, alpha the residue of s."""
-    return not p.evaluate(_along(point.a, point.b, point.residue))
+    """Whether p vanishes at the point, decided exactly in ``Q[s]/(m)``."""
+    return not p.evaluate(point.y)
 
 
 def fiber_points(spec: ExtensionSpec, u: Sequence):
@@ -471,12 +425,12 @@ def fiber_points(spec: ExtensionSpec, u: Sequence):
 def _listing(spec: ExtensionSpec, point: _Point, tables: _Tables, traces: list, distinct: int):
     with mpmath.workdps(DEFAULT_DPS):
         try:
-            targets = [_along(point.a, point.b, alpha) for alpha in point.roots]
+            targets = [[_at(x, alpha) for x in point.y] for alpha in point.roots]
             points = _rur_points(spec, *_fiber_basis(spec, point, tables), traces, distinct)
         except FiberProbeError:  # root finding gave up
             return None
         # the points over alpha = roots[0] are those where f is nearest
-        # a + alpha*b of the conjugate points a + root*b
+        # y at alpha of the conjugate points, y at each root
         solutions, offs = [], []
         for x in points:
             values = [f.evaluate(x) for f in spec.generators]
@@ -556,22 +510,6 @@ def _generic_point(spec, contractions, rng) -> tuple[Fraction, ...]:
     raise FiberProbeError("could not sample a point off the branch locus")
 
 
-def _point_on_hypersurface(p: Poly, n: int, rng: random.Random) -> _Point:
-    """A point with p = 0, where a random rational line parallel to axis j
-    meets it: j is the first coordinate of lowest positive degree in p, and
-    the point lies over the first irreducible factor of p on the line."""
-    j = min((k for k in range(n) if p.degree_in(k) > 0), key=p.degree_in)
-    axis = tuple(int(k == j) for k in range(n))
-    for _ in range(200):
-        a = tuple(Fraction(0) if k == j else _random_rational(rng) for k in range(n))
-        on_line = p.compose(_along(a, axis, _S))
-        if on_line.is_constant():
-            continue
-        m = on_line if on_line.degree_in(0) == 1 else factor(on_line, _LINE).factors[0][0]
-        return _Point(a, axis, m / m.leading()[1])
-    raise FiberProbeError("could not sample a point on the hypersurface")
-
-
 # a Mersenne prime, for the generic samples' certificate
 _P = 2**61 - 1
 
@@ -617,19 +555,23 @@ def _full_rank_mod_p(u: tuple[Fraction, ...], modular: tuple | None) -> bool:
 
 def _branch_point(spec: ExtensionSpec, report, p: Poly, rng: random.Random) -> _Point:
     """A point of the branch hypersurface ``p = 0`` of a contraction in the
-    report: ``u = f(x0)`` at a rational zero x0 of the first ramified prime Q
-    over p that has degree 1 in a variable, on it since Q divides ``p(f)``;
-    else :func:`_point_on_hypersurface`."""
-    draw = lambda: _random_rational(rng)
-    primes = (d.prime for d in report.ramification if d.contraction == p)
-    zero = next(filter(None, (rational_zero(q, draw) for q in primes)), None)
+    report: ``u = f(x0)`` at the zero ``(x0, m)`` of :func:`~vrg.factor.line_zero`
+    on the ramified prime Q over p of least positive degree in a variable, on
+    it since Q divides ``p(f)``.  u is rational, with ``m = s``, when every
+    coordinate is."""
+    primes = [d.prime for d in report.ramification if d.contraction == p]
+    q = min(primes, key=lambda q: min(filter(None, map(q.degree_in, range(q.n))), default=math.inf))
+    zero = line_zero(q, lambda: _random_rational(rng))
     if zero is None:
-        return _point_on_hypersurface(p, spec.n, rng)
-    point = _rational_point(tuple(Fraction(f.evaluate(zero)) for f in spec.generators))
+        raise FiberProbeError("could not sample a point on the hypersurface")
+    y = tuple(f.evaluate(zero[0]) for f in spec.generators)
+    point = _Point(y, zero[1])
+    if not any(c for x in y for c in _coefficients(x)[1:]):  # a rational image
+        point = _Point(tuple(Fraction(_coefficients(x)[0]) for x in y), _S)
     if not _vanishes_at(p, point):
         raise TheoremViolationError(
-            f"the image of the zero {tuple(map(str, zero))} of a prime over"
-            f" {format_poly(p, tag_table(spec))} is off that branch hypersurface:"
+            f"the image of a zero of {format_poly(q, spec.vars)}, a prime over"
+            f" {format_poly(p, tag_table(spec))}, is off that branch hypersurface:"
             " the prime does not lie over the contraction"
         )
     return point
@@ -642,11 +584,11 @@ def branch_audit(spec: ExtensionSpec, report, samples: int = 20, seed: int = 0) 
     hypersurface must stay below r.  Generic points are drawn first.  Each
     is counted ``len(basis)`` when its trace form has full rank mod _P
     (:func:`_full_rank_mod_p`), and exactly otherwise.  A branch point of a
-    contraction is the image of a rational zero of a ramified prime over it
+    contraction is the image of a zero of a ramified prime over it
     (:func:`_branch_point`), and is always counted exactly: its trace form
     is short by design.
     """
-    if not isinstance(samples, int) or samples < 0:
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
         raise FiberProbeError(f"the sample count must be a nonnegative integer, got {samples!r}")
     r = report.degree
     contractions = report.distinct_contractions()
@@ -672,8 +614,8 @@ def branch_audit(spec: ExtensionSpec, report, samples: int = 20, seed: int = 0) 
     generic = tally(
         {},
         "equal_r",
-        lambda: _rational_point(_generic_point(spec, contractions, rng)),
-        lambda point: len(tables.basis) if _full_rank_mod_p(point.a, modular) else exact(point),
+        lambda: _Point(_generic_point(spec, contractions, rng), _S),
+        lambda point: len(tables.basis) if _full_rank_mod_p(point.y, modular) else exact(point),
         lambda count: count == r,
     )
     branch = [

@@ -480,23 +480,48 @@ class Poly:
         return total
 
 
-def rational_zero(p: Poly, draw: Callable[[], Fraction]) -> tuple | None:
-    """A rational zero of p, for p of degree 1 in some variable x_j: the other
-    coordinates are drawn in order, and x_j solves ``c1*x_j + c0 = 0``, with
-    ``c0 = p(x_j = 0)`` and ``c1 = p(x_j = 1) - c0`` at them.  Draws again
-    while c1 is 0 there.  None when p is nonlinear in every variable, or
-    after 200 draws."""
-    j = next((k for k in range(p.n) if p.degree_in(k) == 1), None)
-    if j is None:
-        return None
-    for _ in range(200):
-        x = [0 if k == j else draw() for k in range(p.n)]
-        c0 = p.evaluate(x)
-        x[j] = 1
-        if c1 := p.evaluate(x) - c0:
-            x[j] = Fraction(-c0, c1)
-            return tuple(x)
-    return None
+class _Residue:
+    """An element of ``Q[s]/(m)``, for a monic m of degree D >= 2: its D
+    coefficients, lowest degree first, with those of m."""
+
+    __slots__ = ("c", "m")
+
+    def __init__(self, c: tuple, m: list):
+        self.c, self.m = c, m
+
+    def __add__(self, other) -> "_Residue":
+        if isinstance(other, _Residue):
+            return _Residue(tuple(map(add, self.c, other.c)), self.m)
+        return _Residue((self.c[0] + other,) + self.c[1:], self.m)
+
+    __radd__ = __add__
+
+    def __mul__(self, other) -> "_Residue":
+        if not isinstance(other, _Residue):
+            return _Residue(tuple(c * other for c in self.c), self.m)
+        size = len(self.c)
+        out = [0] * (2 * size - 1)
+        for i, x in enumerate(self.c):
+            if x:
+                for j, y in enumerate(other.c):
+                    out[i + j] += x * y
+        for k in range(2 * size - 2, size - 1, -1):  # s^k = s^(k-D)*(s^D - m)
+            if out[k]:
+                for e, me in enumerate(self.m[:size]):
+                    out[k - size + e] -= out[k] * me
+        return _Residue(tuple(out[:size]), self.m)
+
+    __rmul__ = __mul__
+
+    def __bool__(self) -> bool:
+        return any(self.c)
+
+
+def residue(m: Poly):
+    """The residue of s in ``Q[s]/(m)``, for a monic m in ``Q[s]``: the root
+    of m when m is linear, else a :class:`_Residue`."""
+    c = [m.coefficient((d,)) for d in range(m.degree_in(0) + 1)]
+    return -c[0] if len(c) == 2 else _Residue((0, 1) + (0,) * (len(c) - 3), c)
 
 
 # ---------------------------------------------------------------------------

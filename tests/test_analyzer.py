@@ -401,7 +401,8 @@ def test_each_failed_check_is_named_once():
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
 def test_jacobian_exponents_by_certificate(entry, monkeypatch):
     # one division by ∏Q^e per contraction; then Q ∤ rest by a nonzero value
-    # at a zero of Q, or, for a Q nonlinear in every variable, by division
+    # at a zero of Q over Q[s]/(m), for a Q nonlinear in every variable too,
+    # so no Q divides rest by division
     import dataclasses
 
     import vrg.analyzer as analyzer_mod
@@ -414,12 +415,8 @@ def test_jacobian_exponents_by_certificate(entry, monkeypatch):
     pullbacks = {p: p.compose(spec.generators) for p in report.distinct_contractions()}
     rests = analyzer_mod._rests(report.ramification, pullbacks)
     assert all(rest is not None for rest in rests.values())
-    nonlinear = [
-        d.prime
-        for d in report.ramification
-        if all(d.prime.degree_in(k) != 1 for k in range(spec.n))
-    ]
-    assert divisions == nonlinear
+    primes = {d.prime for d in report.ramification}
+    assert [q for q in divisions if q in primes] == []
     monkeypatch.undo()
     # an index one off either way fails, the low one through rest(x0) == 0
     for i, d in enumerate(report.ramification):
@@ -428,6 +425,12 @@ def test_jacobian_exponents_by_certificate(entry, monkeypatch):
             data[i] = dataclasses.replace(d, index=index)
             tampered = dataclasses.replace(report, ramification=tuple(data))
             assert "jacobian exponents" in verify_report(tampered, spec).failures, (i, index)
+    # the certificate alone refuses the low index, where J's product no longer
+    # decides: Q divides that rest, so rest(x0) is 0 at the zero x0 of Q
+    for i, d in enumerate(report.ramification):
+        data = list(report.ramification)
+        data[i] = dataclasses.replace(d, index=d.index - 1)
+        assert analyzer_mod._rests(data, pullbacks)[d.contraction] is None, i
 
 
 def test_one_certificate_derives_indices_and_pattern(monkeypatch):

@@ -110,14 +110,15 @@ def test_fiber_command_builds_one_fiber_algebra(capsys, monkeypatch, spec, u):
 
 
 def test_fiber_command_validates_the_spec_once(capsys, monkeypatch):
-    # analyze validates the spec; the fiber tables take r and finiteness
-    # from their own origin basis
+    # analyze and the fiber tables both call validate on the one spec, and
+    # its finiteness test, the lex basis, is built once: the tables read
+    # their origin basis off the same basis
     import sys
 
     import vrg.extension
 
-    calls = []
-    real = vrg.extension.validate
+    calls, bases = [], []
+    real, real_groebner = vrg.extension.validate, vrg.extension.groebner
 
     def counted(spec):
         calls.append(spec)
@@ -126,9 +127,13 @@ def test_fiber_command_validates_the_spec_once(capsys, monkeypatch):
     for module in [m for name, m in sys.modules.items() if name.startswith("vrg.")]:
         if getattr(module, "validate", None) is real:
             monkeypatch.setattr(module, "validate", counted)
+    monkeypatch.setattr(
+        vrg.extension, "groebner", lambda *args: bases.append(args) or real_groebner(*args)
+    )
     assert main(["fiber", str(SPEC_DIR / "powers.json"), "--u", "1/2,3"]) == 0
     capsys.readouterr()
-    assert len(calls) == 1
+    assert len(calls) == 2 and calls[0] is calls[1]
+    assert len(bases) == 1
 
 
 def _break_tables(monkeypatch, case):

@@ -1,9 +1,29 @@
+import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from vrg import Poly, VarTable, canonical, factor, gcd, lcm, parse, squarefree, valuation
+from vrg import (
+    Poly,
+    VarTable,
+    analyze,
+    canonical,
+    factor,
+    gcd,
+    lcm,
+    load_spec,
+    parse,
+    squarefree,
+    valuation,
+)
+from vrg.factor import line_zero
+from vrg.poly import _Residue
+
+from corpus import CORPUS
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_gcd_difference_of_squares(xy11):
@@ -203,3 +223,91 @@ def test_valuation_additive(xy11):
         p1 = _pick_product(rng, pool, 2) + Poly.const(2, 0)
         p2 = _pick_product(rng, pool, 2)
         assert valuation(q, p1 * p2) == valuation(q, p1) + valuation(q, p2)
+
+
+# ---------------------------------------------------------------------------
+# a zero of a prime where a rational line meets it
+# ---------------------------------------------------------------------------
+
+LINE = VarTable(("s",), (1,))
+
+
+def _lift(x):
+    """An element of Q[s]/(m), a rational or a residue, as a polynomial in s."""
+    c = x.c if isinstance(x, _Residue) else (x,)
+    return Poly(1, {(e,): v for e, v in enumerate(c)})
+
+
+def test_line_zero_solves_for_a_linear_variable(xy11):
+    # X*Y + Y^3 - 2 is linear in X with coefficient Y, which the first draw
+    # makes 0, so Y is drawn again
+    p = parse("X*Y + Y^3 - 2", xy11)
+    draws = iter([Fraction(0), Fraction(1, 2)])
+    zero, m = line_zero(p, lambda: next(draws))
+    assert zero == (Fraction(15, 4), Fraction(1, 2))  # X = (2 - Y^3)/Y
+    assert m == parse("s - 15/4", LINE)
+    assert p.evaluate(zero) == 0
+    # X*Y + 1 is constant on every line X = s with Y = 0; a constant has no zero
+    assert line_zero(parse("X*Y + 1", xy11), lambda: 0) is None
+    assert line_zero(Poly.const(2, 3), lambda: 1) is None
+    # at Y = 1 the line meets X^2 - Y^3 where s^2 - 1 = 0; m is one factor
+    q = parse("X^2 - Y^3", xy11)
+    zero, m = line_zero(q, lambda: 1)
+    assert m.degree_in(0) == 1 and q.evaluate(zero) == 0
+
+
+def test_line_zero_of_a_linear_prime_is_rational(xy11):
+    # sym2's X - Y at the draws 1, 2, ...: Y = 1, so X = 1, over m = s - 1
+    zero, m = line_zero(parse("X - Y", xy11), itertools.count(1).__next__)
+    assert zero == (1, 1)
+    assert m == parse("s - 1", LINE)
+    for entry in CORPUS:
+        for d in analyze(entry.spec).ramification:
+            q = d.prime
+            j = min((k for k in range(q.n) if q.degree_in(k)), key=q.degree_in)
+            if q.degree_in(j) == 1:
+                zero, m = line_zero(q, itertools.count(1).__next__)
+                assert m == Poly.variable(1, 0) - zero[j], (entry.name, q)
+                assert all(type(c) in (int, Fraction) for c in zero)
+
+
+def test_line_zero_of_a_nonlinear_prime_lies_over_an_irreducible_m(xy11, xy32):
+    # X^2 + Y^2 meets the line Y = 1 at s = +-i
+    zero, m = line_zero(parse("X^2 + Y^2", xy11), itertools.count(1).__next__)
+    assert m == parse("s^2 + 1", LINE)
+    assert zero[1] == 1 and zero[0].c == (0, 1)
+    # X^2 - Y^3 meets Y = c where s^2 = c^3, and its image under cusp's
+    # generators X^2 + Y^3, X^2*Y^3 is the rational point (2c^3, c^6)
+    q = parse("X^2 - Y^3", xy32)
+    generators = [parse("X^2 + Y^3", xy32), parse("X^2*Y^3", xy32)]
+    for c in (2, 3, Fraction(-1, 2), 5):
+        zero, m = line_zero(q, lambda: c)
+        assert m == Poly(1, {(2,): 1, (0,): -(c**3)})
+        image = [_lift(f.evaluate(zero)) for f in generators]
+        assert image == [Poly.const(1, 2 * c**3), Poly.const(1, c**6)]
+
+
+def _every_prime():
+    specs = [entry.spec for entry in CORPUS]
+    specs += [load_spec(path)[0] for path in sorted((ROOT / "perfbench" / "specs").glob("*.json"))]
+    for spec in specs:
+        for d in analyze(spec).ramification:
+            yield d.prime
+
+
+def test_line_zero_is_a_zero_of_every_prime():
+    # Q(x0) is 0 in Q[s]/(m), and m divides Q on the line through x0;
+    # m is monic and irreducible over Q
+    rng = random.Random(17)
+    draw = lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+    degrees = set()
+    for q in _every_prime():
+        for seed_draw in (itertools.count(1).__next__, draw):
+            zero, m = line_zero(q, seed_draw)
+            assert not q.evaluate(zero), q
+            assert m.divides(q.compose([_lift(x) for x in zero])), q
+            assert m.leading()[1] == 1
+            assert factor(m, LINE).factors == ((canonical(m, LINE), 1),), m
+            degrees.add(m.degree_in(0))
+    assert degrees >= {1, 2}
+

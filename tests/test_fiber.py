@@ -22,9 +22,10 @@ from vrg import (
     verify_report,
 )
 from vrg.errors import FiberProbeError, NotFiniteError, NotHomogeneousError, TheoremViolationError
+from vrg.factor import line_zero
 from vrg.groebner import groebner, normal_form
 from vrg.ideals import _standard_monomials
-from vrg.poly import Poly
+from vrg.poly import Poly, _Residue, residue
 
 from corpus import BY_NAME, CORPUS, spec_of
 
@@ -136,7 +137,7 @@ def test_fiber_rejects_components_that_are_not_numbers(sym2_spec, bad):
         fiber_count(sym2_spec, (bad, 2))
 
 
-@pytest.mark.parametrize("samples", [-1, 1.5, "2"])
+@pytest.mark.parametrize("samples", [-1, 1.5, "2", True])
 def test_branch_audit_rejects_a_bad_sample_count(sym2_spec, samples):
     with pytest.raises(FiberProbeError, match="sample count"):
         branch_audit(sym2_spec, analyze(sym2_spec), samples=samples)
@@ -366,9 +367,12 @@ def test_on_branch_of_is_exact_at_irrational_points():
 
     spec = spec_of("sym3")
     (discriminant,) = analyze(spec).distinct_contractions()
-    # a real point of the discriminant with an irrational last coordinate
-    point = fiber_mod._point_on_hypersurface(discriminant, 3, random.Random(4))
-    assert point.m.degree_in(0) == 2
+    # a real point of the discriminant with irrational coordinates: the image
+    # of the zero (alpha, alpha, 1) of X1 - X2, alpha^2 = 2
+    m = Poly(1, {(2,): 1, (0,): -2})
+    alpha = residue(m)
+    point = fiber_mod._Point(tuple(f.evaluate((alpha, alpha, 1)) for f in spec.generators), m)
+    assert point.m.degree_in(0) == 2 and isinstance(point.y[0], _Residue)
     assert fiber_mod._vanishes_at(discriminant, point)
     assert fiber_mod._count(point, fiber_mod._tables(spec)) == 3
     # a Gaussian-rational point 2^-40 off the discriminant is not on it
@@ -392,28 +396,28 @@ def test_branch_audit_dihedral5_decides_every_sample():
 def test_fiber_workload_outputs_are_correct(monkeypatch):
     # what perfbench/worker.py checks of each fiber request, on its specs
     # and sample counts, at one seed; the audit counts exactly, so it never
-    # finds a root, and it builds one Groebner basis per spec, the origin
-    # basis of its tables, not one per sample
-    import vrg.fiber as fiber_mod
+    # finds a root, and analyze, the audit and verify_report build one
+    # Groebner basis per spec between them, the spec's lex basis
+    import vrg.extension as extension_mod
 
     def no_roots(*args, **kwargs):
         raise AssertionError("branch_audit called mpmath.polyroots")
 
     monkeypatch.setattr(mpmath, "polyroots", no_roots)
     bases = []
-    real = fiber_mod.groebner
-    monkeypatch.setattr(fiber_mod, "groebner", lambda *args: bases.append(args) or real(*args))
+    real = extension_mod.groebner
+    monkeypatch.setattr(extension_mod, "groebner", lambda *args: bases.append(args) or real(*args))
     workload = {"sym2": 10, "mixed": 10, "powers": 10, "cusp": 5, "sym3": 5}
     for name, samples in workload.items():
         spec, _ = load_spec(ROOT / "perfbench" / "specs" / f"{name}.json")
-        report = analyze(spec)
         bases.clear()
+        report = analyze(spec)
         audit = branch_audit(spec, report, samples=samples, seed=1515)
-        assert len(bases) == 1, name
         assert audit["generic"]["equal_r"] == samples, name
         assert all(entry["below_r"] == samples for entry in audit["branch"]), name
         assert audit["all_counts_at_most_r"], name
         assert verify_report(report.with_audit(audit), spec).ok, name
+        assert len(bases) == 1, name
 
 
 @pytest.mark.parametrize("name", ["B3", "D3"])
@@ -456,21 +460,39 @@ def test_branch_points_are_rational_images_of_linear_ramified_primes():
 
 
 def test_branch_points_without_a_linear_prime_lie_on_a_line(cusp_spec, monkeypatch):
-    # cusp's y1^2 - 4*y2 has only X^2 - Y^3 over it, nonlinear in X and Y
+    # cusp's y1^2 - 4*y2 has only X^2 - Y^3 over it, nonlinear in X and Y:
+    # its zero x0 = (alpha, c) on the line Y = c, alpha^2 = c^3, has the
+    # rational image (2c^3, c^6)
     import vrg.fiber as fiber_mod
 
     report = analyze(cusp_spec)
-    on_lines = []
-    real = fiber_mod._point_on_hypersurface
+    on_lines, points = [], []
+    real_zero, real_point = fiber_mod.line_zero, fiber_mod._branch_point
     monkeypatch.setattr(
-        fiber_mod, "_point_on_hypersurface", lambda p, *args: on_lines.append(p) or real(p, *args)
+        fiber_mod,
+        "line_zero",
+        lambda q, draw: on_lines.append((q, zero := real_zero(q, draw))) or zero,
+    )
+    monkeypatch.setattr(
+        fiber_mod, "_branch_point", lambda *args: points.append(point := real_point(*args)) or point
     )
     audit = branch_audit(cusp_spec, report, samples=3, seed=2)
     assert all(entry["below_r"] == 3 for entry in audit["branch"])
-    assert {fiber_mod.format_poly(p, fiber_mod.tag_table(cusp_spec)) for p in on_lines} == {
-        "y1^2 - 4*y2"
-    }
-    assert len(on_lines) == 3
+    nonlinear = [
+        (q, zero, point)
+        for (q, zero), point in zip(on_lines, points)
+        if all(q.degree_in(k) != 1 for k in range(q.n))
+    ]
+    assert {fiber_mod.format_poly(q, cusp_spec.vars) for q, _, _ in nonlinear} == {"X^2 - Y^3"}
+    assert len(nonlinear) == 3
+    tags = fiber_mod.tag_table(cusp_spec)
+    for q, (x0, m), point in nonlinear:
+        contraction = next(d.contraction for d in report.ramification if d.prime == q)
+        assert fiber_mod.format_poly(contraction, tags) == "y1^2 - 4*y2"
+        c = x0[1]
+        assert m == Poly(1, {(2,): 1, (0,): -(c**3)})
+        assert point.m == fiber_mod._S and point.u == (2 * c**3, c**6)
+        assert fiber_mod._vanishes_at(contraction, point)
 
 
 def test_branch_point_off_its_contraction_is_a_theorem_violation(sym2_spec):
@@ -487,7 +509,9 @@ def test_branch_point_off_its_contraction_is_a_theorem_violation(sym2_spec):
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda entry: entry.name)
 def test_certificate_agrees_with_the_exact_count(entry):
     # full rank mod p at a rational point exactly when the exact count is
-    # len(basis): at generic points, and never at points of the branch locus
+    # len(basis): at generic points, and never at points of the branch locus;
+    # dihedral4's images of X^2 + Y^2 are over Q(i), so that class takes a
+    # rational zero of its contraction y1 + 2*y2^2 instead
     import vrg.fiber as fiber_mod
 
     spec = entry.spec
@@ -496,13 +520,22 @@ def test_certificate_agrees_with_the_exact_count(entry):
     tables = fiber_mod._tables(spec)
     modular = fiber_mod._form_mod_p(tables)
     assert modular is not None
+    irrational = set()
     for seed in range(4):
         rng = random.Random(seed)
         points = [fiber_mod._generic_point(spec, contractions, rng) for _ in range(5)]
-        points += [fiber_mod._branch_point(spec, report, p, rng).a for p in contractions]
+        for p in contractions:
+            point = fiber_mod._branch_point(spec, report, p, rng)
+            if point.m != fiber_mod._S:
+                irrational.add(fiber_mod.format_poly(p, fiber_mod.tag_table(spec)))
+                u, m = line_zero(p, lambda: fiber_mod._random_rational(rng))
+                assert m.degree_in(0) == 1 and not p.evaluate(u)
+                point = fiber_mod._Point(u, fiber_mod._S)
+            points.append(point.y)
         for u in points:
-            exact = fiber_mod._count(fiber_mod._rational_point(u), tables)
+            exact = fiber_mod._count(fiber_mod._Point(u, fiber_mod._S), tables)
             assert fiber_mod._full_rank_mod_p(u, modular) == (exact == len(tables[0])), u
+    assert irrational == ({"y1 + 2*y2^2"} if entry.name == "dihedral4" else set())
 
 
 def test_audit_without_the_certificate_is_identical(monkeypatch):
@@ -559,12 +592,14 @@ def test_trace_form_over_a_specializes_to_the_pointwise_traces(entry):
             assert (wd.degree, wd.homogeneous) == (spec.vars.wdeg(g), True), g
     rng = random.Random(f"form-{entry.name}")
     draw = lambda: fiber_mod._random_rational(rng)
-    points = [fiber_mod._rational_point(tuple(draw() for _ in range(spec.n))) for _ in range(3)]
+    points = [
+        fiber_mod._Point(tuple(draw() for _ in range(spec.n)), fiber_mod._S) for _ in range(3)
+    ]
     points.append(fiber_mod._exact_point(tuple((draw(), draw()) for _ in range(spec.n))))
     assert points[-1].m == fiber_mod._S**2 + 1
     for point in points:
         size = point.m.degree_in(0)
-        y = fiber_mod._along(point.a, point.b, point.residue)
+        y = point.y
         nf = fiber_mod._normal_forms(tables.basis, tables.border, y)
         trace = [sum(nf(g).get(l, 0) for l, g in enumerate(row)) for row in tables.products]
 
@@ -626,16 +661,23 @@ def test_audits_in_one_process_match_fresh_processes():
 # ---------------------------------------------------------------------------
 
 
+def _in_s(x, n):
+    """An element of Q[s]/(m), a rational or a residue, as a polynomial in
+    the last of n variables, s."""
+    c = x.c if isinstance(x, _Residue) else (x,)
+    return Poly(n, {(0,) * (n - 1) + (e,): v for e, v in enumerate(c)})
+
+
 def _basis(spec, point):
-    """Reduced lex basis of the fibers over ``a + alpha*b`` for all roots
-    alpha of m, with s eliminated by the first coordinate where b is nonzero."""
-    k = next(j for j, bj in enumerate(point.b) if bj)
-    s = (spec.generators[k] - point.a[k]) / point.b[k]
-    gens = [
-        point.m.compose([s]) if j == k else f - point.a[j] - point.b[j] * s
-        for j, f in enumerate(spec.generators)
-    ]
-    return groebner(gens, spec.vars)
+    """Reduced lex basis of the fibers over y(alpha) for all roots alpha of
+    m: the ideal of ``f_j(x) - y_j(s)`` and ``m(s)`` in the n + 1 variables
+    x, s, whose standard monomials span ``B (x)_A Q[s]/(m)``."""
+    n = spec.n + 1
+    vars = VarTable(spec.vars.names + ("s",), spec.vars.weights + (1,))
+    lift = lambda f: Poly(n, {e + (0,): c for e, c in f.items()})
+    gens = [lift(f) - _in_s(y, n) for f, y in zip(spec.generators, point.y)]
+    gens.append(Poly(n, {(0,) * spec.n + e: c for e, c in point.m.items()}))
+    return groebner(gens, vars)
 
 
 def _rank(matrix):
@@ -657,10 +699,10 @@ def _oracle_count(spec, point):
     """The Hermite rank on the standard monomials of the lex basis over the
     point, over deg m."""
     gb = _basis(spec, point)
-    monomials = _standard_monomials(gb, spec.n)
+    monomials = _standard_monomials(gb, spec.n + 1)
 
     def nf(e):
-        return normal_form(Poly(spec.n, {e: 1}), gb)
+        return normal_form(Poly(spec.n + 1, {e: 1}), gb)
 
     def add(e, f):
         return tuple(x + y for x, y in zip(e, f))
@@ -677,14 +719,32 @@ SMALL_SPECS = [entry.name for entry in CORPUS if entry.spec.n <= 3]
 _small = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
 
-# the small specs with a contraction of degree at least 2 in every tag
-NONLINEAR_SPECS = ["dihedral3", "dihedral5", "sym3"]
+# the small specs with a ramified prime or a contraction of degree at least
+# 2 in every variable: the Phi factors of dihedral3 and dihedral5, X^2 + Y^2
+# of dihedral4, and the discriminants of dihedral3, dihedral5 and sym3
+NONLINEAR_SPECS = ["dihedral3", "dihedral4", "dihedral5", "sym3"]
+
+
+def _nonlinear(p):
+    return all(p.degree_in(k) != 1 for k in range(p.n))
 
 
 @functools.lru_cache(maxsize=None)
-def _nonlinear_contractions(name):
-    contractions = analyze(spec_of(name)).distinct_contractions()
-    return [p for p in contractions if all(p.degree_in(k) != 1 for k in range(p.n))]
+def _nonlinear_polys(name):
+    """The nonlinear ramified primes, each with True, and the nonlinear
+    contractions, each with False."""
+    report = analyze(spec_of(name))
+    primes = [(d.prime, True) for d in report.ramification if _nonlinear(d.prime)]
+    return primes + [(p, False) for p in report.distinct_contractions() if _nonlinear(p)]
+
+
+def _line_point(spec, q, image, rng):
+    """The point from line_zero on q: the image ``f(x0)`` of its zero x0 when
+    q is a ramified prime (image true), else x0 itself, on a contraction."""
+    import vrg.fiber as fiber_mod
+
+    x0, m = line_zero(q, lambda: fiber_mod._random_rational(rng))
+    return fiber_mod._Point(tuple(f.evaluate(x0) for f in spec.generators) if image else x0, m)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -704,7 +764,7 @@ def test_fiber_algebras_are_flat(name, real, imag):
     point = fiber_mod._exact_point(tuple(zip(real, imag))[: spec.n])
     degree = point.m.degree_in(0)
     gb = _basis(spec, point)
-    assert len(_standard_monomials(gb, spec.n)) == r * degree
+    assert len(_standard_monomials(gb, spec.n + 1)) == r * degree
     assert 1 <= fiber_mod._count(point, fiber_mod._tables(spec)) <= r
 
 
@@ -725,12 +785,12 @@ def test_specialized_tables_count_as_the_lex_basis_oracle(kind, data, real, imag
     spec = spec_of(name)
     if kind == "hypersurface":
         # a point over an irreducible factor m of degree 2 or more
-        contractions = _nonlinear_contractions(name)
-        assert contractions
+        polys = _nonlinear_polys(name)
+        assert polys
         rng = random.Random(seed)
-        p = contractions[seed % len(contractions)]
+        q, image = polys[seed % len(polys)]
         for _ in range(20):
-            point = fiber_mod._point_on_hypersurface(p, spec.n, rng)
+            point = _line_point(spec, q, image, rng)
             if point.m.degree_in(0) >= 2:
                 break
         assume(point.m.degree_in(0) >= 2)
@@ -747,10 +807,9 @@ def test_specialized_tables_count_as_the_lex_basis_oracle(kind, data, real, imag
 
 
 def _vanishes_by_division(p, point):
-    """Whether m divides p restricted to the line ``a + s*b``: the definition
-    that evaluation in ``Q[s]/(m)`` replaces."""
-    line = [Poly(1, {(0,): ai, (1,): bi}) for ai, bi in zip(point.a, point.b)]
-    return point.m.divides(p.compose(line))
+    """Whether m divides ``p(y(s))``, y's coordinates lifted to polynomials
+    in s: the definition that evaluation in ``Q[s]/(m)`` replaces."""
+    return point.m.divides(p.compose([_in_s(y, 1) for y in point.y]))
 
 
 @pytest.mark.parametrize("name", NONLINEAR_SPECS)
@@ -760,7 +819,8 @@ def test_vanishing_agrees_with_division_on_hypersurface_points(name):
     spec = spec_of(name)
     contractions = analyze(spec).distinct_contractions()
     rng = random.Random(f"vanishes-{name}")
-    points = [fiber_mod._point_on_hypersurface(p, spec.n, rng) for p in contractions for _ in range(8)]
+    polys = _nonlinear_polys(name)
+    points = [_line_point(spec, q, image, rng) for q, image in polys for _ in range(8)]
     assert any(point.m.degree_in(0) >= 2 for point in points)
     for point in points:
         assert any(fiber_mod._vanishes_at(q, point) for q in contractions)

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from vrg import Poly, VarTable, canonicalize, format_poly, jacobian, parse, weighted_degree
 from vrg.errors import DegreeCapExceededError, InputError, NotDivisibleError, ParseError
-from vrg.fiber import _Residue
-from vrg.poly import coeff_str, read_int
+from vrg.poly import _Residue, coeff_str, read_int
 
 
 def P(text, vars):
@@ -402,22 +401,3 @@ def test_canonicalize_rational_content(xy11):
     c, unit = canonicalize(P("1/2*X + 3/4*Y", xy11), xy11)
     assert unit == Fraction(1, 4)
     assert c == P("2*X + 3*Y", xy11)
-
-
-# ---------------------------------------------------------------------------
-# rational zeros
-# ---------------------------------------------------------------------------
-
-
-def test_rational_zero_solves_for_a_linear_variable(xy11):
-    from vrg.poly import rational_zero
-
-    # X*Y + Y^3 - 2 is linear in X with coefficient Y, which the first draw
-    # makes 0, so Y is drawn again
-    p = P("X*Y + Y^3 - 2", xy11)
-    draws = iter([Fraction(0), Fraction(1, 2)])
-    zero = rational_zero(p, lambda: next(draws))
-    assert zero == (Fraction(15, 4), Fraction(1, 2))  # X = (2 - Y^3)/Y
-    assert p.evaluate(zero) == 0
-    assert rational_zero(P("X^2 - Y^3", xy11), lambda: 1) is None
-    assert rational_zero(P("X*Y + 1", xy11), lambda: 0) is None
