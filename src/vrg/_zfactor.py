@@ -241,6 +241,20 @@ def _primitive(a: list) -> list:
     return [x // c for x in a]
 
 
+def squarefree_part(f: list) -> list:
+    """The product of the distinct irreducible factors of f over Q: f over
+    its gcd with f'."""
+    return _divmod(f, _gcd(f, _derivative(f, 0), 0), 0)[0]
+
+
+def rational_factors(f: list) -> list[list[int]]:
+    """The irreducible factors over Z of a square-free f of positive degree
+    with rational coefficients, each primitive with positive leading
+    coefficient."""
+    den = math.lcm(*(c.denominator for c in f))
+    return factor_squarefree(_primitive([int(c * den) for c in f]))
+
+
 def _exact_quotient(f: list, g: list) -> list | None:
     """f / g over Z, or None when g does not divide f."""
     r = list(f)

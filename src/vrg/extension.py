@@ -49,6 +49,14 @@ class ExtensionSpec:
         """The generators' reduced lex basis, built once, on first use."""
         return groebner(self.generators, self.vars)
 
+    @cached_property
+    def fiber_tables(self):
+        """B as a free A-module with its trace form over A, built once, on
+        first use, by :func:`vrg.fiber._tables`."""
+        from .fiber import _tables  # fiber imports this module
+
+        return _tables(self)
+
 
 def generator_weights(spec: ExtensionSpec) -> tuple[int, ...]:
     """Weighted degrees of the generators; fails if any is inhomogeneous."""

@@ -31,9 +31,11 @@ from ._zfactor import (
     factor_squarefree,
     is_squarefree,
     lift,
+    rational_factors,
     recombine,
     series_mul,
     series_quotient,
+    squarefree_part,
 )
 from .errors import NotDivisibleError, TheoremViolationError
 from .poly import Poly, VarTable, canonical, content, format_poly, residue, weighted_degree
@@ -465,19 +467,41 @@ def line_zero(q: Poly, draw: Callable[[], Fraction]) -> tuple[tuple, Poly] | Non
     is the first variable of least positive degree in q, the others are
     drawn in order, again while q is constant on the line ``x_j = s``, and m
     is q on that line when it is linear, else its first irreducible factor
-    over Q.  ``x0[j]`` is the residue of s, a rational when m is linear.
-    None when q is constant, or after 200 draws."""
+    over Q, in :func:`factor`'s order.  ``x0[j]`` is the residue of s, a
+    rational when m is linear.  None when q is constant, or after 200 draws."""
     j = min((k for k in range(q.n) if q.degree_in(k)), key=q.degree_in, default=None)
     if j is None:
         return None
+    degree = q.degree_in(j)
     for _ in range(200):
-        x = [Poly.variable(1, 0) if k == j else draw() for k in range(q.n)]
-        on_line = q.evaluate(x)
-        if on_line.is_constant():
+        x = [0 if k == j else draw() for k in range(q.n)]
+        on_line = [0] * (degree + 1)  # q at x_j = s, lowest degree first
+        for exp, c in q.items():
+            for k, e in enumerate(exp):
+                if e and k != j:
+                    c = c * x[k] ** e
+            on_line[exp[j]] += c
+        while on_line and not on_line[-1]:
+            on_line.pop()
+        if len(on_line) < 2:
             continue
-        if on_line.degree_in(0) > 1:
-            on_line = factor(on_line, VarTable(("s",), (1,))).factors[0][0]
-        m = on_line / on_line.leading()[1]
+        m = _first_factor(on_line) if len(on_line) > 2 else _univariate(on_line)
+        m = m / m.leading()[1]
         x[j] = residue(m)
         return tuple(x), m
     return None
+
+
+_LINE = VarTable(("s",), (1,))
+
+
+def _first_factor(f: list) -> Poly:
+    """``factor(f).factors[0][0]`` for a rational f in s of degree 2 or
+    more, lowest degree first, from its square-free part over Q and the
+    Zassenhaus factors of that part."""
+    factors = rational_factors(squarefree_part(f))
+    return _sort_factors([(_univariate(g), 1) for g in factors], _LINE)[0][0]
+
+
+def _univariate(c: list) -> Poly:
+    return Poly(1, {(d,): v for d, v in enumerate(c)})

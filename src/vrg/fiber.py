@@ -27,9 +27,15 @@ no Groebner basis or normal form of its own.  The rank of the trace form
 over all roots of ``m`` (Pedersen-Roy-Szpirglas 1993; Cox-Little-O'Shea,
 *Using Algebraic Geometry*, ch. 2 section 5), and conjugate fibers have
 equal size.  The rank is taken by the same exact row reduction over Q that
-solves the graded pieces.  The audit's generic samples first try a cheaper
-proof: the form over A with its coefficients mod the prime ``2^61 - 1``,
-evaluated at the point mod that prime.  Each coefficient of the form is a
+solves the graded pieces, at the point ``a_i = c^(w_i)*y_i`` with integer
+coefficients, for c the lcm of the denominators in y and ``w_i`` the tags'
+weights; one power table of a serves every entry of the form.  That is
+exact: each entry ``Tr(x^g)`` is weighted-homogeneous of degree
+``wdeg(g)``, so its value at y is ``c^(-wdeg(g))`` times its value at a, and
+the form at y is ``D*H*D`` for the form H at a and the invertible diagonal
+``D = diag(c^(-wdeg(b_k)))``, of the same rank.  The audit's generic
+samples first try a cheaper proof: the form over A with its coefficients
+mod the prime ``2^61 - 1``, evaluated at the point mod that prime.  Each coefficient of the form is a
 sum of products of the tables' coefficients, so when the prime divides no
 denominator of the form or of the point, the form mod p is the image of the
 form over Q, whose rank is at least as large; so full rank mod p proves full
@@ -63,7 +69,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import mpmath
 
-from ._zfactor import _derivative, _divmod, _gcd, _primitive, factor_squarefree
+from ._zfactor import rational_factors, squarefree_part
 from .errors import FiberProbeError, TheoremViolationError
 from .extension import ExtensionSpec, validate
 from .factor import line_zero
@@ -75,7 +81,7 @@ from .ideals import (
     _standard_monomials,
     tag_table,
 )
-from .poly import Exponent, Poly, _Residue, format_poly, reduce_leading, residue
+from .poly import Exponent, Poly, _Residue, evaluator, format_poly, reduce_leading, residue
 
 DEFAULT_DPS = 50
 
@@ -178,12 +184,15 @@ def _exact_point(u) -> _Point:
 
 
 class _Tables(NamedTuple):
-    """B as a free A-module, built once per spec by :func:`_tables`."""
+    """B as a free A-module, built by :func:`_tables` once per spec, which
+    keeps it as ``ExtensionSpec.fiber_tables``."""
 
     basis: list  # the origin basis b_k, exponents with b_0 = 1
     border: dict  # x_j*b_k outside it: {l: c_l}, x_j*b_k = sum_l c_l(f)*b_l
     products: list  # the exponents of b_k*b_l, row k
     form: dict  # Tr(x^g) in the tags, for each distinct product g
+    weights: tuple  # the tags' weights, those of the generators
+    degrees: list  # wdeg(b_k)
 
 
 def _tables(spec: ExtensionSpec) -> _Tables:
@@ -241,7 +250,7 @@ def _tables(spec: ExtensionSpec) -> _Tables:
     trace = [sum(nf(g).get(l, 0) for l, g in enumerate(row)) for row in products]  # Tr(b_k)
     zero = Poly.zero(n)  # a trace of 0 is the int 0
     form = {g: zero + _trace(nf(g), trace) for g in set(itertools.chain(*products))}
-    return _Tables(basis, table, products, form)
+    return _Tables(basis, table, products, form, weights, shifts)
 
 
 def _count(point: _Point, tables: _Tables) -> int:
@@ -279,12 +288,13 @@ def _normal_forms(basis: list, border: dict, y: Sequence) -> Callable:
     the values this map would give there.
     """
     memo: dict[Exponent, dict[int, object]] = {e: {k: 1} for k, e in enumerate(basis)}
+    at = evaluator(y)
 
     def nf(g: Exponent) -> dict[int, object]:
         if g in memo:
             return memo[g]
         if g in border:
-            out = {l: v for l, c in border[g].items() if (v := c.evaluate(y))}
+            out = {l: v for l, c in border[g].items() if (v := at(c))}
         else:
             j = next(j for j, e in enumerate(g) if e)
             v = nf(_step(g, j, -1))
@@ -301,23 +311,24 @@ def _algebra(point: _Point, tables: _Tables) -> tuple[list, int]:
     m`` over Q, and the rank of its trace form, the number of distinct
     points over all roots of m.
 
-    The trace form over A is evaluated at the point's y in ``Q[s]/(m)``: at
-    the rational point u when m is linear.  The trace to Q of
-    ``alpha^t*v`` is ``sum_e v_e Tr(alpha^(t+e))``, and ``Tr(b_l)`` is the
-    form's entry at ``b_l = b_l*b_0``.
+    The form over A is evaluated at the point ``a_i = c^(w_i)*y_i`` with
+    integer coefficients, c the lcm of the denominators in y, where its
+    rank is that at y, as the module docstring shows.  The trace to Q of
+    ``alpha^t*v`` is ``sum_e v_e Tr(alpha^(t+e))``, and ``Tr(b_l)`` at y is
+    the form's entry at ``b_l = b_l*b_0`` at a, times ``c^(-wdeg(b_l))``.
     """
     m = point.coefficients
     size = len(m) - 1
     sums = _power_sums(m, 3 * size - 2)
+    c = math.lcm(*(x.denominator for y in point.y for x in _coefficients(y)))
+    at = evaluator([_times(y, c**w) for y, w in zip(point.y, tables.weights)])
 
     def to_q(x, t: int):  # the trace to Q of alpha^t*x
-        return sum(c * sums[t + e] for e, c in enumerate(_coefficients(x)))
+        return sum(v * sums[t + e] for e, v in enumerate(_coefficients(x)))
 
-    # for each distinct product g, the traces to Q of alpha^t*Tr(x^g), t < 2D - 1
+    # for each distinct product g, the traces to Q of alpha^t*Tr(x^g)(a), t < 2D - 1
     trace_of = {
-        g: [to_q(x, t) for t in range(2 * size - 1)]
-        for g, p in tables.form.items()
-        for x in [p.evaluate(point.y)]
+        g: [to_q(x, t) for t in range(2 * size - 1)] for g, p in tables.form.items() for x in [at(p)]
     }
     rows = (
         {j * size + u: v for j, g in enumerate(row) for u in range(size) if (v := trace_of[g][t + u])}
@@ -325,7 +336,16 @@ def _algebra(point: _Point, tables: _Tables) -> tuple[list, int]:
         for t in range(size)
     )
     rank = len(_eliminate((row, {}) for row in rows)[0])
-    return [trace_of[b][t] for b in tables.basis for t in range(size)], rank
+    traces = [
+        Fraction(trace_of[b][t], c**d) for b, d in zip(tables.basis, tables.degrees) for t in range(size)
+    ]
+    return traces, rank
+
+
+def _times(x, k: int):
+    """``k*x`` for x in ``Q[s]/(m)``, whose coefficients are integers: stored as ints."""
+    scaled = tuple(int(v * k) for v in _coefficients(x))
+    return _Residue(scaled, x.m) if isinstance(x, _Residue) else scaled[0]
 
 
 def _fiber_basis(spec: ExtensionSpec, point: _Point, tables: _Tables) -> tuple[list, Callable]:
@@ -392,7 +412,7 @@ def _probe(spec: ExtensionSpec, u: Sequence, contractions, list_up_to: float) ->
     if len(u) != spec.n:
         raise FiberProbeError(f"base point needs {spec.n} components")
     point = _exact_point(u)
-    tables = _tables(spec)
+    tables = spec.fiber_tables
     r = len(tables.basis)
     traces, rank = _algebra(point, tables)
     count = rank // point.m.degree_in(0)
@@ -433,7 +453,7 @@ def _listing(spec: ExtensionSpec, point: _Point, tables: _Tables, traces: list, 
         # y at alpha of the conjugate points, y at each root
         solutions, offs = [], []
         for x in points:
-            values = [f.evaluate(x) for f in spec.generators]
+            values = list(map(evaluator(x), spec.generators))
             off = [max(mpmath.mpmathify(abs(v - t)) for v, t in zip(values, ts)) for ts in targets]
             if off[0] == min(off):
                 solutions.append(tuple(complex(mpmath.mpmathify(v)) for v in x))
@@ -462,15 +482,14 @@ def _rur_points(
         while len(powers) <= len(monomials):
             powers.append(_combine(powers[-1], times_l))
         chi = _newton([_trace(v, trace) for v in powers[1:]])
-        f = _divmod(chi, _gcd(chi, _derivative(chi, 0), 0), 0)[0]  # square-free
+        f = squarefree_part(chi)
         if len(f) - 1 == distinct:
             break
     # Tr(v*L^i) for i < distinct and v = 1, x_1, ..., x_n
     weights = [trace] + [[_trace(v, trace) for v in row] for row in times]
     sums = [[_trace(v, w) for v in powers[:distinct]] for w in weights]
     points = []
-    den = math.lcm(*(c.denominator for c in f))
-    for q in factor_squarefree(_primitive([int(c * den) for c in f])):
+    for q in rational_factors(f):
         for t in _roots(q):
             horner = [1]  # H_i(t), with H_0 = 1 and H_i = t*H_(i-1) + f_(D-i)
             for i in range(1, distinct):
@@ -505,7 +524,7 @@ def _random_rational(rng: random.Random) -> Fraction:
 def _generic_point(spec, contractions, rng) -> tuple[Fraction, ...]:
     for _ in range(200):
         u = tuple(_random_rational(rng) for _ in range(spec.n))
-        if all(p.evaluate(u) != 0 for p in contractions):
+        if all(value != 0 for value in map(evaluator(u), contractions)):
             return u
     raise FiberProbeError("could not sample a point off the branch locus")
 
@@ -548,7 +567,8 @@ def _full_rank_mod_p(u: tuple[Fraction, ...], modular: tuple | None) -> bool:
     except ValueError:
         return False
     products, form = modular
-    value = {g: p.evaluate(y) % _P for g, p in form.items()}
+    at = evaluator(y)
+    value = {g: at(p) % _P for g, p in form.items()}
     rows = ({k: v for k, g in enumerate(row) if (v := value[g])} for row in products)
     return len(_eliminate_mod(rows, _P)) == len(products)
 
@@ -564,7 +584,7 @@ def _branch_point(spec: ExtensionSpec, report, p: Poly, rng: random.Random) -> _
     zero = line_zero(q, lambda: _random_rational(rng))
     if zero is None:
         raise FiberProbeError("could not sample a point on the hypersurface")
-    y = tuple(f.evaluate(zero[0]) for f in spec.generators)
+    y = tuple(map(evaluator(zero[0]), spec.generators))
     point = _Point(y, zero[1])
     if not any(c for x in y for c in _coefficients(x)[1:]):  # a rational image
         point = _Point(tuple(Fraction(_coefficients(x)[0]) for x in y), _S)
@@ -593,7 +613,7 @@ def branch_audit(spec: ExtensionSpec, report, samples: int = 20, seed: int = 0) 
     r = report.degree
     contractions = report.distinct_contractions()
     tags = tag_table(spec)
-    tables = _tables(spec)
+    tables = spec.fiber_tables
     modular = _form_mod_p(tables)
     rng = random.Random(seed)
 

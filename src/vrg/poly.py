@@ -457,27 +457,36 @@ class Poly:
 
     def evaluate(self, values: Sequence) -> object:
         """The value at ``values``, one per variable, in any commutative ring
-        containing Q: numbers, polynomials or residues modulo a polynomial.
-        Each power is made once: a number's by ``**``, which rounds a float or
-        mpmath value once, any other's by multiplying the power below it."""
-        if len(values) != self.n:
+        containing Q: numbers, polynomials or residues modulo a polynomial."""
+        return evaluator(values)(self)
+
+
+def evaluator(values: Sequence) -> Callable[[Poly], object]:
+    """``p -> p(values)``, as :meth:`Poly.evaluate`, with one power table
+    shared by every p it is given.  Each power is made once: a number's by
+    ``**``, which rounds a float or mpmath value once, any other's by
+    multiplying the power below it."""
+    powers = [[1, v] for v in values]
+
+    def power(j: int, e: int):
+        cache, v = powers[j], values[j]
+        while len(cache) <= e:
+            cache.append(v ** len(cache) if isinstance(v, Number) else cache[-1] * v)
+        return cache[e]
+
+    def at(p: Poly):
+        if len(values) != p.n:
             raise ValueError("evaluate needs one value per variable")
-        powers = [[1, v] for v in values]
-
-        def power(j: int, e: int):
-            cache, v = powers[j], values[j]
-            while len(cache) <= e:
-                cache.append(v ** len(cache) if isinstance(v, Number) else cache[-1] * v)
-            return cache[e]
-
         total = 0
-        for exp, c in self._terms.items():
-            term = c
+        for exp, c in p._terms.items():
             for j, e in enumerate(exp):
                 if e:
-                    term = term * power(j, e)
-            total = total + term
+                    made = powers[j]
+                    c = c * (made[e] if e < len(made) else power(j, e))
+            total = total + c
         return total
+
+    return at
 
 
 class _Residue:

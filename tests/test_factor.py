@@ -311,3 +311,38 @@ def test_line_zero_is_a_zero_of_every_prime():
             degrees.add(m.degree_in(0))
     assert degrees >= {1, 2}
 
+
+def _line_zero_by_factor(q, draw):
+    """line_zero's draws and m, with q on the line as a polynomial in s and
+    m from the general factor: the reference for its univariate route."""
+    j = min((k for k in range(q.n) if q.degree_in(k)), key=q.degree_in)
+    for _ in range(200):
+        x = [Poly.variable(1, 0) if k == j else draw() for k in range(q.n)]
+        on_line = q.evaluate(x)
+        if on_line.is_constant():
+            continue
+        if on_line.degree_in(0) > 1:
+            on_line = factor(on_line, LINE).factors[0][0]
+        return tuple(x[:j] + x[j + 1 :]), on_line / on_line.leading()[1]
+    return None
+
+
+def test_line_zero_takes_the_first_factor_of_factor(xy11):
+    # line restrictions with a factor s, repeated factors, and several
+    # factors of one degree, which factor orders by their printed form
+    made = [
+        "X^3 - X*Y^4",  # s*(s - c^2)*(s + c^2)
+        "X^2*Y - Y^3",  # c*(s - c)*(s + c)
+        "(X^2 - 3*Y^4)^2*(X^2 + Y^4)",
+        "X^2*(X - Y)^3*(X^3 - 2*Y^3)",
+        "(X^2 + X*Y + Y^2)*(X^2 - 5*Y^2)*(X - 7*Y)^2",
+    ]
+    primes = [parse(text, xy11) for text in made] + list(_every_prime())
+    for q in primes:
+        for seed in range(3):
+            draws = [random.Random(seed), random.Random(seed)]
+            draw = [lambda rng=rng: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for rng in draws]
+            zero, m = line_zero(q, draw[0])
+            j = min((k for k in range(q.n) if q.degree_in(k)), key=q.degree_in)
+            assert (zero[:j] + zero[j + 1 :], m) == _line_zero_by_factor(q, draw[1]), (q, seed)
+

@@ -611,13 +611,90 @@ def test_trace_form_over_a_specializes_to_the_pointwise_traces(entry):
             assert value(p.evaluate(y)) == value(fiber_mod._trace(nf(g), trace)), (point, g)
 
 
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda entry: entry.name)
+def test_algebra_at_the_integer_point_gives_the_traces_and_rank_at_y(entry):
+    # _algebra evaluates the form at a = (c^(w_i)*y_i), c the lcm of the
+    # denominators in y; its traces and rank are those at y itself, from
+    # the normal forms over y, at rational points with large denominators
+    # and at a Gaussian one
+    import vrg.fiber as fiber_mod
+    from vrg.ideals import _eliminate
+
+    spec = entry.spec
+    tables = fiber_mod._tables(spec)
+    rng = random.Random(f"denominators-{entry.name}")
+    big = lambda: Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**5))
+    points = [
+        fiber_mod._Point(tuple(big() for _ in range(spec.n)), fiber_mod._S) for _ in range(2)
+    ]
+    points.append(fiber_mod._exact_point(tuple((big(), big()) for _ in range(spec.n))))
+    assert points[-1].m == fiber_mod._S**2 + 1
+    for point in points:
+        size = point.m.degree_in(0)
+        sums = fiber_mod._power_sums(point.coefficients, 3 * size - 2)
+        nf = fiber_mod._normal_forms(tables.basis, tables.border, point.y)
+        trace = [sum(nf(g).get(l, 0) for l, g in enumerate(row)) for row in tables.products]
+
+        def to_q(x, t):  # the trace to Q of alpha^t*x
+            return sum(v * sums[t + e] for e, v in enumerate(fiber_mod._coefficients(x)))
+
+        traces, rank = fiber_mod._algebra(point, tables)
+        assert traces == [to_q(x, t) for x in trace for t in range(size)], point
+        form = (
+            {
+                (l, u): v
+                for l, g in enumerate(row)
+                for u in range(size)
+                if (v := to_q(fiber_mod._trace(nf(g), trace), t + u))
+            }
+            for row in tables.products
+            for t in range(size)
+        )
+        assert rank == len(_eliminate((row, {}) for row in form)[0]), point
+
+
+@pytest.mark.parametrize("entry", CORPUS, ids=lambda entry: entry.name)
+def test_counts_are_invariant_under_the_weighted_scaling(entry):
+    # f_i(lambda^v*x) = lambda^(w_i)*f_i(x) for the variable weights v and
+    # the generator weights w, so x -> lambda^v*x maps the fiber over u onto
+    # the fiber over (lambda^(w_i)*u_i): the counts agree, at generic and
+    # at branch points
+    import vrg.fiber as fiber_mod
+    from vrg.ideals import tag_table
+
+    spec = entry.spec
+    weights = tag_table(spec).weights
+    report = analyze(spec)
+    contractions = report.distinct_contractions()
+    tables = fiber_mod._tables(spec)
+    rng = random.Random(f"scaling-{entry.name}")
+    points = [
+        fiber_mod._Point(fiber_mod._generic_point(spec, contractions, rng), fiber_mod._S)
+        for _ in range(2)
+    ]
+    points += [fiber_mod._branch_point(spec, report, p, rng) for p in contractions for _ in range(2)]
+    branch = 0
+    for point in points:
+        count = fiber_mod._count(point, tables)
+        branch += count < entry.degree
+        for scale in (2, Fraction(-1, 3), Fraction(5, 7)):
+            y = tuple(x * scale**w for x, w in zip(point.y, weights))
+            if point.m == fiber_mod._S:
+                assert fiber_count(spec, point.y).count == count
+                assert fiber_count(spec, y).count == count, (point.y, scale)
+            else:
+                assert fiber_mod._count(fiber_mod._Point(y, point.m), tables) == count
+    assert branch == 2 * len(contractions)
+
+
 @pytest.mark.parametrize("name", ["cusp3", "sym3", "dihedral5"])
 def test_branch_audit_builds_the_normal_forms_once(name, monkeypatch):
     # the form over A is the only normal-form recursion of an audit: each
-    # sample, generic or branch, evaluates the form instead
+    # sample, generic or branch, evaluates the form instead; a fresh copy of
+    # the spec has no tables yet
     import vrg.fiber as fiber_mod
 
-    spec = spec_of(name)
+    spec = dataclasses.replace(spec_of(name))
     report = analyze(spec)
     calls = []
     real = fiber_mod._normal_forms
@@ -628,6 +705,23 @@ def test_branch_audit_builds_the_normal_forms_once(name, monkeypatch):
     assert audit["generic"]["equal_r"] == 3
     assert all(entry["below_r"] == 3 for entry in audit["branch"])
     assert calls == [[Poly.variable(spec.n, j) for j in range(spec.n)]]
+
+
+def test_a_second_count_on_one_spec_builds_no_tables(monkeypatch):
+    # the tables are kept on the spec, as its lex basis is: fiber_count and
+    # fiber_points on the same spec build them once between them
+    import vrg.fiber as fiber_mod
+
+    spec = dataclasses.replace(spec_of("dihedral4"))
+    calls = []
+    real = fiber_mod._tables
+    monkeypatch.setattr(fiber_mod, "_tables", lambda spec: calls.append(spec) or real(spec))
+    assert fiber_count(spec, (1, 2)).count == 8
+    assert fiber_count(spec, (3, -1)).count == 8
+    assert fiber_points(spec, (1, 2)) is not None
+    assert calls == [spec]
+    assert fiber_count(dataclasses.replace(spec), (1, 2)).count == 8
+    assert len(calls) == 2
 
 
 def test_audits_in_one_process_match_fresh_processes():
