@@ -26,9 +26,9 @@ no Groebner basis or normal form of its own.  The rank of the trace form
 ``Tr(v*w)`` on the basis ``b_l*alpha^t`` is the number of distinct points
 over all roots of ``m`` (Pedersen-Roy-Szpirglas 1993; Cox-Little-O'Shea,
 *Using Algebraic Geometry*, ch. 2 section 5), and conjugate fibers have
-equal size.  The rank is taken by the same exact row reduction over Q that
-solves the graded pieces, at the point ``a_i = c^(w_i)*y_i`` with integer
-coefficients, for c the lcm of the denominators in y and ``w_i`` the tags'
+equal size.  The rank is taken by the same fraction-free row reduction in
+integers that solves the graded pieces, at the point ``a_i = c^(w_i)*y_i``
+with integer coefficients, for c the lcm of the denominators in y and ``w_i`` the tags'
 weights; one power table of a serves every entry of the form.  That is
 exact: each entry ``Tr(x^g)`` is weighted-homogeneous of degree
 ``wdeg(g)``, so its value at y is ``c^(-wdeg(g))`` times its value at a, and
@@ -48,11 +48,14 @@ off the same trace algebra by the rational univariate representation
 the point.  For ``L = sum_j c^j x_j``, ``c = 1, 2, ...``, the power
 sums ``Tr(L^i)`` give the characteristic polynomial of ``L`` (Newton's
 identities), and ``L`` separates the points exactly when its square-free part
-``f`` has the counted number of roots.  A point is then ``x_j = g_j(t)/g_0(t)``
-at a root ``t`` of ``f``, with ``g_v = sum_i Tr(v*L^i)*H_(D-1-i)`` over the
-Horner polynomials ``H`` of ``f``.  A linear factor of ``f`` gives an exact
-rational point; only irreducible factors of degree two or more are solved
-numerically (mpmath polyroots, 50 digits), each once.
+``f`` has the counted number of roots.  At most ``(n-1)*N(N-1)/2`` values
+of c fail to separate N points, so a search past them stops with a
+:class:`~vrg.errors.TheoremViolationError`: the rank is not the count.  A
+point is then ``x_j = g_j(t)/g_0(t)`` at a root ``t`` of ``f``, with
+``g_v = sum_i Tr(v*L^i)*H_(D-1-i)`` over the Horner polynomials ``H`` of
+``f``.  A linear factor of ``f`` gives an exact rational point; only
+irreducible factors of degree two or more are solved numerically (mpmath
+polyroots, 50 digits), each once.
 """
 
 from __future__ import annotations
@@ -470,10 +473,16 @@ def _rur_points(
     spec: ExtensionSpec, monomials: list, nf: Callable, trace: list, distinct: int
 ) -> list[tuple]:
     """The points over all roots of m, as many as the trace form's rank, by
-    the rational univariate representation; a rational L-value gives an exact point."""
+    the rational univariate representation; a rational L-value gives an exact point.
+
+    ``L(p) - L(q)`` is a nonzero polynomial of degree at most ``n - 1`` in c
+    for two points p and q, so at most ``(n-1)*N(N-1)/2`` values of c fail
+    to separate N points; when the next value fails too, the rank is not
+    the number of points, a :class:`TheoremViolationError`."""
     n = spec.n
     times = [[nf(_step(b, j, 1)) for b in monomials] for j in range(n)]  # NF(x_j*b_k)
-    for c in itertools.count(1):
+    tries = (n - 1) * distinct * (distinct - 1) // 2 + 1
+    for c in range(1, tries + 1):
         times_l = [  # NF(L*b_k)
             _combine({j: c**j for j in range(n)}, [row[k] for row in times])
             for k in range(len(monomials))
@@ -485,6 +494,11 @@ def _rur_points(
         f = squarefree_part(chi)
         if len(f) - 1 == distinct:
             break
+    else:
+        raise TheoremViolationError(
+            f"fiber listing: no L = sum c^j*x_j with c = 1..{tries} separates the"
+            f" points, so the trace form's rank {distinct} is not their number"
+        )
     # Tr(v*L^i) for i < distinct and v = 1, x_1, ..., x_n
     weights = [trace] + [[_trace(v, trace) for v in row] for row in times]
     sums = [[_trace(v, w) for v in powers[:distinct]] for w in weights]

@@ -9,8 +9,9 @@ Lex (plain tuple order on exponents, the first variable largest) is the
 only monomial order.  Bases serve two jobs, and any order would do for
 both: the finiteness test, and the standard monomials that the fiber
 tables take as a free basis of B over A.  So no order key is threaded
-through: normal forms, exact division and row
-elimination share :func:`~vrg.poly.reduce_leading`, which leads by ``max``.
+through: normal forms and exact division share
+:func:`~vrg.poly.reduce_leading`, and row elimination
+(:func:`~vrg.ideals._eliminate`) runs its own integer loop; both lead by ``max``.
 
 The total degree of every input and intermediate polynomial is capped
 (:func:`~vrg.poly.max_degree_cap`, the environment variable

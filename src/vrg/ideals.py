@@ -2,10 +2,11 @@
 
 It shares with :mod:`vrg.fiber` the reading of a zero-dimensional lex basis
 (:func:`_standard_monomials`) and the graded linear algebra: the pieces of a
-free A-module (:func:`_graded_piece`) and exact row reduction
-(:func:`_eliminate`), which runs :func:`~vrg.poly.reduce_leading`, as
-division and normal forms do.  :func:`_eliminate_mod` reduces rows over the
-integers mod a prime, whose full rank certifies full rank over Q.
+free A-module (:func:`_graded_piece`) and exact row reduction in integers
+(:func:`_eliminate`), which scales each row to integers and reduces without
+division, so its pivots are integer multiples of those over Q.
+:func:`_eliminate_mod` reduces rows over the integers mod a prime, whose
+full rank certifies full rank over Q.
 
 For a finite extension the generators are algebraically independent, so
 ``A = Q[f1..fn]`` is a polynomial ring (tag variable ``y_i`` of weight
@@ -22,6 +23,7 @@ lex basis of :mod:`vrg.groebner` serves and no order key is needed.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Iterable, Sequence
 
 from .errors import ContractionError
@@ -109,17 +111,48 @@ def _power_images(spec: ExtensionSpec, reduce: Callable) -> Callable:
 
 
 def _eliminate(pairs: Iterable[tuple[dict, dict]]) -> tuple[dict, list]:
-    """Gaussian elimination over Q on pairs ``(row, tag)`` of sparse vectors:
-    the pivot rows, keyed by their leading key, and the tags whose row
-    reduced to zero.  The number of pivot rows is the rank."""
+    """Fraction-free Gaussian elimination on pairs ``(row, tag)`` of sparse
+    vectors with int or Fraction entries: the pivot pairs, keyed by their
+    row's leading key, and the tags whose row reduced to zero.  The number of
+    pivot rows is the rank.
+
+    Each pair is scaled to integers by the lcm of its denominators and
+    reduced without division (Bareiss 1968): with ``g = gcd(a, b)`` for the
+    leads a of the work row and b of the pivot, ``work = (b/g)*work -
+    (a/g)*pivot`` on row and tag alike, and then the pair's content is
+    divided out.  Every pivot and kernel tag holds only ints, and is a
+    nonzero rational multiple of what elimination over Q gives; callers read
+    them only up to that multiple."""
     rows: dict = {}
     kernel = []
     for pair in pairs:
-        lead = reduce_leading(*pair, rows.get)
-        if lead is None:
-            kernel.append(pair[1])
+        den = math.lcm(*(v.denominator for part in pair for v in part.values()))
+        work, tag = (
+            {e: v.numerator * (den // v.denominator) for e, v in part.items()} for part in pair
+        )
+        while work and (pivot := rows.get(lead := max(work))) is not None:
+            a, b = work[lead], pivot[0][lead]
+            g = math.gcd(a, b) if b > 0 else -math.gcd(a, b)  # so that b/g > 0
+            a, b = a // g, b // g
+            for target, part in (work, pivot[0]), (tag, pivot[1]):
+                if b != 1:
+                    for e in target:
+                        target[e] *= b
+                for e, v in part.items():
+                    s = target.get(e, 0) - a * v
+                    if s:
+                        target[e] = s
+                    else:
+                        del target[e]
+            content = math.gcd(*work.values(), *tag.values())
+            if content > 1:
+                for target in work, tag:
+                    for e in target:
+                        target[e] //= content
+        if work:
+            rows[lead] = work, tag
         else:
-            rows[lead] = pair
+            kernel.append(tag)
     return rows, kernel
 
 

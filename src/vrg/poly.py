@@ -12,12 +12,14 @@ divided with :func:`coeff_div`, and a ``float`` or ``complex`` coefficient
 raises ``TypeError`` so that a division that skipped it fails loudly
 instead of rounding.
 
-Validation happens in the public constructor ``Poly(n, terms)``, which every
-input boundary goes through (the parser, the report reader and the library
-API): it checks each coefficient's type and each exponent vector, and drops
-zero coefficients.  Arithmetic builds its results with ``Poly._clean``, which
-trusts its terms to be nonzero under valid exponents, as the loops that make
-them guarantee, and only stores an integral ``Fraction`` as an ``int``.
+Validation happens in the public constructor ``Poly(n, terms)``, the input
+boundary of the library API: it checks each coefficient's type and each
+exponent vector, and drops zero coefficients.  Arithmetic builds its results
+with ``Poly._clean``, which trusts its terms to be nonzero under valid
+exponents, as the loops that make them guarantee, and only stores an
+integral ``Fraction`` as an ``int``.  So does :func:`parse`, which reads
+every spec and report: it works on plain ``{exponent: coefficient}`` dicts,
+sums each run of terms into one dict in place, and wraps the result once.
 
 Coefficients are read and printed with :func:`read_int` and
 :func:`coeff_str`, which work at any length: Python refuses to convert an
@@ -108,11 +110,13 @@ def coeff_div(a: Coeff, b: Coeff) -> Coeff:
 
 
 def reduce_leading(work: dict, tag: dict, row_for: Callable) -> Exponent | None:
-    """The one reducer of exact division, normal forms and row elimination:
-    while ``row_for(max(work))`` gives a pair ``(row, row_tag)`` whose row has
-    that leading key, subtract ``c*row`` from ``work`` and ``c*row_tag`` from
-    ``tag`` in place, ``c`` cancelling the lead.  Returns the lead that no row
-    reduces, or None once work is zero."""
+    """The one reducer of exact division and normal forms, and of a vector
+    against the pivot rows of :func:`~vrg.ideals._eliminate` (which runs its
+    own fraction-free loop to make them): while ``row_for(max(work))`` gives
+    a pair ``(row, row_tag)`` whose row has that leading key, subtract
+    ``c*row`` from ``work`` and ``c*row_tag`` from ``tag`` in place, ``c``
+    cancelling the lead.  Returns the lead that no row reduces, or None once
+    work is zero."""
     while work:
         pair = row_for(lead := max(work))
         if pair is None:
@@ -178,6 +182,43 @@ def _coefficient(c) -> Coeff:
     if isinstance(c, Fraction):
         return c.numerator if c.denominator == 1 else c
     raise TypeError(f"polynomial coefficients must be int or Fraction, got {c!r}")
+
+
+def _add_terms(target: dict, terms: dict) -> dict:
+    """``target + terms`` for term dicts, summed into ``target`` in place."""
+    for exp, c in terms.items():
+        s = target.get(exp, 0) + c
+        if s:
+            target[exp] = s
+        else:
+            del target[exp]
+    return target
+
+
+def _mul_terms(p: dict, q: dict) -> dict:
+    """The product of two term dicts, as a new dict."""
+    out: dict[Exponent, Coeff] = {}
+    for ea, ca in p.items():
+        for eb, cb in q.items():
+            exp = tuple(map(add, ea, eb))
+            s = out.get(exp, 0) + ca * cb
+            if s:
+                out[exp] = s
+            else:
+                del out[exp]
+    return out
+
+
+def _pow_terms(terms: dict, k: int, n: int) -> dict:
+    """``terms^k`` for a term dict in n variables and ``k >= 0``, as a new
+    dict, by repeated squaring."""
+    result = {(0,) * n: 1}
+    while k:
+        if k & 1:
+            result = _mul_terms(result, terms)
+        terms = _mul_terms(terms, terms) if k > 1 else terms
+        k >>= 1
+    return result
 
 
 class Poly:
@@ -327,14 +368,7 @@ class Poly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        out = dict(self._terms)
-        for exp, c in q._terms.items():
-            s = out.get(exp, 0) + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return Poly._clean(self.n, out)
+        return Poly._clean(self.n, _add_terms(dict(self._terms), q._terms))
 
     __radd__ = __add__
 
@@ -361,16 +395,7 @@ class Poly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        out: dict[Exponent, Coeff] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in q._terms.items():
-                exp = tuple(map(add, ea, eb))
-                s = out.get(exp, 0) + ca * cb
-                if s:
-                    out[exp] = s
-                else:
-                    del out[exp]
-        return Poly._clean(self.n, out)
+        return Poly._clean(self.n, _mul_terms(self._terms, q._terms))
 
     __rmul__ = __mul__
 
@@ -386,14 +411,7 @@ class Poly:
             return NotImplemented
         if k < 0:
             raise ValueError("negative exponents are not allowed")
-        result = Poly.const(self.n, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return Poly._clean(self.n, _pow_terms(self._terms, k, self.n))
 
     def exact_div(self, q: "Poly") -> "Poly":
         """Exact quotient self/q; raises NotDivisibleError otherwise.
@@ -640,28 +658,20 @@ def _det(m: list[list[Poly]], n: int) -> Poly:
 # parsing
 # ---------------------------------------------------------------------------
 
+# an int, an identifier, an operator, or any other non-space character, refused
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^/()]))"
+    r"(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^/()])|(?P<bad>\S)"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.group("int") is not None:
-            tokens.append(("int", m.group("int"), m.start("int")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
+    """The tokens ``(kind, text, position)``, whitespace skipped, ending with
+    the sentinel ``("end", "", len(text))``."""
+    tokens = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
+    for kind, value, pos in tokens:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", pos)
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
@@ -673,23 +683,26 @@ class _Parser:
     factor := '-' factor | base ('^' INT)?
     base   := INT ('/' INT)? | IDENT | '(' expr ')'
 
-    Implicit multiplication is rejected: "2X" is a syntax error.
+    Implicit multiplication is rejected: "2X" is a syntax error.  Each rule
+    returns a new term dict ``{exponent: coefficient}`` that it owns: a sum
+    accumulates its terms in place, and :func:`parse` wraps the result once.
     """
 
     def __init__(self, text: str, vars: VarTable):
-        self.text = text
         self.vars = vars
+        self.one = (0,) * vars.n  # the exponent of 1, then those of the variables
+        self.units = [self.one[:j] + (1,) + self.one[j + 1 :] for j in range(vars.n)]
         self.tokens = _tokenize(text)
         self.i = 0
         self.cap: int | None = None  # read on the first power that expands
 
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.i]
 
-    def next(self):
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of expression", len(self.text))
+    def next(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.i]
+        if tok[0] == "end":
+            raise ParseError("unexpected end of expression", tok[2])
         self.i += 1
         return tok
 
@@ -698,52 +711,43 @@ class _Parser:
         if tok[0] != "op" or tok[1] != op:
             raise ParseError(f"expected {op!r}", tok[2])
 
-    def parse(self) -> Poly:
-        if not self.tokens:
+    def parse(self) -> dict:
+        if self.peek()[0] == "end":
             raise ParseError("empty expression", 0)
         p = self.expr()
-        tok = self.peek()
-        if tok is not None:
-            raise ParseError(f"unexpected {tok[1]!r}", tok[2])
+        kind, value, pos = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected {value!r}", pos)
         return p
 
-    def expr(self) -> Poly:
+    def expr(self) -> dict:
         p = self.term()
-        while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] in "+-":
-                self.next()
-                q = self.term()
-                p = p + q if tok[1] == "+" else p - q
-            else:
-                return p
+        while (tok := self.peek())[0] == "op" and tok[1] in "+-":
+            self.next()
+            q = self.term()
+            _add_terms(p, q if tok[1] == "+" else {exp: -c for exp, c in q.items()})
+        return p
 
-    def term(self) -> Poly:
+    def term(self) -> dict:
         p = self.factor()
         while True:
-            tok = self.peek()
-            if tok and tok[0] == "op" and tok[1] == "*":
+            kind, value, pos = self.peek()
+            if kind == "op" and value == "*":
                 self.next()
-                p = p * self.factor()
-            elif tok and tok[0] in ("int", "ident"):
-                raise ParseError(
-                    "implicit multiplication is not allowed; write '*'", tok[2]
-                )
-            elif tok and tok[0] == "op" and tok[1] == "(":
-                raise ParseError(
-                    "implicit multiplication is not allowed; write '*'", tok[2]
-                )
+                p = _mul_terms(p, self.factor())
+            elif kind in ("int", "ident") or (kind == "op" and value == "("):
+                raise ParseError("implicit multiplication is not allowed; write '*'", pos)
             else:
                 return p
 
-    def factor(self) -> Poly:
+    def factor(self) -> dict:
         tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "-":
+        if tok[0] == "op" and tok[1] == "-":
             self.next()
-            return -self.factor()
+            return {exp: -c for exp, c in self.factor().items()}
         p = self.base()
         tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
+        if tok[0] == "op" and tok[1] == "^":
             self.next()
             etok = self.next()
             if etok[0] != "int":
@@ -751,14 +755,14 @@ class _Parser:
             p = self.power(p, read_int(etok[1]), etok[2])
         return p
 
-    def power(self, p: Poly, e: int, pos: int) -> Poly:
+    def power(self, p: dict, e: int, pos: int) -> dict:
         """``p^e``.  A monomial with coefficient ±1 is raised by scaling its
         exponent, at no cost; before expanding, another constant is refused
         above ``_MAX_POWER_BITS`` bits and any other base above the degree cap."""
         if len(p) == 1:
             ((exp, c),) = p.items()
             if c in (1, -1):
-                return Poly._clean(p.n, {tuple(k * e for k in exp): c if e % 2 else 1})
+                return {tuple(k * e for k in exp): c if e % 2 else 1}
             bits = max(c.numerator.bit_length(), c.denominator.bit_length())
             if not any(exp) and e * bits > _MAX_POWER_BITS:
                 raise DegreeCapExceededError(
@@ -766,19 +770,18 @@ class _Parser:
                 )
         if self.cap is None:
             self.cap = max_degree_cap()
-        if e * p.total_degree() > self.cap:
+        if e * max(map(sum, p), default=-1) > self.cap:
             raise DegreeCapExceededError(
                 f"power at position {pos} has degree above the cap {coeff_str(self.cap)}"
             )
-        return p ** e
+        return _pow_terms(p, e, self.vars.n)
 
-    def base(self) -> Poly:
-        tok = self.next()
-        kind, value, pos = tok
+    def base(self) -> dict:
+        kind, value, pos = self.next()
         if kind == "int":
             num = read_int(value)
             nxt = self.peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "/":
+            if nxt[0] == "op" and nxt[1] == "/":
                 self.next()
                 dtok = self.next()
                 if dtok[0] != "int":
@@ -786,14 +789,14 @@ class _Parser:
                 den = read_int(dtok[1])
                 if den == 0:
                     raise ParseError("zero denominator in rational literal", dtok[2])
-                return Poly.const(self.vars.n, Fraction(num, den))
-            return Poly.const(self.vars.n, num)
+                num = coeff_div(num, den)
+            return {self.one: num} if num else {}
         if kind == "ident":
             try:
                 j = self.vars.index(value)
             except KeyError:
                 raise ParseError(f"unknown variable {value!r}", pos) from None
-            return Poly.variable(self.vars.n, j)
+            return {self.units[j]: 1}
         if kind == "op" and value == "(":
             p = self.expr()
             self.expect_op(")")
@@ -803,7 +806,7 @@ class _Parser:
 
 def parse(text: str, vars: VarTable) -> Poly:
     """Parse an expression string into its expanded normal form."""
-    return _Parser(text, vars).parse()
+    return Poly._clean(vars.n, _Parser(text, vars).parse())
 
 
 # ---------------------------------------------------------------------------

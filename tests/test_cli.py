@@ -159,6 +159,17 @@ def test_fiber_tables_that_are_not_free_exit_4(case, capsys, monkeypatch):
     assert "not free" in capsys.readouterr().err
 
 
+def test_fiber_listing_with_a_wrong_count_exits_4(capsys, monkeypatch):
+    from test_fiber import _miscount_listings
+
+    tried = _miscount_listings(monkeypatch, 1)
+    assert main(["fiber", str(SPEC_DIR / "sym2.json"), "--u", "0,-1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: fiber listing: ")
+    assert len(captured.err.splitlines()) == 1
+    assert len(tried) == 4  # N = 3 points claimed in n = 2 variables: 3 + 1 values of c
+
+
 def test_fiber_command_at_cusp_origin(capsys):
     # the only preimage of u = 0 is the origin, a root of multiplicity 12
     rc = main(["fiber", str(SPEC_DIR / "cusp.json"), "--u", "0,0"])

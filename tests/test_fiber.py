@@ -343,6 +343,50 @@ def test_listing_has_count_distinct_points_over_u(name, u, count):
     assert residual < 1e-30
 
 
+def _miscount_listings(monkeypatch, off: int) -> list:
+    """Mutation: the listing is told ``off`` more points than the rank
+    found.  Returns the list of separating forms tried, which fails the
+    test instead of hanging once it passes 10000."""
+    import vrg.fiber as fiber_mod
+
+    real_points, real_part = fiber_mod._rur_points, fiber_mod.squarefree_part
+    tried = []
+
+    def counted(chi):
+        tried.append(chi)
+        if len(tried) > 10_000:
+            raise AssertionError("the search for a separating form does not stop")
+        return real_part(chi)
+
+    monkeypatch.setattr(fiber_mod, "_rur_points", lambda *a: real_points(*a[:-1], a[-1] + off))
+    monkeypatch.setattr(fiber_mod, "squarefree_part", counted)
+    return tried
+
+
+@pytest.mark.parametrize(
+    "name, u",
+    [
+        ("sym2", (0, -1)),
+        ("cusp3", (1, 2)),
+        ("dihedral4", (1, 2)),
+        ("mixed2", (2, 3)),
+        ("sym3", (1, 2, 3)),  # n = 3
+    ],
+)
+def test_a_miscounted_listing_stops_after_the_bound(name, u, monkeypatch):
+    # no form L separates more points than there are, and at most
+    # (n-1)*N(N-1)/2 values of c fail to separate N points
+    if name in BY_NAME:
+        spec = spec_of(name)
+    else:
+        spec, _ = load_spec(ROOT / "perfbench" / "specs" / f"{name}.json")
+    distinct = fiber_count(spec, u).count + 1
+    tried = _miscount_listings(monkeypatch, 1)
+    with pytest.raises(TheoremViolationError, match=f"fiber listing: .* rank {distinct} "):
+        fiber_points(spec, u)
+    assert len(tried) == (spec.n - 1) * distinct * (distinct - 1) // 2 + 1
+
+
 # ---------------------------------------------------------------------------
 # base points off Q^n
 # ---------------------------------------------------------------------------

@@ -129,6 +129,55 @@ def test_eliminator_finds_the_rank(case):
     assert len(kernel) == len(rows) - k
 
 
+_entry = st.one_of(
+    st.integers(-(10**12), 10**12),
+    st.fractions(max_denominator=10**6).map(lambda v: v * 7**5),
+)
+
+
+@st.composite
+def _sparse_rows(draw):
+    """Sparse rows with int and Fraction entries, some of them rational
+    combinations of the rows before them, so that kernels occur."""
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        if rows and draw(st.booleans()):
+            row: dict = {}
+            for other in draw(st.lists(st.sampled_from(rows), max_size=3)):
+                c = draw(_entry)
+                for j, v in other.items():
+                    row[j] = row.get(j, 0) + c * v
+            rows.append({j: v for j, v in row.items() if v})
+        else:
+            rows.append(draw(st.dictionaries(st.integers(0, 7), _entry.filter(bool), max_size=5)))
+    return rows
+
+
+def _combination(tag: dict, rows: list) -> dict:
+    """``sum_i tag[i]*rows[i]``, with its zero entries dropped."""
+    out: dict = {}
+    for i, c in tag.items():
+        for j, v in rows[i].items():
+            out[j] = out.get(j, 0) + c * v
+    return {j: v for j, v in out.items() if v}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_sparse_rows())
+def test_eliminator_keeps_integer_pairs_that_combine_the_input_rows(rows):
+    # each row i enters with the tag {i: 1}: a pivot's tag combines the
+    # input rows to the pivot row, and a kernel tag combines them to zero
+    pivots, kernel = ideals._eliminate((dict(row), {i: 1}) for i, row in enumerate(rows))
+    assert len(pivots) + len(kernel) == len(rows)
+    for lead, (row, tag) in pivots.items():
+        assert row and max(row) == lead
+        assert _combination(tag, rows) == row
+        assert all(type(v) is int for v in (*row.values(), *tag.values()))
+    for tag in kernel:
+        assert tag and _combination(tag, rows) == {}
+        assert all(type(v) is int for v in tag.values())
+
+
 _MERSENNE = 2**61 - 1
 
 

@@ -65,6 +65,78 @@ def test_parse_syntax_errors(xy11):
             P(bad, xy11)
 
 
+_IMPLICIT = "implicit multiplication is not allowed; write '*'"
+_END = "unexpected end of expression"
+_ABOVE_CAP = "power at position 6 has degree above the cap 200"
+
+# (text, the terms it parses to, or the error class, message and position)
+_PARSE_TABLE = [
+    ("  X + 1", {(1, 0): 1, (0, 0): 1}),
+    ("X + 1  ", {(1, 0): 1, (0, 0): 1}),
+    ("X +\t 1", {(1, 0): 1, (0, 0): 1}),
+    (" X\n*Y ", {(1, 1): 1}),
+    ("X\xa0+　Y", {(1, 0): 1, (0, 1): 1}),
+    ("3/ 4", {(0, 0): Fraction(3, 4)}),
+    ("3 /4", {(0, 0): Fraction(3, 4)}),
+    ("X^ 2", {(2, 0): 1}),
+    ("٣", {(0, 0): 3}),  # a Unicode decimal digit reads as its value
+    ("٣*X", {(1, 0): 3}),
+    ("", (ParseError, "empty expression", 0)),
+    ("   ", (ParseError, "empty expression", 0)),
+    ("  X +", (ParseError, _END, 5)),
+    ("X +   ", (ParseError, _END, 6)),
+    (" 2 X", (ParseError, _IMPLICIT, 3)),
+    ("\tX  Y", (ParseError, _IMPLICIT, 4)),
+    ("2X", (ParseError, _IMPLICIT, 1)),
+    ("X(", (ParseError, _IMPLICIT, 1)),
+    ("X Y", (ParseError, _IMPLICIT, 2)),
+    ("2 (X)", (ParseError, _IMPLICIT, 2)),
+    ("()", (ParseError, "unexpected ')'", 1)),
+    ("X + 1)", (ParseError, "unexpected ')'", 5)),
+    ("(X", (ParseError, _END, 2)),
+    ("(1/2/3)", (ParseError, "expected ')'", 4)),
+    ("X^", (ParseError, _END, 2)),
+    ("X^-1", (ParseError, "exponent must be a non-negative integer literal", 2)),
+    ("X^Y", (ParseError, "exponent must be a non-negative integer literal", 2)),
+    ("X ^ 2 ^ 3", (ParseError, "unexpected '^'", 6)),
+    ("X**2", (ParseError, "unexpected '*'", 2)),
+    ("*X", (ParseError, "unexpected '*'", 0)),
+    ("-", (ParseError, _END, 1)),
+    ("X/2", (ParseError, "unexpected '/'", 1)),
+    ("3/4/5", (ParseError, "unexpected '/'", 3)),
+    ("1/0", (ParseError, "zero denominator in rational literal", 2)),
+    ("1/X", (ParseError, "denominator must be an integer literal", 2)),
+    ("1/-2", (ParseError, "denominator must be an integer literal", 2)),
+    ("Z", (ParseError, "unknown variable 'Z'", 0)),
+    ("\xe9", (ParseError, "unexpected character '\xe9'", 0)),
+    ("X + \xe9", (ParseError, "unexpected character '\xe9'", 4)),
+    ("X + ) \xe9", (ParseError, "unexpected character '\xe9'", 6)),  # lexing comes first
+    ("2^99999", (DegreeCapExceededError, "power at position 2 has over 65536 bits", None)),
+    ("(X+1)^300", (DegreeCapExceededError, _ABOVE_CAP, None)),
+    ("(X+1)^300 + )", (DegreeCapExceededError, _ABOVE_CAP, None)),  # refused as it is read
+]
+
+
+@pytest.mark.parametrize("text, expected", _PARSE_TABLE)
+def test_parse_table_of_terms_and_errors(xy11, monkeypatch, text, expected):
+    monkeypatch.delenv("VRG_MAX_DEGREE", raising=False)
+    if isinstance(expected, dict):
+        p = P(text, xy11)
+        assert [(e, c, type(c)) for e, c in sorted(p.items())] == [
+            (e, c, type(c)) for e, c in sorted(expected.items())
+        ]
+        return
+    kind, message, position = expected
+    with pytest.raises(kind) as err:
+        P(text, xy11)
+    assert type(err.value) is kind
+    if position is None:
+        assert str(err.value) == message
+    else:
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+
 def test_parse_refuses_powers_above_the_degree_cap(xy11, monkeypatch):
     monkeypatch.setenv("VRG_MAX_DEGREE", "8")
     # degree e * deg(base) is checked before expanding; constants, zero,
@@ -104,6 +176,38 @@ def test_format_round_trip(xy11, xy32):
         for vars in (xy11, xy32):
             p = P(text, vars)
             assert P(format_poly(p, vars), vars) == p
+
+
+_TABLES = {
+    2: VarTable(("X", "Y"), (3, 2)),
+    3: VarTable(("x1", "x2", "x_3"), (1, 2, 1)),
+}
+
+
+@st.composite
+def _printed_pairs(draw):
+    n = draw(st.sampled_from((2, 3)))
+    big = st.integers(-(10**30), 10**30).filter(bool)
+    coeffs = st.one_of(_coeffs, big, st.builds(Fraction, big, st.integers(1, 10**20)))
+    exps = st.tuples(*[st.integers(0, 6)] * n)
+    a, b = (draw(st.dictionaries(exps, coeffs, max_size=6).map(lambda t: Poly(n, t))) for _ in "ab")
+    return _TABLES[n], a, b
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_printed_pairs())
+def test_parse_inverts_format_and_builds_products_and_differences(case):
+    vars, a, b = case
+    text_a, text_b = format_poly(a, vars), format_poly(b, vars)
+    for text, value in (
+        (text_a, a),
+        (f"({text_a})*({text_b})", a * b),
+        (f"({text_a})-({text_b})", a - b),
+        (f" ( {text_a} ) * ( {text_b} ) ", a * b),
+    ):
+        parsed = P(text, vars)
+        assert parsed == value
+        _assert_valid(parsed, vars.n)
 
 
 def test_format_is_identity_on_canonical_strings(xy32):
