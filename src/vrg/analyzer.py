@@ -14,11 +14,9 @@ Both rest on one certificate per contraction ``P~`` (:func:`_rests`): a
 ramified Q divides ``P~(f)`` only if it lies over ``P~`` (it puts ``P~`` in
 ``(Q) ∩ A``), so with ``e_Q = m_Q + 1`` from J's factorization, ``P~(f) =
 rest * ∏ Q^e_Q`` over the ramified Q over ``P~``, and no such Q divides
-``rest``: ``rest`` is nonzero at a zero of Q in ``Q[s]/(m)``
-(:func:`~vrg.factor.line_zero`), or a division decides.  A contraction
-pulls back with an unramified factor exactly when its ``rest`` is not
-constant; only then is ``rest`` factored, to name those primes in the
-witness.
+``rest``, which one division per Q shows.  A contraction pulls back with
+an unramified factor exactly when its ``rest`` is not constant; only then
+is ``rest`` factored, to name those primes in the witness.
 
 A failure of either is reported as :class:`TheoremViolationError`; with
 exact arithmetic it can only come from a bug or from a factor that is
@@ -36,7 +34,6 @@ with ``D~(f) = R`` for R in A; only without one does it solve for R.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +41,7 @@ from typing import Mapping, Sequence
 
 from .errors import NotDivisibleError, TheoremViolationError
 from .extension import ExtensionSpec, generator_weights, validate
-from .factor import _sort_factors, factor, line_zero, valuation
+from .factor import _sort_factors, factor, valuation
 from .ideals import contract_prime, subalgebra_membership, tag_table
 from .poly import (
     Poly,
@@ -209,10 +206,8 @@ def _rests(
 ) -> dict[Poly, Poly | None]:
     """Each contraction's ``rest = P~(f) / ∏ Q^e_Q`` over the data Q over it,
     or None unless each such Q divides ``P~(f)`` exactly ``e_Q`` times: the
-    product divides it, once, and no Q divides ``rest``.  That is shown by
-    ``rest(x0) != 0`` in ``Q[s]/(m)`` at the zero ``(x0, m)`` of Q that
-    :func:`~vrg.factor.line_zero` finds from the draws 1, 2, ..., the same on
-    every run, and by division only when that value is 0."""
+    product divides it, once, and no Q divides ``rest``, which one division
+    per Q shows."""
     rests: dict[Poly, Poly | None] = {}
     for contraction, pullback in pullbacks.items():
         over = [d for d in data if d.contraction == contraction]
@@ -221,11 +216,8 @@ def _rests(
             rest = pullback.exact_div(math.prod((d.prime**d.index for d in over), start=one))
         except NotDivisibleError:
             rest = None
-        for d in over if rest is not None else ():
-            zero = line_zero(d.prime, itertools.count(1).__next__)
-            if (zero is None or not rest.evaluate(zero[0])) and d.prime.divides(rest):
-                rest = None
-                break
+        if rest is not None and any(d.prime.divides(rest) for d in over):
+            rest = None
         rests[contraction] = rest
     return rests
 

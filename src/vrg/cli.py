@@ -261,9 +261,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_u(argv) -> list[str]:
+    """``--u VALUE`` as ``--u=VALUE``, so that argparse does not take a value
+    that begins with ``-`` (a negative first component) for an option."""
+    argv = list(argv)
+    if "--u" in argv[:-1]:
+        k = argv.index("--u")
+        argv[k : k + 2] = [f"--u={argv[k + 1]}"]
+    return argv
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_u(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except OSError as exc:

@@ -298,10 +298,6 @@ def squarefree(p: Poly, vars: VarTable) -> Factorization:
 # ---------------------------------------------------------------------------
 
 
-# the evaluation points tried before lifting the image with the fewest factors
-_IMAGES_TRIED = 3
-
-
 def factor(p: Poly, vars: VarTable) -> Factorization:
     """Complete irreducible factorization over Q, verified by re-multiplication."""
     if p.is_zero():
@@ -333,10 +329,13 @@ def _irreducible_factors(f: Poly) -> list[Poly]:
 
     A univariate f goes to Zassenhaus.  Otherwise f is evaluated at integer
     points of the other variables y, from a fixed sequence, where the image
-    keeps its degree in x and stays square-free.  An irreducible image proves
-    f irreducible: a split ``f = g*h`` would give images of positive degree.
-    Else, of up to three images, the one with the fewest factors is lifted
-    over ``Q[[y - a]]`` and the true factors are recombined from subsets.
+    keeps its degree in x and stays square-free, and only the first such
+    image is factored.  An irreducible image proves f irreducible: a split
+    ``f = g*h`` would give images of positive degree.  Else the image's
+    factors are lifted over ``Q[[y - a]]`` and the true factors are
+    recombined from subsets.  Factoring further images could only pick one
+    with fewer factors, or an irreducible one when f is irreducible but its
+    first image splits; neither saved as much as the factoring cost.
     """
     used = sorted(f.variables_used())
     x, ys = used[-1], used[:-1]
@@ -349,21 +348,16 @@ def _irreducible_factors(f: Poly) -> list[Poly]:
             for g in factor_squarefree(dense)
         ]
     n = f.degree_in(x)
-    images = []
     for a in _points(len(ys)):
         image = [0] * (n + 1)
         for exp, c in f.items():
             image[exp[x]] += c * math.prod(ai ** exp[j] for ai, j in zip(a, ys))
-        if not image[n] or not is_squarefree(image):
-            continue
-        unit = math.gcd(*image) * (1 if image[n] > 0 else -1)
-        factors = factor_squarefree([c // unit for c in image])
-        if len(factors) == 1:
-            return [f]
-        images.append((len(factors), a, factors))
-        if len(images) == _IMAGES_TRIED:
+        if image[n] and is_squarefree(image):
             break
-    _, a, factors = min(images, key=lambda item: item[0])
+    unit = math.gcd(*image) * (1 if image[n] > 0 else -1)
+    factors = factor_squarefree([c // unit for c in image])
+    if len(factors) == 1:
+        return [f]
     return _lift_and_recombine(f, x, ys, a, factors)
 
 

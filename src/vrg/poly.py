@@ -229,7 +229,7 @@ class Poly:
     coefficient.
     """
 
-    __slots__ = ("n", "_terms", "_hash")
+    __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Mapping[Exponent, Coeff] | None = None):
         clean: dict[Exponent, Coeff] = {}
@@ -243,7 +243,6 @@ class Poly:
                 clean[tuple(exp)] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", clean)
-        object.__setattr__(self, "_hash", None)
 
     # -- constructors ------------------------------------------------------
 
@@ -258,7 +257,6 @@ class Poly:
         p = object.__new__(cls)
         object.__setattr__(p, "n", n)
         object.__setattr__(p, "_terms", terms)
-        object.__setattr__(p, "_hash", None)
         return p
 
     @classmethod
@@ -338,11 +336,7 @@ class Poly:
         return self.n == other.n and self._terms == other._terms
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.n, frozenset(self._terms.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.n, frozenset(self._terms.items())))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly instances are immutable")

@@ -15,8 +15,10 @@ from vrg import (
     VarTable,
     analyze,
     canonical,
+    contract_prime,
     degree,
     factor,
+    format_poly,
     jacobian,
     lcm,
     load_report,
@@ -316,6 +318,30 @@ def test_linear_change_of_coordinates(entry, entries):
     assert verify_report(other, moved).ok
 
 
+_TOWER_TOPS = [("y1^2", "y2"), ("y1", "y2^2"), ("y1^2", "y2^3")]
+
+
+@pytest.mark.parametrize("top", _TOWER_TOPS, ids="|".join)
+@pytest.mark.parametrize("entry", [e for e in CORPUS if e.spec.n == 2], ids=lambda e: e.name)
+def test_towers_multiply_degrees_jacobians_and_indices(entry, top):
+    # T = h∘f for h finite on f's tag ring: degrees multiply, J_T = J_h(f)*J_f
+    # by the chain rule, and e_T(Q) = e_f(Q)*e_h(P) for P the contraction of
+    # Q to A_f (Serre, Local Fields, I §4), with e = 1 off the tables
+    f = entry.spec
+    tags = tag_table(f)
+    h = ExtensionSpec(tags, tuple(parse(g, tags) for g in top))
+    tower = ExtensionSpec(f.vars, tuple(g.compose(f.generators) for g in h.generators))
+    rf, rh, rt = analyze(f), analyze(h), analyze(tower)
+    assert rt.degree == rf.degree * rh.degree
+    assert rt.jacobian == canonical(rh.jacobian.compose(f.generators) * rf.jacobian, f.vars)
+    e_f = {d.prime: d.index for d in rf.ramification}
+    e_h = {d.prime: d.index for d in rh.ramification}
+    for d in rt.ramification:
+        below = e_h.get(contract_prime(d.prime, f), 1)
+        assert d.index == e_f.get(d.prime, 1) * below, format_poly(d.prime, f.vars)
+    assert set(e_f) <= {d.prime for d in rt.ramification}
+
+
 # ---------------------------------------------------------------------------
 # verify_report and tampering
 # ---------------------------------------------------------------------------
@@ -400,25 +426,30 @@ def test_each_failed_check_is_named_once():
 
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
 def test_jacobian_exponents_by_certificate(entry, monkeypatch):
-    # one division by ∏Q^e per contraction; then Q ∤ rest by a nonzero value
-    # at a zero of Q over Q[s]/(m), for a Q nonlinear in every variable too,
-    # so no Q divides rest by division
+    # one division by ∏Q^e per contraction; then Q ∤ rest by one division
+    # per ramified prime, with no zero of Q over Q[s]/(m)
+    import collections
     import dataclasses
+    import importlib
 
     import vrg.analyzer as analyzer_mod
+
+    factor_mod = importlib.import_module("vrg.factor")  # vrg.factor is also a function
 
     spec = entry.spec
     report = analyze(spec)
     divisions = []
     real = Poly.divides
     monkeypatch.setattr(Poly, "divides", lambda q, p: divisions.append(q) or real(q, p))
+    monkeypatch.setattr(factor_mod, "line_zero", lambda *args: pytest.fail("line_zero called"))
     pullbacks = {p: p.compose(spec.generators) for p in report.distinct_contractions()}
     rests = analyzer_mod._rests(report.ramification, pullbacks)
     assert all(rest is not None for rest in rests.values())
-    primes = {d.prime for d in report.ramification}
-    assert [q for q in divisions if q in primes] == []
+    primes = [d.prime for d in report.ramification]
+    assert collections.Counter(divisions) == collections.Counter(primes)
+    assert not hasattr(analyzer_mod, "line_zero")
     monkeypatch.undo()
-    # an index one off either way fails, the low one through rest(x0) == 0
+    # an index one off either way fails, the low one because Q divides rest
     for i, d in enumerate(report.ramification):
         for index in (d.index - 1, d.index + 1):
             data = list(report.ramification)
@@ -426,7 +457,7 @@ def test_jacobian_exponents_by_certificate(entry, monkeypatch):
             tampered = dataclasses.replace(report, ramification=tuple(data))
             assert "jacobian exponents" in verify_report(tampered, spec).failures, (i, index)
     # the certificate alone refuses the low index, where J's product no longer
-    # decides: Q divides that rest, so rest(x0) is 0 at the zero x0 of Q
+    # decides: Q divides that rest
     for i, d in enumerate(report.ramification):
         data = list(report.ramification)
         data[i] = dataclasses.replace(d, index=d.index - 1)

@@ -47,6 +47,35 @@ def test_analyze_writes_verifiable_json(tmp_path, capsys):
     assert verify_report(report, spec).ok
 
 
+def test_unramified_extension_end_to_end(tmp_path, capsys):
+    # r = 1 and J = 1: no ramified prime, and every product is 1
+    payload = {
+        "variables": [{"name": "X", "weight": 1}, {"name": "Y", "weight": 2}],
+        "generators": ["X", "X^2 + Y"],
+    }
+    path = write_spec(tmp_path, payload)
+    report_path = tmp_path / "report.json"
+    assert main(["analyze", path, "--fiber", "3", "--json", str(report_path)]) == 0
+    out = capsys.readouterr().out
+    for line in (
+        "degree r = 1",
+        "jacobian J = 1",
+        "ramified primes: none (the map is unramified)",
+        "well-ramified: yes",
+        "discriminant D = 1",
+        "  D~  = 1",
+        "  D/J = 1",
+        "fiber audit: seed 0 | generic 3/3 at r",
+    ):
+        assert line in out.splitlines(), line
+    spec, _ = load_spec(path)
+    report = report_from_dict(json.loads(report_path.read_text()), spec)
+    assert report.ramification == ()
+    assert verify_report(report, spec).ok
+    assert main(["fiber", path, "--u", "1,2"]) == 0
+    assert "count = 1" in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize(
     "generators",
     [
@@ -399,10 +428,22 @@ def test_report_matches_golden_file(tmp_path, capsys):
 
 
 def test_non_finite_base_point_is_invalid(capsys):
-    for u in ("nan,2", "inf,2", "1/0,1"):
+    for u in ("nan,2", "inf,2", "1/0,1", "1,2,3"):
         rc = main(["fiber", str(SPEC_DIR / "sym2.json"), "--u", u])
         assert rc == 2, u
         assert "error" in capsys.readouterr().err
+    main(["fiber", str(SPEC_DIR / "sym2.json"), "--u", "1,2,3"])
+    assert "--u needs 2 comma-separated components" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, u", [("sym2", "-1,2"), ("sym3", "-1,-1,-1")])
+def test_base_point_may_begin_with_a_minus_sign(capsys, spec, u):
+    path = str(SPEC_DIR / f"{spec}.json")
+    assert main(["fiber", path, f"--u={u}"]) == 0
+    attached = capsys.readouterr()
+    assert main(["fiber", path, "--u", u]) == 0
+    assert capsys.readouterr() == attached
+    assert attached.out.startswith("degree r = ")
 
 
 def test_bad_option_values_are_invalid(capsys):

@@ -93,6 +93,11 @@ def test_pipeline_inputs_match_oracle():
         # whenever a is a square
         (("X", "Y"), (3, 2), "X^2 - Y^3"),
         (("X", "Y"), (1, 2), "X^8 - 10*X^4*Y^2 + Y^4"),
+        # the first images are -5*(z^2 - c^2): only lifting proves it prime
+        (("X", "Y", "Z"), (1, 1, 1), "3*X^2 - 3*X*Y - Y^2 - 5*Z^2"),
+        # at the first point, X = -3, the lifted factors Y ± sqrt((X+3)^2 + 4)
+        # have no term of degree 3 in X + 3, so only division rejects them
+        (("X", "Y"), (1, 1), "X^2 - Y^2 + 6*X + 13"),
     ],
 )
 def test_irreducibles_with_split_images(names, weights, text):
@@ -110,6 +115,8 @@ def test_irreducibles_with_split_images(names, weights, text):
         (("X", "Y"), (1, 1), "X^8 - Y^8"),
         (("X", "Y", "Z"), (1, 1, 1), "(X^2 + Y*Z)^2*(X - Y)^3*(Y^3 - 2*Z^3)*X*Z^2"),
         (("X", "Y", "Z", "W"), (1, 2, 3, 1), "2/3*(X^2 - Y)*(X^3 + X*Y + Z)^2*(Z - W^3)*W"),
+        # the leading coefficient in Z is X, not a constant
+        (("X", "Y", "Z"), (1, 1, 1), "(X*Z + Y^2)*(X*Z - Y^2)"),
     ],
 )
 def test_known_products(names, weights, text):
