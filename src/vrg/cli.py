@@ -1,53 +1,37 @@
-"""Command-line front end.
+"""Command-line front end: argument parsing and the layout of the text report.
 
-Exit codes: 0 success, 1 I/O failure, 2 invalid input (spec file schema,
-expression syntax, inhomogeneous generators, probe limits, option values,
-or ``VRG_MAX_DEGREE``), 3 the extension is not finite, 4 internal
-cross-check failure (theorem violation, non-principal contraction, or the
-degree cap on a written power or a Groebner basis).
-``wellramified`` exits 10 for a sound "no".
+Each error class carries its exit code; the one table of them is in
+:mod:`vrg.errors`.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
 from fractions import Fraction
 
 from .analyzer import AnalysisReport, analyze
-from .errors import (
-    ContractionError,
-    DegreeCapExceededError,
-    FiberProbeError,
-    InputError,
-    NotFiniteError,
-    TheoremViolationError,
-)
+from .errors import FiberProbeError, VrgError
 from .extension import ExtensionSpec, generator_weights, validate
 from .factor import factor
 from .fiber import _probe, branch_audit
 from .ideals import tag_table
 from .poly import _MAX_POWER_BITS, canonicalize, coeff_str, format_poly, jacobian
-from .reportio import dump_report, load_spec
+from .reportio import dump_report, load_spec, report_to_dict
 
 EXIT_OK = 0
 EXIT_IO = 1
-EXIT_INVALID = 2
-EXIT_NOT_FINITE = 3
-EXIT_INTERNAL = 4
 EXIT_NOT_WELL_RAMIFIED = 10
 
 
-def _factored_str(unit: Fraction, factors, vars) -> str:
-    parts = []
-    if unit != 1:
-        parts.append(coeff_str(unit))
-    for f, m in factors:
-        text = format_poly(f, vars)
-        if len(f) > 1:
+def _factored_str(unit: str, factors) -> str:
+    """``unit * f^m * ...`` from printed factors ``(f, m)``; a factor of more
+    than one term, whose text has a space, is put in parentheses."""
+    parts = [] if unit == "1" else [unit]
+    for text, m in factors:
+        if " " in text:
             text = f"({text})"
         if m > 1:
             text = f"{text}^{m}"
@@ -57,8 +41,7 @@ def _factored_str(unit: Fraction, factors, vars) -> str:
 
 def _print_report(report: AnalysisReport, spec: ExtensionSpec, labels: dict) -> None:
     vars = spec.vars
-    tags = tag_table(spec)
-    weights_a = generator_weights(spec)
+    data = report_to_dict(report, spec)
     name = labels.get("name")
     if name:
         print(f"extension: {name}")
@@ -68,46 +51,36 @@ def _print_report(report: AnalysisReport, spec: ExtensionSpec, labels: dict) -> 
         )
     )
     print("generators:")
-    for i, (f, a) in enumerate(zip(spec.generators, weights_a), start=1):
+    for i, (f, a) in enumerate(zip(spec.generators, generator_weights(spec)), start=1):
         print(f"  f{i} = {format_poly(f, vars)}   [weight {a}]")
-    print(f"degree r = {report.degree}")
-    print(f"jacobian J = {format_poly(report.jacobian, vars)}")
-    factored = _factored_str(
-        report.discarded_unit,
-        [(d.prime, d.index - 1) for d in report.ramification],
-        vars,
-    )
+    print(f"degree r = {data['degree']}")
+    print(f"jacobian J = {data['jacobian']}")
+    primes = data["ramification"]
+    factored = _factored_str(data["discarded_unit"], [(d["Q"], d["e"] - 1) for d in primes])
     print(f"  factored: {factored}")
-    print(f"  discarded unit: {coeff_str(report.discarded_unit)}")
-    if report.ramification:
+    print(f"  discarded unit: {data['discarded_unit']}")
+    if primes:
         print("ramified primes:")
-        for d in report.ramification:
-            print(
-                f"  Q = {format_poly(d.prime, vars)}   e = {d.index}"
-                f"   over P~ = {format_poly(d.contraction, tags)}"
-            )
+        for d in primes:
+            print(f"  Q = {d['Q']}   e = {d['e']}   over P~ = {d['contraction']}")
     else:
         print("ramified primes: none (the map is unramified)")
-    print(f"S  = {format_poly(report.S, vars)}")
-    print(f"R  = {format_poly(report.R, vars)}")
-    print(f"S~ = {format_poly(report.S_tilde, tags)}")
-    print(f"well-ramified: {'yes' if report.well_ramified else 'no'}")
-    if report.well_ramified:
-        d_poly, d_rep = report.discriminant
-        print(f"discriminant D = {format_poly(d_poly, vars)}")
-        print(f"  D~  = {format_poly(d_rep, tags)}")
-        print(f"  D/J = {format_poly(report.quotient_DJ, vars)}")
+    print(f"S  = {data['S']}")
+    print(f"R  = {data['R']}")
+    print(f"S~ = {data['S_tilde']}")
+    print(f"well-ramified: {'yes' if data['well_ramified'] else 'no'}")
+    if data["well_ramified"]:
+        print(f"discriminant D = {data['discriminant']['D']}")
+        print(f"  D~  = {data['discriminant']['D_rep']}")
+        print(f"  D/J = {data['quotient_DJ']}")
     else:
-        print(
-            "witness prime P~ = "
-            f"{format_poly(report.witness.contraction, tags)}"
-        )
-        for q, ramified in report.witness.pullback_factors:
-            status = "ramified" if ramified else "unramified"
-            print(f"  pullback factor {format_poly(q, vars)}: {status}")
+        print(f"witness prime P~ = {data['witness']['contraction']}")
+        for entry in data["witness"]["pullback_factors"]:
+            status = "ramified" if entry["ramified"] else "unramified"
+            print(f"  pullback factor {entry['factor']}: {status}")
         print("candidate discriminant R is not in the subalgebra")
-    if report.fiber_audit:
-        audit = report.fiber_audit
+    if data["fiber_audit"]:
+        audit = data["fiber_audit"]
         generic = audit["generic"]
         print(
             f"fiber audit: seed {audit['seed']} |"
@@ -119,7 +92,7 @@ def _print_report(report: AnalysisReport, spec: ExtensionSpec, labels: dict) -> 
                 f" {entry['below_r']}/{entry['requested']} below r"
             )
         print(f"  all counts <= r: {'yes' if audit['all_counts_at_most_r'] else 'NO'}")
-    for warning in report.warnings:
+    for warning in data["warnings"]:
         print(f"note: {warning}")
 
 
@@ -151,7 +124,8 @@ def _cmd_jacobian(args) -> int:
     validate(spec)
     jac, unit = canonicalize(jacobian(spec.generators, spec.vars), spec.vars)
     fac = factor(jac, spec.vars)
-    print(f"jacobian = {_factored_str(unit * fac.unit, fac.factors, spec.vars)}")
+    factors = [(format_poly(f, spec.vars), m) for f, m in fac.factors]
+    print(f"jacobian = {_factored_str(coeff_str(unit * fac.unit), factors)}")
     print(f"expanded = {format_poly(jac, spec.vars)}")
     print(f"discarded unit = {coeff_str(unit)}")
     return EXIT_OK
@@ -159,17 +133,13 @@ def _cmd_jacobian(args) -> int:
 
 def _cmd_wellramified(args) -> int:
     spec, _ = load_spec(args.spec)
-    report = analyze(spec)
-    tags = tag_table(spec)
-    if report.well_ramified:
+    data = report_to_dict(analyze(spec), spec)
+    if data["well_ramified"]:
         print("yes")
-        print(
-            "discriminant representation: "
-            f"{format_poly(report.witness.representation, tags)}"
-        )
+        print(f"discriminant representation: {data['witness']['representation']}")
         return EXIT_OK
     print("no")
-    print(f"witness prime: {format_poly(report.witness.contraction, tags)}")
+    print(f"witness prime: {data['witness']['contraction']}")
     return EXIT_NOT_WELL_RAMIFIED
 
 
@@ -279,18 +249,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except json.JSONDecodeError as exc:
-        print(f"error: spec file is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except InputError as exc:
+    except VrgError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except NotFiniteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_FINITE
-    except (TheoremViolationError, ContractionError, DegreeCapExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        return exc.exit_code
 
 
 if __name__ == "__main__":

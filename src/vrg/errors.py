@@ -1,17 +1,30 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one table of exit codes.
 
-The CLI maps these onto its exit-code contract, so new error conditions
-should subclass one of the classes below rather than raising bare
-exceptions.
+Each class carries the exit code that ``vrg`` returns for it in ``exit_code``,
+and a subclass inherits its parent's, so a new error condition subclasses one
+of these classes rather than raising a bare exception:
+
+    2  InputError, ParseError, SpecFileError, NotHomogeneousError,
+       FiberProbeError: invalid input
+    3  NotFiniteError: the extension is not finite
+    4  VrgError, NotDivisibleError, DegreeCapExceededError, ContractionError,
+       TheoremViolationError: an internal cross-check failed
+
+``vrg`` adds 0 for success, 1 for an I/O failure (``OSError``) and 10 for a
+sound "no" from ``wellramified``.
 """
 
 
 class VrgError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 4
+
 
 class InputError(VrgError):
     """Malformed input: a spec, a report, an option value or a setting."""
+
+    exit_code = 2
 
 
 class ParseError(InputError):
@@ -32,6 +45,8 @@ class NotHomogeneousError(InputError):
 
 class NotFiniteError(VrgError):
     """The generators do not define a finite extension (V(f) != {0})."""
+
+    exit_code = 3
 
 
 class SpecFileError(InputError):

@@ -70,14 +70,16 @@ class VarTable:
             raise ValueError("a variable table needs at least one variable")
         if len(self.names) != len(self.weights):
             raise ValueError("names and weights must have the same length")
+        for name, w in zip(self.names, self.weights):
+            if not isinstance(name, str):
+                raise ValueError("variable names must be strings")
+            if type(w) is not int or w < 1:
+                raise ValueError(f"weight of {name!r} must be a positive integer")
         if len(set(self.names)) != len(self.names):
             raise ValueError("variable names must be distinct")
         for name in self.names:
             if not _IDENT_RE.fullmatch(name):
                 raise ValueError(f"invalid variable name: {name!r}")
-        for w in self.weights:
-            if not isinstance(w, int) or w < 1:
-                raise ValueError("weights must be positive integers")
 
     @property
     def n(self) -> int:
@@ -652,6 +654,9 @@ def _det(m: list[list[Poly]], n: int) -> Poly:
 # parsing
 # ---------------------------------------------------------------------------
 
+# the deepest nesting of '(' and unary '-' parsed, at up to four stack frames a level
+_MAX_NESTING = 100
+
 # an int, an identifier, an operator, or any other non-space character, refused
 _TOKEN_RE = re.compile(
     r"(?P<int>\d+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*^/()])|(?P<bad>\S)"
@@ -677,7 +682,8 @@ class _Parser:
     factor := '-' factor | base ('^' INT)?
     base   := INT ('/' INT)? | IDENT | '(' expr ')'
 
-    Implicit multiplication is rejected: "2X" is a syntax error.  Each rule
+    Implicit multiplication is rejected: "2X" is a syntax error, and so is
+    nesting of '(' and unary '-' deeper than ``_MAX_NESTING``.  Each rule
     returns a new term dict ``{exponent: coefficient}`` that it owns: a sum
     accumulates its terms in place, and :func:`parse` wraps the result once.
     """
@@ -688,6 +694,7 @@ class _Parser:
         self.units = [self.one[:j] + (1,) + self.one[j + 1 :] for j in range(vars.n)]
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0  # of the '(' and unary '-' being parsed
         self.cap: int | None = None  # read on the first power that expands
 
     def peek(self) -> tuple[str, str, int]:
@@ -699,6 +706,15 @@ class _Parser:
             raise ParseError("unexpected end of expression", tok[2])
         self.i += 1
         return tok
+
+    def nested(self, pos: int, rule) -> dict:
+        """``rule()`` one level deeper, refused beyond ``_MAX_NESTING`` levels."""
+        if self.depth == _MAX_NESTING:
+            raise ParseError(f"nesting deeper than {_MAX_NESTING} levels", pos)
+        self.depth += 1
+        p = rule()
+        self.depth -= 1
+        return p
 
     def expect_op(self, op: str):
         tok = self.next()
@@ -738,7 +754,7 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "op" and tok[1] == "-":
             self.next()
-            return {exp: -c for exp, c in self.factor().items()}
+            return {exp: -c for exp, c in self.nested(tok[2], self.factor).items()}
         p = self.base()
         tok = self.peek()
         if tok[0] == "op" and tok[1] == "^":
@@ -792,7 +808,7 @@ class _Parser:
                 raise ParseError(f"unknown variable {value!r}", pos) from None
             return {self.units[j]: 1}
         if kind == "op" and value == "(":
-            p = self.expr()
+            p = self.nested(pos, self.expr)
             self.expect_op(")")
             return p
         raise ParseError(f"unexpected {value!r}", pos)

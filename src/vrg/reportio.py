@@ -28,25 +28,19 @@ def spec_from_dict(data: dict) -> tuple[ExtensionSpec, dict]:
     variables = data.get("variables")
     if not isinstance(variables, list) or not variables:
         raise SpecFileError('"variables" must be a non-empty array')
-    names = []
-    weights = []
     for entry in variables:
         if not isinstance(entry, dict) or "name" not in entry or "weight" not in entry:
             raise SpecFileError('each variable needs "name" and "weight"')
-        name, weight = entry["name"], entry["weight"]
-        if not isinstance(name, str):
-            raise SpecFileError("variable names must be strings")
-        if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
-            raise SpecFileError(f"weight of {name!r} must be a positive integer")
-        names.append(name)
-        weights.append(weight)
     try:
-        vars = VarTable(tuple(names), tuple(weights))
+        vars = VarTable(
+            tuple(entry["name"] for entry in variables),
+            tuple(entry["weight"] for entry in variables),
+        )
     except ValueError as exc:
         raise SpecFileError(str(exc)) from exc
 
     generators = data.get("generators")
-    if not isinstance(generators, list) or len(generators) != len(names):
+    if not isinstance(generators, list) or len(generators) != vars.n:
         raise SpecFileError(
             '"generators" must list exactly one expression per variable'
         )
@@ -62,10 +56,18 @@ def spec_from_dict(data: dict) -> tuple[ExtensionSpec, dict]:
     return ExtensionSpec(vars, tuple(polys)), labels
 
 
-def load_spec(path: str | Path) -> tuple[ExtensionSpec, dict]:
+def _read_json(path: str | Path, kind: str):
+    """The JSON value in a file; SpecFileError when it is not UTF-8 JSON, or
+    nests too deeply for the decoder."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return spec_from_dict(data)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # ValueError: JSON or UTF-8
+            raise SpecFileError(f"{kind} file is not valid JSON: {exc}") from None
+
+
+def load_spec(path: str | Path) -> tuple[ExtensionSpec, dict]:
+    return spec_from_dict(_read_json(path, "spec"))
 
 
 # ---------------------------------------------------------------------------
@@ -201,5 +203,4 @@ def dump_report(report: AnalysisReport, spec: ExtensionSpec, path: str | Path) -
 
 
 def load_report(path: str | Path, spec: ExtensionSpec) -> AnalysisReport:
-    with open(path, "r", encoding="utf-8") as fh:
-        return report_from_dict(json.load(fh), spec)
+    return report_from_dict(_read_json(path, "report"), spec)

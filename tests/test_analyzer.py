@@ -392,6 +392,14 @@ def test_malformed_report_names_the_key(cusp_spec, tmp_path, mutate, key):
         load_report(path, cusp_spec)
 
 
+def test_report_file_that_is_not_json_is_refused(cusp_spec, tmp_path):
+    path = tmp_path / "report.json"
+    for content in (b"{not json", b"\xff\xfe\x00"):
+        path.write_bytes(content)
+        with pytest.raises(SpecFileError, match="^report file is not valid JSON: "):
+            load_report(path, cusp_spec)
+
+
 def _tampered(spec, mutate):
     data = report_to_dict(analyze(spec), spec)
     mutate(data)

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from vrg import load_spec, report_from_dict, report_to_dict, verify_report
+from vrg import errors, load_spec, report_from_dict, report_to_dict, verify_report
 from vrg.cli import main
+from vrg.errors import InputError, NotFiniteError, VrgError
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 DATA_DIR = Path(__file__).resolve().parent / "data"
@@ -300,24 +301,63 @@ def test_missing_file_is_io_error(tmp_path, capsys):
 
 def test_bad_json_is_invalid_spec(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text("{not json", encoding="utf-8")
-    assert main(["analyze", str(path)]) == 2
-    capsys.readouterr()
+    for content, reason in [
+        (b"{not json", "Expecting property name enclosed in double quotes: line 1 column 2"
+                       " (char 1)"),
+        (b"\xff\xfe\x00", "'utf-8' codec can't decode byte 0xff in position 0:"
+                          " invalid start byte"),
+        (b"[" * 100000, "maximum recursion depth exceeded while decoding a JSON array"
+                        " from a unicode string"),
+    ]:
+        path.write_bytes(content)
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: spec file is not valid JSON: {reason}\n"
 
 
 def test_schema_errors_are_invalid_spec(tmp_path, capsys):
+    x = {"name": "X", "weight": 1}
     cases = [
-        {},
-        {"variables": [], "generators": []},
-        {"variables": [{"name": "X", "weight": 0}], "generators": ["X"]},
-        {"variables": [{"name": "X", "weight": 1}], "generators": []},
-        {"variables": [{"name": "X", "weight": 1}], "generators": ["X + "]},
-        {"variables": [{"name": "X", "weight": 1}], "generators": ["2X"]},
+        ({}, '"variables" must be a non-empty array'),
+        ({"variables": [], "generators": []}, '"variables" must be a non-empty array'),
+        ({"variables": [{"name": "X", "weight": 0}], "generators": ["X"]},
+         "weight of 'X' must be a positive integer"),
+        ({"variables": [{"name": "X", "weight": True}], "generators": ["X"]},
+         "weight of 'X' must be a positive integer"),
+        ({"variables": [{"name": ["X"], "weight": 1}], "generators": ["X"]},
+         "variable names must be strings"),
+        ({"variables": [{"name": "X"}], "generators": ["X"]},
+         'each variable needs "name" and "weight"'),
+        ({"variables": [x, x], "generators": ["X", "X"]}, "variable names must be distinct"),
+        ({"variables": [x], "generators": []},
+         '"generators" must list exactly one expression per variable'),
+        ({"variables": [x], "generators": ["X + "]},
+         "unexpected end of expression (at position 4)"),
+        ({"variables": [x], "generators": ["2X"]},
+         "implicit multiplication is not allowed; write '*' (at position 1)"),
+        ({"variables": [x], "generators": ["(" * 3000 + "X" + ")" * 3000]},
+         "nesting deeper than 100 levels (at position 100)"),
+        ({"variables": [x], "generators": ["-" * 3000 + "X"]},
+         "nesting deeper than 100 levels (at position 100)"),
     ]
-    for payload in cases:
+    for payload, message in cases:
         rc = main(["analyze", write_spec(tmp_path, payload)])
         assert rc == 2, payload
-        capsys.readouterr()
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "cls", [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, VrgError)]
+)
+def test_every_error_class_exits_with_its_documented_code(cls, capsys, monkeypatch):
+    def fail(spec):
+        raise cls("boom", 0) if issubclass(cls, errors.ParseError) else cls("boom")
+
+    monkeypatch.setattr("vrg.cli.analyze", fail)
+    rc = main(["analyze", str(SPEC_DIR / "cusp.json")])
+    out, err = capsys.readouterr()
+    documented = 2 if issubclass(cls, InputError) else 3 if issubclass(cls, NotFiniteError) else 4
+    assert rc == documented
+    assert out == "" and err.startswith("error: boom") and err.count("\n") == 1
 
 
 def test_inhomogeneous_is_invalid_spec(tmp_path, capsys):

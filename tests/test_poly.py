@@ -137,6 +137,29 @@ def test_parse_table_of_terms_and_errors(xy11, monkeypatch, text, expected):
         assert err.value.position == position
 
 
+@pytest.mark.parametrize("opening, closing", [("(", ")"), ("-", "")], ids=["parens", "minus"])
+def test_parse_refuses_nesting_deeper_than_100_levels(xy11, opening, closing):
+    assert P(opening * 100 + "X" + closing * 100, xy11) == P("X", xy11)
+    for depth in (101, 3000):
+        with pytest.raises(ParseError) as err:
+            P(opening * depth + "X" + closing * depth, xy11)
+        assert str(err.value) == "nesting deeper than 100 levels (at position 100)"
+    with pytest.raises(ParseError, match="position 104"):
+        P("X + " + "-(" * 51 + "X" + ")" * 51, xy11)
+
+
+def test_variable_table_checks_names_and_weights():
+    for names, weights, message in [
+        ((["X"],), (1,), "variable names must be strings"),
+        (("X", "Y"), (1, True), "weight of 'Y' must be a positive integer"),
+        (("X",), (0,), "weight of 'X' must be a positive integer"),
+        (("X", "X"), (1, 1), "variable names must be distinct"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            VarTable(names, weights)
+        assert str(err.value) == message
+
+
 def test_parse_refuses_powers_above_the_degree_cap(xy11, monkeypatch):
     monkeypatch.setenv("VRG_MAX_DEGREE", "8")
     # degree e * deg(base) is checked before expanding; constants, zero,
