@@ -39,9 +39,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import NotDivisibleError, TheoremViolationError
+from .errors import NotDivisibleError, TheoremViolationError, VrgError
 from .extension import ExtensionSpec, generator_weights, validate
 from .factor import _sort_factors, factor, valuation
+from .fiber import is_passing_audit
 from .ideals import contract_prime, subalgebra_membership, tag_table
 from .poly import (
     Poly,
@@ -269,7 +270,9 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
     solves for R's membership), re-substitutes every representation,
     re-derives S, R, S~, the factor pattern and the witness from the same
     rests and helpers and compares them with the report, and re-checks the
-    degree identities.  Returns the failed checks (empty when sound).
+    degree identities.  A stored fiber audit must equal
+    :func:`~vrg.fiber.passing_audit` for its own samples and seed.  Returns
+    the failed checks (empty when sound).
     """
     failures: list[str] = []
     vars = spec.vars
@@ -281,7 +284,7 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
     try:
         r = validate(spec)
         check("degree", r == report.degree)
-    except Exception:
+    except VrgError:
         failures.append("degree")
         return VerificationResult(False, tuple(failures))
 
@@ -391,22 +394,6 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
         )
 
     if report.fiber_audit is not None:
-        audit = report.fiber_audit
-        generic = audit.get("generic")
-        branch = audit.get("branch", [])
-        structural = (
-            audit.get("all_counts_at_most_r") is True
-            and isinstance(generic, dict)
-            and generic.get("violations") == []
-            and generic.get("equal_r") == generic.get("requested")
-            and isinstance(branch, list)
-            and all(
-                isinstance(b, dict)
-                and b.get("violations") == []
-                and b.get("below_r") == b.get("requested")
-                for b in branch
-            )
-        )
-        check("fiber audit", structural)
+        check("fiber audit", is_passing_audit(spec, report, report.fiber_audit))
 
     return VerificationResult(not failures, tuple(failures))

@@ -340,18 +340,13 @@ def _irreducible_factors(f: Poly) -> list[Poly]:
     used = sorted(f.variables_used())
     x, ys = used[-1], used[:-1]
     if not ys:
-        dense = [0] * (f.degree_in(x) + 1)
-        for exp, c in f.items():
-            dense[exp[x]] = c
         return [
             Poly(f.n, {tuple(i if j == x else 0 for j in range(f.n)): c for i, c in enumerate(g)})
-            for g in factor_squarefree(dense)
+            for g in factor_squarefree(_on_line(f, x, {}))
         ]
     n = f.degree_in(x)
     for a in _points(len(ys)):
-        image = [0] * (n + 1)
-        for exp, c in f.items():
-            image[exp[x]] += c * math.prod(ai ** exp[j] for ai, j in zip(a, ys))
+        image = _on_line(f, x, dict(zip(ys, a)))
         if image[n] and is_squarefree(image):
             break
     unit = math.gcd(*image) * (1 if image[n] > 0 else -1)
@@ -359,6 +354,19 @@ def _irreducible_factors(f: Poly) -> list[Poly]:
     if len(factors) == 1:
         return [f]
     return _lift_and_recombine(f, x, ys, a, factors)
+
+
+def _on_line(f: Poly, j: int, x) -> list:
+    """f on the line where x_j is free and each other variable x_k is
+    ``x[k]``, for x a list or a dict by variable index: its coefficients in
+    x_j, lowest degree first."""
+    out = [0] * (f.degree_in(j) + 1)
+    for exp, c in f.items():
+        for k, e in enumerate(exp):
+            if e and k != j:
+                c = c * x[k] ** e
+        out[exp[j]] += c
+    return out
 
 
 def _points(m: int):
@@ -466,15 +474,9 @@ def line_zero(q: Poly, draw: Callable[[], Fraction]) -> tuple[tuple, Poly] | Non
     j = min((k for k in range(q.n) if q.degree_in(k)), key=q.degree_in, default=None)
     if j is None:
         return None
-    degree = q.degree_in(j)
     for _ in range(200):
         x = [0 if k == j else draw() for k in range(q.n)]
-        on_line = [0] * (degree + 1)  # q at x_j = s, lowest degree first
-        for exp, c in q.items():
-            for k, e in enumerate(exp):
-                if e and k != j:
-                    c = c * x[k] ** e
-            on_line[exp[j]] += c
+        on_line = _on_line(q, j, x)
         while on_line and not on_line[-1]:
             on_line.pop()
         if len(on_line) < 2:

@@ -68,7 +68,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from numbers import Real
 from operator import add
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import mpmath
 
@@ -611,65 +611,75 @@ def _branch_point(spec: ExtensionSpec, report, p: Poly, rng: random.Random) -> _
     return point
 
 
+def passing_audit(spec: ExtensionSpec, report, samples: int, seed: int) -> dict:
+    """The audit :func:`branch_audit` writes when every sample passes: one
+    branch entry per distinct contraction of the report, in its order,
+    printed in the tag ring, and no violation."""
+    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
+        raise FiberProbeError(f"the sample count must be a nonnegative integer, got {samples!r}")
+    tags = tag_table(spec)
+
+    def entry(head: dict, key: str) -> dict:
+        return {**head, "requested": samples, key: samples, "violations": []}
+
+    return {
+        "seed": seed,
+        "samples": samples,
+        "degree": report.degree,
+        "generic": entry({}, "equal_r"),
+        "branch": [
+            entry({"contraction": format_poly(p, tags)}, "below_r")
+            for p in report.distinct_contractions()
+        ],
+        "all_counts_at_most_r": True,
+    }
+
+
+def is_passing_audit(spec: ExtensionSpec, report, audit: Mapping) -> bool:
+    """Whether a stored audit is :func:`passing_audit` for its own samples and
+    seed, both ints and samples nonnegative; the samples are not redrawn."""
+    samples, seed = audit.get("samples"), audit.get("seed")
+    return (
+        all(isinstance(v, int) and not isinstance(v, bool) for v in (samples, seed))
+        and samples >= 0
+        and audit == passing_audit(spec, report, samples, seed)
+    )
+
+
 def branch_audit(spec: ExtensionSpec, report, samples: int = 20, seed: int = 0) -> dict:
     """Sampled evidence for the fiber-cardinality statements, counted exactly.
 
     Generic points must hit the full degree r; points on each branch
-    hypersurface must stay below r.  Generic points are drawn first.  Each
+    hypersurface must stay below r.  The audit starts as
+    :func:`passing_audit`, and each failed sample takes one off its entry's
+    tally and adds a violation.  Generic points are drawn first.  Each
     is counted ``len(basis)`` when its trace form has full rank mod _P
     (:func:`_full_rank_mod_p`), and exactly otherwise.  A branch point of a
     contraction is the image of a zero of a ramified prime over it
     (:func:`_branch_point`), and is always counted exactly: its trace form
     is short by design.
     """
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 0:
-        raise FiberProbeError(f"the sample count must be a nonnegative integer, got {samples!r}")
+    audit = passing_audit(spec, report, samples, seed)
     r = report.degree
     contractions = report.distinct_contractions()
-    tags = tag_table(spec)
     tables = spec.fiber_tables
     modular = _form_mod_p(tables)
     rng = random.Random(seed)
 
-    def tally(head: dict, key: str, draw, count, passes) -> dict:
-        entry = {**head, "requested": samples, key: 0, "violations": []}
-        for _ in range(samples):
-            point = draw()
-            found = count(point)
-            if passes(found):
-                entry[key] += 1
-            else:
-                entry["violations"].append({"u": list(map(str, point.u)), "count": found})
-        return entry
-
-    def exact(point: _Point) -> int:
-        return _count(point, tables)
-
-    generic = tally(
-        {},
-        "equal_r",
-        lambda: _Point(_generic_point(spec, contractions, rng), _S),
-        lambda point: len(tables.basis) if _full_rank_mod_p(point.y, modular) else exact(point),
-        lambda count: count == r,
-    )
-    branch = [
-        tally(
-            {"contraction": format_poly(p, tags)},
-            "below_r",
-            lambda: _branch_point(spec, report, p, rng),
-            exact,
-            lambda count: count < r,
-        )
-        for p in contractions
-    ]
-    return {
-        "seed": seed,
-        "samples": samples,
-        "degree": r,
-        "generic": generic,
-        "branch": branch,
+    def fail(entry: dict, key: str, point: _Point, count: int) -> None:
+        entry[key] -= 1
+        entry["violations"].append({"u": list(map(str, point.u)), "count": count})
         # a count above r fails either test, so it is a violation
-        "all_counts_at_most_r": all(
-            v["count"] <= r for entry in [generic, *branch] for v in entry["violations"]
-        ),
-    }
+        audit["all_counts_at_most_r"] &= count <= r
+
+    for _ in range(samples):
+        point = _Point(_generic_point(spec, contractions, rng), _S)
+        count = len(tables.basis) if _full_rank_mod_p(point.y, modular) else _count(point, tables)
+        if count != r:
+            fail(audit["generic"], "equal_r", point, count)
+    for entry, p in zip(audit["branch"], contractions):
+        for _ in range(samples):
+            point = _branch_point(spec, report, p, rng)
+            if (count := _count(point, tables)) >= r:
+                fail(entry, "below_r", point, count)
+    return audit

@@ -255,24 +255,27 @@ def test_criterion_6_property_fuzzing():
 
 
 def test_criterion_7_mutation_check():
+    import copy
+
     spec = spec_of("cusp3")
-    base = report_to_dict(analyze(spec), spec)
+    report = analyze(spec)
+    base = report_to_dict(report, spec)
+    audit = branch_audit(spec, report, samples=1, seed=0)
+    first = audit["branch"][0]
 
     def tampered(mutate):
-        import copy
-
         data = copy.deepcopy(base)
         mutate(data)
         return verify_report(report_from_dict(data, spec), spec)
 
     def with_audit(**fields):
-        audit = {
-            "all_counts_at_most_r": True,
-            "generic": {"violations": []},
-            "branch": [{"violations": []}],
-        }
-        audit.update(fields)
-        return lambda d: d.update(fiber_audit=audit)
+        return lambda d: d.update(fiber_audit={**copy.deepcopy(audit), **fields})
+
+    def recounted(samples):
+        # every sample count of the audit written as ``samples``, consistently
+        generic = {**audit["generic"], "requested": samples, "equal_r": samples}
+        branch = [{**b, "requested": samples, "below_r": samples} for b in audit["branch"]]
+        return with_audit(samples=samples, generic=generic, branch=branch)
 
     assert tampered(with_audit()).ok
 
@@ -292,15 +295,31 @@ def test_criterion_7_mutation_check():
         "index negative": lambda d: d["ramification"][0].update(e=-1),
         "contraction zero": lambda d: d["ramification"][0].update(contraction="0"),
         "prime constant": lambda d: d["ramification"][0].update(Q="1"),
+        "audit vacuous": lambda d: d.update(
+            fiber_audit={"generic": {"violations": []}, "branch": [], "all_counts_at_most_r": True}
+        ),
         "audit generic not an object": with_audit(generic=[]),
         "audit branch entry not an object": with_audit(branch=[1]),
         "audit branch not a list": with_audit(branch=1),
         "audit generic short": with_audit(
-            generic={"requested": 20, "equal_r": 19, "violations": []}
+            generic={"requested": 1, "equal_r": 0, "violations": []}
         ),
         "audit branch short": with_audit(
-            branch=[{"requested": 20, "below_r": 19, "violations": []}]
+            branch=[{**b, "below_r": 0} for b in audit["branch"]]
         ),
+        "audit degree up": with_audit(degree=audit["degree"] + 1),
+        "audit degree down": with_audit(degree=audit["degree"] - 1),
+        "audit branch entry dropped": with_audit(branch=audit["branch"][1:]),
+        "audit branch entry duplicated": with_audit(branch=[first, *audit["branch"]]),
+        "audit branch entry renamed": with_audit(
+            branch=[{**first, "contraction": "y1"}, *audit["branch"][1:]]
+        ),
+        "audit branch reordered": with_audit(branch=audit["branch"][::-1]),
+        "audit samples a string": recounted("2"),
+        "audit samples a bool": recounted(True),
+        "audit samples negative": recounted(-1),
+        "audit seed a string": with_audit(seed="0"),
+        "audit seed a bool": with_audit(seed=False),
     }
     assert len(modes) >= 5
     for name, mutate in modes.items():

@@ -14,6 +14,7 @@ from vrg import (
     Poly,
     VarTable,
     analyze,
+    branch_audit,
     canonical,
     contract_prime,
     degree,
@@ -39,6 +40,8 @@ from vrg.errors import (
     TheoremViolationError,
     VrgError,
 )
+
+from vrg.reportio import dump_report
 
 from corpus import CORPUS, spec_of
 
@@ -361,6 +364,56 @@ def test_verify_round_trips_through_json(cusp_spec):
     assert verify_report(loaded, cusp_spec).ok
 
 
+@pytest.mark.parametrize(
+    "generators", [("X+Y", "X+Y"), ("X+Y^2", "X*Y")], ids=["not-finite", "inhomogeneous"]
+)
+def test_verify_against_an_invalid_spec_fails_the_degree(sym2_spec, xy11, generators):
+    other = ExtensionSpec(xy11, tuple(parse(g, xy11) for g in generators))
+    assert verify_report(analyze(sym2_spec), other).failures == ("degree",)
+
+
+def test_verify_lets_a_bug_in_validation_through(sym2_spec, monkeypatch):
+    # only a VrgError from validate is a failed "degree" check
+    import importlib
+
+    def broken(spec):
+        raise ZeroDivisionError("bug")
+
+    report = analyze(sym2_spec)
+    monkeypatch.setattr(importlib.import_module("vrg.analyzer"), "validate", broken)
+    with pytest.raises(ZeroDivisionError):
+        verify_report(report, sym2_spec)
+
+
+def test_characterizations_that_disagree_raise(sym2_spec, monkeypatch):
+    # membership says "not well-ramified" while the factor pattern says it is
+    import importlib
+
+    analyzer_mod = importlib.import_module("vrg.analyzer")
+    monkeypatch.setattr(analyzer_mod, "subalgebra_membership", lambda *args: None)
+    with pytest.raises(
+        TheoremViolationError,
+        match="characterization mismatch: membership of the candidate discriminant says False",
+    ):
+        analyze(sym2_spec)
+
+
+def test_tags_fall_back_to_tag_names(tmp_path):
+    # y1, t1, s1 and w1 take each of the four short tag bases
+    vars = VarTable(("y1", "t1", "s1", "w1"), (1, 1, 1, 1))
+    spec = ExtensionSpec(vars, tuple(parse(g, vars) for g in ("y1^2", "t1^3", "s1", "w1^2")))
+    tags = tag_table(spec)
+    assert tags.names == ("tag1", "tag2", "tag3", "tag4")
+    report = analyze(spec)
+    assert format_poly(report.S_tilde, tags) == "tag1*tag2*tag4"
+    path = tmp_path / "report.json"
+    dump_report(report, spec, path)
+    assert json.loads(path.read_text())["S_tilde"] == "tag1*tag2*tag4"
+    loaded = load_report(path, spec)
+    assert loaded == report
+    assert verify_report(loaded, spec).ok
+
+
 def test_report_round_trips_monomials_above_the_degree_cap(xy11, monkeypatch):
     # G(7,7,2) passes under a cap of 10, but R = (X^7 - Y^7)^2 is written
     # with X^14: reading it back builds that monomial without the cap
@@ -641,11 +694,15 @@ def _mutations(value, key, spec):
 )
 def test_tamper_walk_rejects_every_leaf_mutation(spec):
     # scale every polynomial by 2 and by a variable, flip every bool, bump
-    # and lower every int of the report, and drop and duplicate each
-    # ramification datum: each must fail verification or be refused by the
-    # reader
-    data = report_to_dict(analyze(spec), spec)
-    walked = {k: v for k, v in data.items() if k not in ("warnings", "fiber_audit")}
+    # and lower every int of the report and of its fiber audit but the seed,
+    # and drop and duplicate each ramification datum: each must fail
+    # verification or be refused by the reader
+    report = analyze(spec)
+    report = report.with_audit(branch_audit(spec, report, samples=1, seed=0))
+    assert verify_report(report, spec).ok
+    data = report_to_dict(report, spec)
+    walked = {k: v for k, v in data.items() if k != "warnings"}
+    walked["fiber_audit"] = {k: v for k, v in data["fiber_audit"].items() if k != "seed"}
     tampered_reports = []
     for path, value in _leaves(walked):
         for mutated in _mutations(value, path[-1], spec):

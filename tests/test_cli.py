@@ -1,11 +1,13 @@
+import importlib
 import json
+import re
 import time
 from pathlib import Path
 
 import pytest
 
 from vrg import errors, load_spec, report_from_dict, report_to_dict, verify_report
-from vrg.cli import main
+from vrg.cli import build_parser, main
 from vrg.errors import InputError, NotFiniteError, VrgError
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -358,6 +360,21 @@ def test_every_error_class_exits_with_its_documented_code(cls, capsys, monkeypat
     documented = 2 if issubclass(cls, InputError) else 3 if issubclass(cls, NotFiniteError) else 4
     assert rc == documented
     assert out == "" and err.startswith("error: boom") and err.count("\n") == 1
+
+
+def test_epilog_lists_every_exit_code():
+    epilog = build_parser().epilog
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, VrgError)]
+    assert set(map(int, re.findall(r"\d+", epilog))) == {0, 1, 10} | {c.exit_code for c in classes}
+
+
+def test_characterizations_that_disagree_exit_4(capsys, monkeypatch):
+    analyzer_mod = importlib.import_module("vrg.analyzer")
+    monkeypatch.setattr(analyzer_mod, "subalgebra_membership", lambda *args: None)
+    assert main(["analyze", str(SPEC_DIR / "sym2.json")]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: characterization mismatch: ")
+    assert err.count("\n") == 1
 
 
 def test_inhomogeneous_is_invalid_spec(tmp_path, capsys):

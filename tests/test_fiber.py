@@ -195,6 +195,11 @@ def test_branch_audit_takes_the_degree_from_the_report(mixed_spec):
     assert audit["generic"]["equal_r"] == 0
     assert [v["count"] for v in audit["generic"]["violations"]] == [r] * 3
     assert all(entry["below_r"] == 3 for entry in audit["branch"])
+    assert audit["all_counts_at_most_r"] is True
+    # r - 1: every generic count is above the claimed degree
+    audit = branch_audit(mixed_spec, dataclasses.replace(report, degree=r - 1), samples=3, seed=9)
+    assert audit["generic"]["equal_r"] == 0
+    assert audit["all_counts_at_most_r"] is False
 
 
 def test_branch_audit_mixed(mixed_spec):
