@@ -65,12 +65,14 @@ class Factorization:
         return out
 
 
-def _sort_factors(factors, vars: VarTable):
-    def sort_key(item):
-        f, _ = item
-        return (weighted_degree(f, vars).degree, format_poly(f, vars))
+def _factor_key(f: Poly, vars: VarTable) -> tuple:
+    """Where f comes in a factorization's list: by weighted degree, then as
+    printed."""
+    return weighted_degree(f, vars).degree, format_poly(f, vars)
 
-    return tuple(sorted(factors, key=sort_key))
+
+def _sort_factors(factors, vars: VarTable):
+    return tuple(sorted(factors, key=lambda item: _factor_key(item[0], vars)))
 
 
 # ---------------------------------------------------------------------------
@@ -464,13 +466,14 @@ def valuation(q: Poly, p: Poly) -> int:
         return k
 
 
-def line_zero(q: Poly, draw: Callable[[], Fraction]) -> tuple[tuple, Poly] | None:
-    """A zero ``x0`` of q in ``Q[s]/(m)``, with its monic irreducible m: x_j
+def line_zero(q: Poly, draw: Callable[[], Fraction]) -> tuple | None:
+    """A zero ``x0`` of q over ``Q[s]/(m)``, for a monic irreducible m: x_j
     is the first variable of least positive degree in q, the others are
     drawn in order, again while q is constant on the line ``x_j = s``, and m
     is q on that line when it is linear, else its first irreducible factor
-    over Q, in :func:`factor`'s order.  ``x0[j]`` is the residue of s, a
-    rational when m is linear.  None when q is constant, or after 200 draws."""
+    over Q, in :func:`factor`'s order.  ``x0[j]`` is the residue of s, which
+    carries m, or the root of m when m is linear.  None when q is constant,
+    or after 200 draws."""
     j = min((k for k in range(q.n) if q.degree_in(k)), key=q.degree_in, default=None)
     if j is None:
         return None
@@ -481,23 +484,20 @@ def line_zero(q: Poly, draw: Callable[[], Fraction]) -> tuple[tuple, Poly] | Non
             on_line.pop()
         if len(on_line) < 2:
             continue
-        m = _first_factor(on_line) if len(on_line) > 2 else _univariate(on_line)
-        m = m / m.leading()[1]
-        x[j] = residue(m)
-        return tuple(x), m
+        m = _first_factor(on_line) if len(on_line) > 2 else on_line
+        x[j] = residue([Fraction(c, m[-1]) for c in m])
+        return tuple(x)
     return None
 
 
 _LINE = VarTable(("s",), (1,))
 
 
-def _first_factor(f: list) -> Poly:
-    """``factor(f).factors[0][0]`` for a rational f in s of degree 2 or
-    more, lowest degree first, from its square-free part over Q and the
-    Zassenhaus factors of that part."""
-    factors = rational_factors(squarefree_part(f))
-    return _sort_factors([(_univariate(g), 1) for g in factors], _LINE)[0][0]
-
-
-def _univariate(c: list) -> Poly:
-    return Poly(1, {(d,): v for d, v in enumerate(c)})
+def _first_factor(f: list) -> list:
+    """The coefficients of ``factor(f).factors[0][0]`` for a rational f in s
+    of degree 2 or more, both lowest degree first, from the square-free part
+    of f over Q and the Zassenhaus factors of that part."""
+    return min(
+        rational_factors(squarefree_part(f)),
+        key=lambda g: _factor_key(Poly(1, {(d,): c for d, c in enumerate(g)}), _LINE),
+    )

@@ -1,16 +1,17 @@
 """Fiber counts of the generator map over exact base points.
 
-Every base point is held exactly, as a monic irreducible ``m`` in ``Q[s]``
-and coordinates ``y`` in ``Q[s]/(m)``: the point is y at a root ``alpha``
-of m.  A rational point has ``m = s``; a complex coordinate ``p + q*i`` is
-``p + q*alpha`` with ``m = s^2 + 1``.  A branch point of the audit for a
-contraction ``P~`` is the image ``u = f(x0)`` of a zero x0 of a ramified
-prime Q over ``P~``, the one of least positive degree in a variable: Q
-divides ``P~(f)``, so u is on ``P~ = 0``.  x0 is where a rational line meets
-``Z(Q)`` (:func:`~vrg.factor.line_zero`), over ``Q[s]/(m)``, rational when m
-is linear, as it is for a Q linear in a variable; u is evaluated there, and
-is rational, with ``m = s``, when every coordinate is.  A point is on
-``p = 0`` when ``p(y)`` is 0 in ``Q[s]/(m)``.
+Every base point is held exactly, as its coordinates ``y``: rationals and
+:class:`~vrg.poly._Residue` values in ``Q[s]/(m)``, for a monic irreducible
+``m`` in ``Q[s]`` that each residue carries (:func:`_modulus`).  The point
+is y at a root ``alpha`` of m.  A rational point has ``m = s``; a complex
+coordinate ``p + q*i`` is ``p + q*alpha`` with ``m = s^2 + 1``.  A branch
+point of the audit for a contraction ``P~`` is the image ``u = f(x0)`` of a
+zero x0 of a ramified prime Q over ``P~``, the one of least positive degree
+in a variable: Q divides ``P~(f)``, so u is on ``P~ = 0``.  x0 is where a
+rational line meets ``Z(Q)`` (:func:`~vrg.factor.line_zero`), over
+``Q[s]/(m)``, rational when m is linear, as it is for a Q linear in a
+variable; u is evaluated there, and is rational, with ``m = s``, when every
+coordinate is.  A point is on ``p = 0`` when ``p(y)`` is 0 in ``Q[s]/(m)``.
 
 The count is exact.  ``B`` is free of rank ``r`` over ``A`` on the standard
 monomials ``b_l`` of the generators' lex basis, the spec's own, so the
@@ -45,10 +46,12 @@ the exact rank decides.
 :func:`fiber_points`, the listing that ``vrg fiber`` prints, reads the points
 off the same trace algebra by the rational univariate representation
 (Rouillier 1999), with the normal forms of the border tables specialized at
-the point.  For ``L = sum_j c^j x_j``, ``c = 1, 2, ...``, the power
-sums ``Tr(L^i)`` give the characteristic polynomial of ``L`` (Newton's
-identities), and ``L`` separates the points exactly when its square-free part
-``f`` has the counted number of roots.  At most ``(n-1)*N(N-1)/2`` values
+the point, over ``Q[s]/(m)``; their traces to Q come from the traces
+``Tr(b_l*alpha^t)`` that :func:`_algebra` returns.  For ``L = sum_j c^j
+x_j``, ``c = 1, 2, ...``, the power sums ``Tr(L^i)`` give the
+characteristic polynomial of ``L`` (Newton's identities), and ``L``
+separates the points exactly when its square-free part ``f`` has the
+counted number of roots.  At most ``(n-1)*N(N-1)/2`` values
 of c fail to separate N points, so a search past them stops with a
 :class:`~vrg.errors.TheoremViolationError`: the rank is not the count.  A
 point is then ``x_j = g_j(t)/g_0(t)`` at a root ``t`` of ``f``, with
@@ -65,7 +68,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from numbers import Real
 from operator import add
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -90,10 +93,6 @@ DEFAULT_DPS = 50
 
 Component = Fraction | complex
 
-# the variable s of Q[s]/(m)
-_S = Poly.variable(1, 0)
-
-
 @dataclass(frozen=True)
 class FiberSample:
     """One base point with its exactly counted fiber."""
@@ -104,37 +103,17 @@ class FiberSample:
     on_branch_of: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class _Point:
-    """The base point y at ``roots[0]``, for the monic irreducible ``m`` in
-    ``Q[s]``: each coordinate of y is a rational or a
-    :class:`~vrg.poly._Residue` in ``Q[s]/(m)``.  The roots are found only
-    when asked for."""
+def _modulus(y: tuple) -> list:
+    """The monic m of the point y, lowest degree first: the one its
+    residues share, or ``s`` when every coordinate is rational."""
+    return next((x.m for x in y if isinstance(x, _Residue)), [0, 1])
 
-    y: tuple
-    m: Poly
 
-    @cached_property
-    def coefficients(self) -> list:
-        """Those of m, lowest degree first."""
-        return [self.m.coefficient((d,)) for d in range(self.m.degree_in(0) + 1)]
-
-    @cached_property
-    def roots(self) -> tuple:
-        """The roots of m (exact when m is linear), largest imaginary part
-        first: alpha = i for ``s^2 + 1``."""
-        return _roots(self.coefficients)
-
-    @cached_property
-    def residue(self):
-        """The residue of s in ``Q[s]/(m)``: the root of m when m is linear."""
-        return residue(self.m)
-
-    @property
-    def u(self) -> tuple[Component, ...]:
-        return tuple(
-            complex(_at(x, self.roots[0])) if isinstance(x, _Residue) else x for x in self.y
-        )
+def _complex(y: tuple) -> tuple[Component, ...]:
+    """The point y at alpha, the root of m of largest imaginary part (i for
+    ``s^2 + 1``): a rational coordinate stays exact, a residue is complex."""
+    alpha = _roots(_modulus(y))[0]
+    return tuple(complex(_at(x, alpha)) if isinstance(x, _Residue) else x for x in y)
 
 
 def _roots(p: list) -> tuple:
@@ -168,10 +147,10 @@ def _rational(x) -> Fraction:
     return Fraction(x)
 
 
-def _exact_point(u) -> _Point:
+def _exact_point(u) -> tuple:
     """A base point from its coordinates; a float, complex or mpmath
     coordinate is its exact binary value, and a pair ``(p, q)`` is
-    ``p + q*i``."""
+    ``p + q*i``, with i the residue of s modulo ``s^2 + 1``."""
     parts = [
         value if isinstance(value, tuple) and len(value) == 2
         else (getattr(value, "real", value), getattr(value, "imag", 0))
@@ -180,10 +159,9 @@ def _exact_point(u) -> _Point:
     a = tuple(_rational(p) for p, _ in parts)
     b = tuple(_rational(q) for _, q in parts)
     if not any(b):
-        return _Point(a, _S)
-    m = _S**2 + 1
-    i = residue(m)
-    return _Point(tuple(p + q * i if q else p for p, q in zip(a, b)), m)
+        return a
+    i = residue([1, 0, 1])
+    return tuple(p + q * i if q else p for p, q in zip(a, b))
 
 
 class _Tables(NamedTuple):
@@ -256,10 +234,10 @@ def _tables(spec: ExtensionSpec) -> _Tables:
     return _Tables(basis, table, products, form, weights, shifts)
 
 
-def _count(point: _Point, tables: _Tables) -> int:
+def _count(y: tuple, tables: _Tables) -> int:
     """The number of points over y at alpha: the trace form's rank over
     ``deg m``, as conjugate fibers have equal size."""
-    return _algebra(point, tables)[1] // point.m.degree_in(0)
+    return _algebra(y, tables)[1] // (len(_modulus(y)) - 1)
 
 
 def _coefficients(x) -> tuple:
@@ -308,7 +286,7 @@ def _normal_forms(basis: list, border: dict, y: Sequence) -> Callable:
     return nf
 
 
-def _algebra(point: _Point, tables: _Tables) -> tuple[list, int]:
+def _algebra(y: tuple, tables: _Tables) -> tuple[list, int]:
     """The traces ``Tr(b_l*alpha^t)`` on the Q-basis ``b_l*alpha^t`` of the
     fiber algebra ``B (x)_A Q(alpha)`` over the point, of dimension ``r*deg
     m`` over Q, and the rank of its trace form, the number of distinct
@@ -320,11 +298,11 @@ def _algebra(point: _Point, tables: _Tables) -> tuple[list, int]:
     ``alpha^t*v`` is ``sum_e v_e Tr(alpha^(t+e))``, and ``Tr(b_l)`` at y is
     the form's entry at ``b_l = b_l*b_0`` at a, times ``c^(-wdeg(b_l))``.
     """
-    m = point.coefficients
+    m = _modulus(y)
     size = len(m) - 1
     sums = _power_sums(m, 3 * size - 2)
-    c = math.lcm(*(x.denominator for y in point.y for x in _coefficients(y)))
-    at = evaluator([_times(y, c**w) for y, w in zip(point.y, tables.weights)])
+    c = math.lcm(*(v.denominator for x in y for v in _coefficients(x)))
+    at = evaluator([_times(x, c**w) for x, w in zip(y, tables.weights)])
 
     def to_q(x, t: int):  # the trace to Q of alpha^t*x
         return sum(v * sums[t + e] for e, v in enumerate(_coefficients(x)))
@@ -349,30 +327,6 @@ def _times(x, k: int):
     """``k*x`` for x in ``Q[s]/(m)``, whose coefficients are integers: stored as ints."""
     scaled = tuple(int(v * k) for v in _coefficients(x))
     return _Residue(scaled, x.m) if isinstance(x, _Residue) else scaled[0]
-
-
-def _fiber_basis(spec: ExtensionSpec, point: _Point, tables: _Tables) -> tuple[list, Callable]:
-    """The Q-basis ``b_l*alpha^t`` of the fiber algebra over the point,
-    written as the exponents ``b_l + (t,)`` of ``x^(b_l)*s^t``, and their
-    normal forms over Q, from the border tables specialized at the point's
-    y by :func:`_normal_forms`."""
-    n, basis = spec.n, tables.basis
-    alpha = point.residue
-    size = point.m.degree_in(0)
-    nf = _normal_forms(basis, tables.border, point.y)
-
-    def nf_q(g: Exponent) -> dict[int, object]:  # NF(x^(g[:n])*s^g[n]) over Q
-        shift = 1
-        for _ in range(g[n] if len(g) > n else 0):
-            shift = shift * alpha
-        return {
-            l * size + e: c
-            for l, x in nf(g[:n]).items()
-            for e, c in enumerate(_coefficients(x * shift))
-            if c
-        }
-
-    return [b + (t,) for b in basis for t in range(size)], nf_q
 
 
 def _combine(v: dict, rows) -> dict:
@@ -414,26 +368,24 @@ def _probe(spec: ExtensionSpec, u: Sequence, contractions, list_up_to: float) ->
     :func:`fiber_points`' listing (else None), both from one fiber algebra."""
     if len(u) != spec.n:
         raise FiberProbeError(f"base point needs {spec.n} components")
-    point = _exact_point(u)
+    y = _exact_point(u)
     tables = spec.fiber_tables
     r = len(tables.basis)
-    traces, rank = _algebra(point, tables)
-    count = rank // point.m.degree_in(0)
+    traces, rank = _algebra(y, tables)
+    count = rank // (len(_modulus(y)) - 1)
     sample = FiberSample(
-        u=point.u,
+        u=_complex(y),
         count=count,
         classification="generic" if count == r else "branch",
-        on_branch_of=tuple(
-            idx for idx, p in enumerate(contractions or ()) if _vanishes_at(p, point)
-        ),
+        on_branch_of=tuple(idx for idx, p in enumerate(contractions or ()) if _vanishes_at(p, y)),
     )
-    listing = _listing(spec, point, tables, traces, rank) if count <= list_up_to else None
+    listing = _listing(spec, y, tables, traces, rank) if count <= list_up_to else None
     return sample, listing
 
 
-def _vanishes_at(p: Poly, point: _Point) -> bool:
-    """Whether p vanishes at the point, decided exactly in ``Q[s]/(m)``."""
-    return not p.evaluate(point.y)
+def _vanishes_at(p: Poly, y: tuple) -> bool:
+    """Whether p vanishes at the point y, decided exactly in ``Q[s]/(m)``."""
+    return not p.evaluate(y)
 
 
 def fiber_points(spec: ExtensionSpec, u: Sequence):
@@ -445,11 +397,13 @@ def fiber_points(spec: ExtensionSpec, u: Sequence):
     return _probe(spec, u, (), math.inf)[1]
 
 
-def _listing(spec: ExtensionSpec, point: _Point, tables: _Tables, traces: list, distinct: int):
+def _listing(spec: ExtensionSpec, y: tuple, tables: _Tables, traces: list, distinct: int):
+    m = _modulus(y)
+    nf = _normal_forms(tables.basis, tables.border, y)
     with mpmath.workdps(DEFAULT_DPS):
         try:
-            targets = [[_at(x, alpha) for x in point.y] for alpha in point.roots]
-            points = _rur_points(spec, *_fiber_basis(spec, point, tables), traces, distinct)
+            targets = [[_at(x, alpha) for x in y] for alpha in _roots(m)]
+            points = _rur_points(spec, nf, tables.basis, len(m) - 1, traces, distinct)
         except FiberProbeError:  # root finding gave up
             return None
         # the points over alpha = roots[0] are those where f is nearest
@@ -464,33 +418,41 @@ def _listing(spec: ExtensionSpec, point: _Point, tables: _Tables, traces: list, 
     residual = max(offs)
     # the conjugate fibers have equal size, so a count off means a bad root
     finite = all(map(mpmath.isfinite, [residual, *itertools.chain(*solutions)]))
-    if len(solutions) * point.m.degree_in(0) != len(points) or not finite:
+    if len(solutions) * (len(m) - 1) != len(points) or not finite:
         return None
     return tuple(solutions), residual
 
 
 def _rur_points(
-    spec: ExtensionSpec, monomials: list, nf: Callable, trace: list, distinct: int
+    spec: ExtensionSpec, nf: Callable, basis: list, size: int, traces: list, distinct: int
 ) -> list[tuple]:
-    """The points over all roots of m, as many as the trace form's rank, by
-    the rational univariate representation; a rational L-value gives an exact point.
+    """The points over all roots of m, of degree size, as many as the trace
+    form's rank, by the rational univariate representation; a rational
+    L-value gives an exact point.  ``nf`` is the normal-form map over
+    ``Q[s]/(m)`` and ``traces[k*size + t]`` the trace to Q of ``b_k*alpha^t``.
 
     ``L(p) - L(q)`` is a nonzero polynomial of degree at most ``n - 1`` in c
     for two points p and q, so at most ``(n-1)*N(N-1)/2`` values of c fail
     to separate N points; when the next value fails too, the rank is not
     the number of points, a :class:`TheoremViolationError`."""
     n = spec.n
-    times = [[nf(_step(b, j, 1)) for b in monomials] for j in range(n)]  # NF(x_j*b_k)
+
+    def to_q(v: dict):  # the trace to Q of sum_k v[k]*b_k
+        return sum(
+            c * traces[k * size + t] for k, x in v.items() for t, c in enumerate(_coefficients(x))
+        )
+
+    times = [[nf(_step(b, j, 1)) for b in basis] for j in range(n)]  # NF(x_j*b_k)
     tries = (n - 1) * distinct * (distinct - 1) // 2 + 1
     for c in range(1, tries + 1):
         times_l = [  # NF(L*b_k)
             _combine({j: c**j for j in range(n)}, [row[k] for row in times])
-            for k in range(len(monomials))
+            for k in range(len(basis))
         ]
-        powers = [nf((0,) * n)]  # NF(L^i)
-        while len(powers) <= len(monomials):
+        powers = [nf((0,) * n)]  # NF(L^i), up to the dimension over Q
+        while len(powers) <= len(basis) * size:
             powers.append(_combine(powers[-1], times_l))
-        chi = _newton([_trace(v, trace) for v in powers[1:]])
+        chi = _newton([to_q(v) for v in powers[1:]])
         f = squarefree_part(chi)
         if len(f) - 1 == distinct:
             break
@@ -500,8 +462,9 @@ def _rur_points(
             f" points, so the trace form's rank {distinct} is not their number"
         )
     # Tr(v*L^i) for i < distinct and v = 1, x_1, ..., x_n
-    weights = [trace] + [[_trace(v, trace) for v in row] for row in times]
-    sums = [[_trace(v, w) for v in powers[:distinct]] for w in weights]
+    sums = [[to_q(v) for v in powers[:distinct]]] + [
+        [to_q(_combine(v, row)) for v in powers[:distinct]] for row in times
+    ]
     points = []
     for q in rational_factors(f):
         for t in _roots(q):
@@ -587,28 +550,27 @@ def _full_rank_mod_p(u: tuple[Fraction, ...], modular: tuple | None) -> bool:
     return len(_eliminate_mod(rows, _P)) == len(products)
 
 
-def _branch_point(spec: ExtensionSpec, report, p: Poly, rng: random.Random) -> _Point:
+def _branch_point(spec: ExtensionSpec, report, p: Poly, rng: random.Random) -> tuple:
     """A point of the branch hypersurface ``p = 0`` of a contraction in the
-    report: ``u = f(x0)`` at the zero ``(x0, m)`` of :func:`~vrg.factor.line_zero`
+    report: ``u = f(x0)`` at the zero x0 of :func:`~vrg.factor.line_zero`
     on the ramified prime Q over p of least positive degree in a variable, on
     it since Q divides ``p(f)``.  u is rational, with ``m = s``, when every
     coordinate is."""
     primes = [d.prime for d in report.ramification if d.contraction == p]
     q = min(primes, key=lambda q: min(filter(None, map(q.degree_in, range(q.n))), default=math.inf))
-    zero = line_zero(q, lambda: _random_rational(rng))
-    if zero is None:
+    x0 = line_zero(q, lambda: _random_rational(rng))
+    if x0 is None:
         raise FiberProbeError("could not sample a point on the hypersurface")
-    y = tuple(map(evaluator(zero[0]), spec.generators))
-    point = _Point(y, zero[1])
+    y = tuple(map(evaluator(x0), spec.generators))
     if not any(c for x in y for c in _coefficients(x)[1:]):  # a rational image
-        point = _Point(tuple(Fraction(_coefficients(x)[0]) for x in y), _S)
-    if not _vanishes_at(p, point):
+        y = tuple(Fraction(_coefficients(x)[0]) for x in y)
+    if not _vanishes_at(p, y):
         raise TheoremViolationError(
             f"the image of a zero of {format_poly(q, spec.vars)}, a prime over"
             f" {format_poly(p, tag_table(spec))}, is off that branch hypersurface:"
             " the prime does not lie over the contraction"
         )
-    return point
+    return y
 
 
 def passing_audit(spec: ExtensionSpec, report, samples: int, seed: int) -> dict:
@@ -666,20 +628,20 @@ def branch_audit(spec: ExtensionSpec, report, samples: int = 20, seed: int = 0) 
     modular = _form_mod_p(tables)
     rng = random.Random(seed)
 
-    def fail(entry: dict, key: str, point: _Point, count: int) -> None:
+    def fail(entry: dict, key: str, y: tuple, count: int) -> None:
         entry[key] -= 1
-        entry["violations"].append({"u": list(map(str, point.u)), "count": count})
+        entry["violations"].append({"u": list(map(str, _complex(y))), "count": count})
         # a count above r fails either test, so it is a violation
         audit["all_counts_at_most_r"] &= count <= r
 
     for _ in range(samples):
-        point = _Point(_generic_point(spec, contractions, rng), _S)
-        count = len(tables.basis) if _full_rank_mod_p(point.y, modular) else _count(point, tables)
+        y = _generic_point(spec, contractions, rng)
+        count = len(tables.basis) if _full_rank_mod_p(y, modular) else _count(y, tables)
         if count != r:
-            fail(audit["generic"], "equal_r", point, count)
+            fail(audit["generic"], "equal_r", y, count)
     for entry, p in zip(audit["branch"], contractions):
         for _ in range(samples):
-            point = _branch_point(spec, report, p, rng)
-            if (count := _count(point, tables)) >= r:
-                fail(entry, "below_r", point, count)
+            y = _branch_point(spec, report, p, rng)
+            if (count := _count(y, tables)) >= r:
+                fail(entry, "below_r", y, count)
     return audit

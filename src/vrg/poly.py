@@ -540,11 +540,11 @@ class _Residue:
         return any(self.c)
 
 
-def residue(m: Poly):
-    """The residue of s in ``Q[s]/(m)``, for a monic m in ``Q[s]``: the root
-    of m when m is linear, else a :class:`_Residue`."""
-    c = [m.coefficient((d,)) for d in range(m.degree_in(0) + 1)]
-    return -c[0] if len(c) == 2 else _Residue((0, 1) + (0,) * (len(c) - 3), c)
+def residue(m: list):
+    """The residue of s in ``Q[s]/(m)``, for the coefficients of a monic m,
+    lowest degree first: the root of m when m is linear, else a
+    :class:`_Residue`."""
+    return -m[0] if len(m) == 2 else _Residue((0, 1) + (0,) * (len(m) - 3), m)
 
 
 # ---------------------------------------------------------------------------

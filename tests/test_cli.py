@@ -340,6 +340,12 @@ def test_schema_errors_are_invalid_spec(tmp_path, capsys):
          "nesting deeper than 100 levels (at position 100)"),
         ({"variables": [x], "generators": ["-" * 3000 + "X"]},
          "nesting deeper than 100 levels (at position 100)"),
+        ([x], "spec file must contain a JSON object"),
+        ({"variables": [x], "generators": [1]}, "generator 1 must be an expression string"),
+        ({"variables": [x], "generators": ["X"], "labels": ["X"]},
+         '"labels" must be an object when present'),
+        ({"variables": [x, {"name": "Y", "weight": 1}], "generators": ["X", "2"]},
+         "generator 2 is constant"),
     ]
     for payload, message in cases:
         rc = main(["analyze", write_spec(tmp_path, payload)])
@@ -482,6 +488,22 @@ def test_report_matches_golden_file(tmp_path, capsys):
     capsys.readouterr()
     assert rc == 0
     assert out.read_bytes() == (DATA_DIR / "golden_sym2.json").read_bytes()
+
+
+GOLDEN_FIBER = json.loads((DATA_DIR / "golden_fiber.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("cid", sorted(GOLDEN_FIBER))
+def test_fiber_output_matches_golden_file(cid, monkeypatch, capsys):
+    """``vrg fiber`` on each spec in specs/ at the points ``1,1,...``,
+    ``-1,-2,...``, the origin and ``1+2i,1/3,...``: exit code and stdout, byte
+    for byte.  The residuals are those of mpmath 1.3.0's polyroots; another
+    mpmath may print other digits there.  Each entry is ``main(argv)`` run
+    from the repository root."""
+    golden = GOLDEN_FIBER[cid]
+    monkeypatch.chdir(SPEC_DIR.parent)
+    assert main(golden["argv"]) == golden["exit"]
+    assert capsys.readouterr().out == golden["stdout"]
 
 
 def test_non_finite_base_point_is_invalid(capsys):

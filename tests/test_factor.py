@@ -134,6 +134,8 @@ def test_gcd_of_zeros_rejected(xy11):
 def test_lcm_basic(xy11):
     assert lcm(parse("X*Y", xy11), parse("Y", xy11), xy11) == parse("X*Y", xy11)
     assert lcm(parse("X", xy11), parse("Y", xy11), xy11) == parse("X*Y", xy11)
+    assert lcm(Poly.zero(2), parse("X", xy11), xy11) == Poly.zero(2)
+    assert lcm(parse("X", xy11), Poly.zero(2), xy11) == Poly.zero(2)
 
 
 def test_squarefree_square(xy11):
@@ -238,51 +240,65 @@ def _lift(x):
     return Poly(1, {(e,): v for e, v in enumerate(c)})
 
 
+def _free(q):
+    """The variable line_zero solves for: the first of least positive degree."""
+    return min((k for k in range(q.n) if q.degree_in(k)), key=q.degree_in)
+
+
+def _modulus(zero, j):
+    """The m of line_zero's zero, as a polynomial in s: the one zero[j]
+    carries, or ``s - zero[j]`` when zero[j] is rational."""
+    x = zero[j]
+    if isinstance(x, _Residue):
+        return Poly(1, {(d,): c for d, c in enumerate(x.m)})
+    return Poly.variable(1, 0) - x
+
+
 def test_line_zero_solves_for_a_linear_variable(xy11):
     # X*Y + Y^3 - 2 is linear in X with coefficient Y, which the first draw
     # makes 0, so Y is drawn again
     p = parse("X*Y + Y^3 - 2", xy11)
     draws = iter([Fraction(0), Fraction(1, 2)])
-    zero, m = line_zero(p, lambda: next(draws))
+    zero = line_zero(p, lambda: next(draws))
     assert zero == (Fraction(15, 4), Fraction(1, 2))  # X = (2 - Y^3)/Y
-    assert m == parse("s - 15/4", LINE)
+    assert _modulus(zero, 0) == parse("s - 15/4", LINE)
     assert p.evaluate(zero) == 0
     # X*Y + 1 is constant on every line X = s with Y = 0; a constant has no zero
     assert line_zero(parse("X*Y + 1", xy11), lambda: 0) is None
     assert line_zero(Poly.const(2, 3), lambda: 1) is None
     # at Y = 1 the line meets X^2 - Y^3 where s^2 - 1 = 0; m is one factor
     q = parse("X^2 - Y^3", xy11)
-    zero, m = line_zero(q, lambda: 1)
-    assert m.degree_in(0) == 1 and q.evaluate(zero) == 0
+    zero = line_zero(q, lambda: 1)
+    assert _modulus(zero, 0).degree_in(0) == 1 and q.evaluate(zero) == 0
 
 
 def test_line_zero_of_a_linear_prime_is_rational(xy11):
     # sym2's X - Y at the draws 1, 2, ...: Y = 1, so X = 1, over m = s - 1
-    zero, m = line_zero(parse("X - Y", xy11), itertools.count(1).__next__)
+    zero = line_zero(parse("X - Y", xy11), itertools.count(1).__next__)
     assert zero == (1, 1)
-    assert m == parse("s - 1", LINE)
+    assert _modulus(zero, 0) == parse("s - 1", LINE)
     for entry in CORPUS:
         for d in analyze(entry.spec).ramification:
             q = d.prime
-            j = min((k for k in range(q.n) if q.degree_in(k)), key=q.degree_in)
+            j = _free(q)
             if q.degree_in(j) == 1:
-                zero, m = line_zero(q, itertools.count(1).__next__)
-                assert m == Poly.variable(1, 0) - zero[j], (entry.name, q)
-                assert all(type(c) in (int, Fraction) for c in zero)
+                zero = line_zero(q, itertools.count(1).__next__)
+                assert all(type(c) in (int, Fraction) for c in zero), (entry.name, q)
+                assert not q.evaluate(zero), (entry.name, q)
 
 
 def test_line_zero_of_a_nonlinear_prime_lies_over_an_irreducible_m(xy11, xy32):
     # X^2 + Y^2 meets the line Y = 1 at s = +-i
-    zero, m = line_zero(parse("X^2 + Y^2", xy11), itertools.count(1).__next__)
-    assert m == parse("s^2 + 1", LINE)
+    zero = line_zero(parse("X^2 + Y^2", xy11), itertools.count(1).__next__)
+    assert _modulus(zero, 0) == parse("s^2 + 1", LINE)
     assert zero[1] == 1 and zero[0].c == (0, 1)
     # X^2 - Y^3 meets Y = c where s^2 = c^3, and its image under cusp's
     # generators X^2 + Y^3, X^2*Y^3 is the rational point (2c^3, c^6)
     q = parse("X^2 - Y^3", xy32)
     generators = [parse("X^2 + Y^3", xy32), parse("X^2*Y^3", xy32)]
     for c in (2, 3, Fraction(-1, 2), 5):
-        zero, m = line_zero(q, lambda: c)
-        assert m == Poly(1, {(2,): 1, (0,): -(c**3)})
+        zero = line_zero(q, lambda: c)
+        assert _modulus(zero, 0) == Poly(1, {(2,): 1, (0,): -(c**3)})
         image = [_lift(f.evaluate(zero)) for f in generators]
         assert image == [Poly.const(1, 2 * c**3), Poly.const(1, c**6)]
 
@@ -303,7 +319,8 @@ def test_line_zero_is_a_zero_of_every_prime():
     degrees = set()
     for q in _every_prime():
         for seed_draw in (itertools.count(1).__next__, draw):
-            zero, m = line_zero(q, seed_draw)
+            zero = line_zero(q, seed_draw)
+            m = _modulus(zero, _free(q))
             assert not q.evaluate(zero), q
             assert m.divides(q.compose([_lift(x) for x in zero])), q
             assert m.leading()[1] == 1
@@ -315,7 +332,7 @@ def test_line_zero_is_a_zero_of_every_prime():
 def _line_zero_by_factor(q, draw):
     """line_zero's draws and m, with q on the line as a polynomial in s and
     m from the general factor: the reference for its univariate route."""
-    j = min((k for k in range(q.n) if q.degree_in(k)), key=q.degree_in)
+    j = _free(q)
     for _ in range(200):
         x = [Poly.variable(1, 0) if k == j else draw() for k in range(q.n)]
         on_line = q.evaluate(x)
@@ -342,7 +359,9 @@ def test_line_zero_takes_the_first_factor_of_factor(xy11):
         for seed in range(3):
             draws = [random.Random(seed), random.Random(seed)]
             draw = [lambda rng=rng: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for rng in draws]
-            zero, m = line_zero(q, draw[0])
-            j = min((k for k in range(q.n) if q.degree_in(k)), key=q.degree_in)
-            assert (zero[:j] + zero[j + 1 :], m) == _line_zero_by_factor(q, draw[1]), (q, seed)
+            zero = line_zero(q, draw[0])
+            j = _free(q)
+            assert (zero[:j] + zero[j + 1 :], _modulus(zero, j)) == _line_zero_by_factor(
+                q, draw[1]
+            ), (q, seed)
 

@@ -348,6 +348,30 @@ def test_listing_has_count_distinct_points_over_u(name, u, count):
     assert residual < 1e-30
 
 
+@pytest.mark.parametrize("path", sorted((ROOT / "specs").glob("*.json")), ids=lambda p: p.stem)
+def test_the_fiber_over_the_conjugate_point_is_the_conjugate_fiber(path):
+    # the generators have rational coefficients, so x is over u exactly when
+    # its conjugate is over the conjugate of u: the same count and residual,
+    # and the conjugate points, compared at the 6 digits vrg fiber prints
+    spec, _ = load_spec(path)
+    u = (1 + 2j, 2 - 1j, 3 - 2j)[: spec.n]
+    conjugate = tuple(z.conjugate() for z in u)
+
+    def printed(solutions):
+        return sorted(
+            tuple((round(c.real, 6) + 0.0, round(c.imag, 6) + 0.0) for c in x) for x in solutions
+        )
+
+    assert fiber_count(spec, u).count == fiber_count(spec, conjugate).count
+    solutions, residual = fiber_points(spec, u)
+    conjugate_solutions, conjugate_residual = fiber_points(spec, conjugate)
+    assert len(solutions) == fiber_count(spec, u).count
+    assert conjugate_residual == residual
+    assert printed(conjugate_solutions) == printed(
+        [tuple(c.conjugate() for c in x) for x in solutions]
+    )
+
+
 def _miscount_listings(monkeypatch, off: int) -> list:
     """Mutation: the listing is told ``off`` more points than the rank
     found.  Returns the list of separating forms tried, which fails the
@@ -418,10 +442,9 @@ def test_on_branch_of_is_exact_at_irrational_points():
     (discriminant,) = analyze(spec).distinct_contractions()
     # a real point of the discriminant with irrational coordinates: the image
     # of the zero (alpha, alpha, 1) of X1 - X2, alpha^2 = 2
-    m = Poly(1, {(2,): 1, (0,): -2})
-    alpha = residue(m)
-    point = fiber_mod._Point(tuple(f.evaluate((alpha, alpha, 1)) for f in spec.generators), m)
-    assert point.m.degree_in(0) == 2 and isinstance(point.y[0], _Residue)
+    alpha = residue([-2, 0, 1])
+    point = tuple(f.evaluate((alpha, alpha, 1)) for f in spec.generators)
+    assert len(fiber_mod._modulus(point)) - 1 == 2 and isinstance(point[0], _Residue)
     assert fiber_mod._vanishes_at(discriminant, point)
     assert fiber_mod._count(point, fiber_mod._tables(spec)) == 3
     # a Gaussian-rational point 2^-40 off the discriminant is not on it
@@ -502,7 +525,7 @@ def test_branch_points_are_rational_images_of_linear_ramified_primes():
             rng = random.Random(f"image-{entry.name}")
             for _ in range(4):
                 point = fiber_mod._branch_point(spec, report, p, rng)
-                assert point.m == fiber_mod._S, entry.name
+                assert fiber_mod._modulus(point) == [0, 1], entry.name
                 assert fiber_mod._vanishes_at(p, point), entry.name
                 assert fiber_mod._count(point, tables) < r, entry.name
     assert cases >= 12
@@ -535,12 +558,13 @@ def test_branch_points_without_a_linear_prime_lie_on_a_line(cusp_spec, monkeypat
     assert {fiber_mod.format_poly(q, cusp_spec.vars) for q, _, _ in nonlinear} == {"X^2 - Y^3"}
     assert len(nonlinear) == 3
     tags = fiber_mod.tag_table(cusp_spec)
-    for q, (x0, m), point in nonlinear:
+    for q, x0, point in nonlinear:
         contraction = next(d.contraction for d in report.ramification if d.prime == q)
         assert fiber_mod.format_poly(contraction, tags) == "y1^2 - 4*y2"
         c = x0[1]
-        assert m == Poly(1, {(2,): 1, (0,): -(c**3)})
-        assert point.m == fiber_mod._S and point.u == (2 * c**3, c**6)
+        assert _m(x0) == Poly(1, {(2,): 1, (0,): -(c**3)})
+        assert fiber_mod._modulus(point) == [0, 1]
+        assert fiber_mod._complex(point) == (2 * c**3, c**6)
         assert fiber_mod._vanishes_at(contraction, point)
 
 
@@ -575,14 +599,13 @@ def test_certificate_agrees_with_the_exact_count(entry):
         points = [fiber_mod._generic_point(spec, contractions, rng) for _ in range(5)]
         for p in contractions:
             point = fiber_mod._branch_point(spec, report, p, rng)
-            if point.m != fiber_mod._S:
+            if fiber_mod._modulus(point) != [0, 1]:
                 irrational.add(fiber_mod.format_poly(p, fiber_mod.tag_table(spec)))
-                u, m = line_zero(p, lambda: fiber_mod._random_rational(rng))
-                assert m.degree_in(0) == 1 and not p.evaluate(u)
-                point = fiber_mod._Point(u, fiber_mod._S)
-            points.append(point.y)
+                point = line_zero(p, lambda: fiber_mod._random_rational(rng))
+                assert fiber_mod._modulus(point) == [0, 1] and not p.evaluate(point)
+            points.append(point)
         for u in points:
-            exact = fiber_mod._count(fiber_mod._Point(u, fiber_mod._S), tables)
+            exact = fiber_mod._count(u, tables)
             assert fiber_mod._full_rank_mod_p(u, modular) == (exact == len(tables[0])), u
     assert irrational == ({"y1 + 2*y2^2"} if entry.name == "dihedral4" else set())
 
@@ -641,14 +664,11 @@ def test_trace_form_over_a_specializes_to_the_pointwise_traces(entry):
             assert (wd.degree, wd.homogeneous) == (spec.vars.wdeg(g), True), g
     rng = random.Random(f"form-{entry.name}")
     draw = lambda: fiber_mod._random_rational(rng)
-    points = [
-        fiber_mod._Point(tuple(draw() for _ in range(spec.n)), fiber_mod._S) for _ in range(3)
-    ]
+    points = [tuple(draw() for _ in range(spec.n)) for _ in range(3)]
     points.append(fiber_mod._exact_point(tuple((draw(), draw()) for _ in range(spec.n))))
-    assert points[-1].m == fiber_mod._S**2 + 1
-    for point in points:
-        size = point.m.degree_in(0)
-        y = point.y
+    assert fiber_mod._modulus(points[-1]) == [1, 0, 1]
+    for y in points:
+        size = len(fiber_mod._modulus(y)) - 1
         nf = fiber_mod._normal_forms(tables.basis, tables.border, y)
         trace = [sum(nf(g).get(l, 0) for l, g in enumerate(row)) for row in tables.products]
 
@@ -657,7 +677,7 @@ def test_trace_form_over_a_specializes_to_the_pointwise_traces(entry):
             return tuple(c) + (0,) * (size - len(c))
 
         for g, p in tables.form.items():
-            assert value(p.evaluate(y)) == value(fiber_mod._trace(nf(g), trace)), (point, g)
+            assert value(p.evaluate(y)) == value(fiber_mod._trace(nf(g), trace)), (y, g)
 
 
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda entry: entry.name)
@@ -673,15 +693,13 @@ def test_algebra_at_the_integer_point_gives_the_traces_and_rank_at_y(entry):
     tables = fiber_mod._tables(spec)
     rng = random.Random(f"denominators-{entry.name}")
     big = lambda: Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**5))
-    points = [
-        fiber_mod._Point(tuple(big() for _ in range(spec.n)), fiber_mod._S) for _ in range(2)
-    ]
+    points = [tuple(big() for _ in range(spec.n)) for _ in range(2)]
     points.append(fiber_mod._exact_point(tuple((big(), big()) for _ in range(spec.n))))
-    assert points[-1].m == fiber_mod._S**2 + 1
+    assert fiber_mod._modulus(points[-1]) == [1, 0, 1]
     for point in points:
-        size = point.m.degree_in(0)
-        sums = fiber_mod._power_sums(point.coefficients, 3 * size - 2)
-        nf = fiber_mod._normal_forms(tables.basis, tables.border, point.y)
+        size = len(fiber_mod._modulus(point)) - 1
+        sums = fiber_mod._power_sums(fiber_mod._modulus(point), 3 * size - 2)
+        nf = fiber_mod._normal_forms(tables.basis, tables.border, point)
         trace = [sum(nf(g).get(l, 0) for l, g in enumerate(row)) for row in tables.products]
 
         def to_q(x, t):  # the trace to Q of alpha^t*x
@@ -717,22 +735,19 @@ def test_counts_are_invariant_under_the_weighted_scaling(entry):
     contractions = report.distinct_contractions()
     tables = fiber_mod._tables(spec)
     rng = random.Random(f"scaling-{entry.name}")
-    points = [
-        fiber_mod._Point(fiber_mod._generic_point(spec, contractions, rng), fiber_mod._S)
-        for _ in range(2)
-    ]
+    points = [fiber_mod._generic_point(spec, contractions, rng) for _ in range(2)]
     points += [fiber_mod._branch_point(spec, report, p, rng) for p in contractions for _ in range(2)]
     branch = 0
     for point in points:
         count = fiber_mod._count(point, tables)
         branch += count < entry.degree
         for scale in (2, Fraction(-1, 3), Fraction(5, 7)):
-            y = tuple(x * scale**w for x, w in zip(point.y, weights))
-            if point.m == fiber_mod._S:
-                assert fiber_count(spec, point.y).count == count
-                assert fiber_count(spec, y).count == count, (point.y, scale)
+            y = tuple(x * scale**w for x, w in zip(point, weights))
+            if fiber_mod._modulus(point) == [0, 1]:
+                assert fiber_count(spec, point).count == count
+                assert fiber_count(spec, y).count == count, (point, scale)
             else:
-                assert fiber_mod._count(fiber_mod._Point(y, point.m), tables) == count
+                assert fiber_mod._count(y, tables) == count
     assert branch == 2 * len(contractions)
 
 
@@ -811,6 +826,13 @@ def _in_s(x, n):
     return Poly(n, {(0,) * (n - 1) + (e,): v for e, v in enumerate(c)})
 
 
+def _m(point):
+    """The m of a point, as a polynomial in s."""
+    import vrg.fiber as fiber_mod
+
+    return Poly(1, {(e,): c for e, c in enumerate(fiber_mod._modulus(point))})
+
+
 def _basis(spec, point):
     """Reduced lex basis of the fibers over y(alpha) for all roots alpha of
     m: the ideal of ``f_j(x) - y_j(s)`` and ``m(s)`` in the n + 1 variables
@@ -818,8 +840,8 @@ def _basis(spec, point):
     n = spec.n + 1
     vars = VarTable(spec.vars.names + ("s",), spec.vars.weights + (1,))
     lift = lambda f: Poly(n, {e + (0,): c for e, c in f.items()})
-    gens = [lift(f) - _in_s(y, n) for f, y in zip(spec.generators, point.y)]
-    gens.append(Poly(n, {(0,) * spec.n + e: c for e, c in point.m.items()}))
+    gens = [lift(f) - _in_s(y, n) for f, y in zip(spec.generators, point)]
+    gens.append(Poly(n, {(0,) * spec.n + e: c for e, c in _m(point).items()}))
     return groebner(gens, vars)
 
 
@@ -855,7 +877,7 @@ def _oracle_count(spec, point):
         [sum(v * trace[monomials.index(e)] for e, v in nf(add(b, c)).items()) for c in monomials]
         for b in monomials
     ]
-    return _rank(form) // point.m.degree_in(0)
+    return _rank(form) // _m(point).degree_in(0)
 
 
 SMALL_SPECS = [entry.name for entry in CORPUS if entry.spec.n <= 3]
@@ -886,8 +908,8 @@ def _line_point(spec, q, image, rng):
     q is a ramified prime (image true), else x0 itself, on a contraction."""
     import vrg.fiber as fiber_mod
 
-    x0, m = line_zero(q, lambda: fiber_mod._random_rational(rng))
-    return fiber_mod._Point(tuple(f.evaluate(x0) for f in spec.generators) if image else x0, m)
+    x0 = line_zero(q, lambda: fiber_mod._random_rational(rng))
+    return tuple(f.evaluate(x0) for f in spec.generators) if image else x0
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -905,7 +927,7 @@ def test_fiber_algebras_are_flat(name, real, imag):
     spec = spec_of(name)
     r = BY_NAME[name].degree
     point = fiber_mod._exact_point(tuple(zip(real, imag))[: spec.n])
-    degree = point.m.degree_in(0)
+    degree = _m(point).degree_in(0)
     gb = _basis(spec, point)
     assert len(_standard_monomials(gb, spec.n + 1)) == r * degree
     assert 1 <= fiber_mod._count(point, fiber_mod._tables(spec)) <= r
@@ -934,9 +956,9 @@ def test_specialized_tables_count_as_the_lex_basis_oracle(kind, data, real, imag
         q, image = polys[seed % len(polys)]
         for _ in range(20):
             point = _line_point(spec, q, image, rng)
-            if point.m.degree_in(0) >= 2:
+            if _m(point).degree_in(0) >= 2:
                 break
-        assume(point.m.degree_in(0) >= 2)
+        assume(_m(point).degree_in(0) >= 2)
     else:
         parts = zip(real, imag) if kind == "gaussian" else real
         point = fiber_mod._exact_point(tuple(parts)[: spec.n])
@@ -952,7 +974,7 @@ def test_specialized_tables_count_as_the_lex_basis_oracle(kind, data, real, imag
 def _vanishes_by_division(p, point):
     """Whether m divides ``p(y(s))``, y's coordinates lifted to polynomials
     in s: the definition that evaluation in ``Q[s]/(m)`` replaces."""
-    return point.m.divides(p.compose([_in_s(y, 1) for y in point.y]))
+    return _m(point).divides(p.compose([_in_s(y, 1) for y in point]))
 
 
 @pytest.mark.parametrize("name", NONLINEAR_SPECS)
@@ -964,7 +986,7 @@ def test_vanishing_agrees_with_division_on_hypersurface_points(name):
     rng = random.Random(f"vanishes-{name}")
     polys = _nonlinear_polys(name)
     points = [_line_point(spec, q, image, rng) for q, image in polys for _ in range(8)]
-    assert any(point.m.degree_in(0) >= 2 for point in points)
+    assert any(_m(point).degree_in(0) >= 2 for point in points)
     for point in points:
         assert any(fiber_mod._vanishes_at(q, point) for q in contractions)
         for q in contractions:
@@ -982,6 +1004,6 @@ def test_vanishing_agrees_with_division_at_gaussian_points():
         cases = [(on, True), (_sym3_at_roots(a, b, c), False), (on[:2] + (on[2] + 2.0**-40,), False)]
         for u, expected in cases:
             point = fiber_mod._exact_point(u)
-            assert point.m.degree_in(0) == 2
+            assert _m(point).degree_in(0) == 2
             assert fiber_mod._vanishes_at(discriminant, point) is expected
             assert _vanishes_by_division(discriminant, point) is expected

@@ -339,6 +339,8 @@ def _kernel_cases(draw):
 def test_arithmetic_results_keep_the_kernel_invariant(case):
     n, p, q, args, scalar, k = case
     results = [p + q, p - q, -p, p * q, p * scalar, p * 0, p / scalar, p**k]
+    results += [3 - p, Fraction(1, 2) - p]  # __rsub__
+    assert results[-2:] == [-(p - 3), -(p - Fraction(1, 2))]
     results += [p.derivative(j) for j in range(n)]
     results.append(Poly(n, dict(list(p.items())[:2])).compose(args))
     if q:
