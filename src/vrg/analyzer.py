@@ -6,9 +6,14 @@ cross-checking facts are enforced rather than assumed:
 
 * each factor's multiplicity in the Jacobian must be exactly its
   ramification index minus one, and
-* the membership test for the candidate discriminant (product of ramified
-  factors raised to their indices) must agree with the per-prime factor
-  pattern (no contraction may pull back with an unramified factor).
+* membership of the candidate discriminant R (product of ramified factors
+  raised to their indices) in A must agree with the per-prime factor
+  pattern (no contraction may pull back with an unramified factor).  Where
+  the pattern says well-ramified, ``R ∈ A`` is shown by exhibiting
+  ``D~ = c*S~``: each pullback ``P~(f)`` is then ``∏ Q^e_Q`` up to a unit,
+  so ``S~(f)``, the product of the pullbacks up to a unit, is R up to a
+  unit, which is checked.  Where it finds a mixed prime, the graded solve
+  of :func:`~vrg.ideals.subalgebra_membership` proves ``R ∉ A``.
 
 Both rest on one certificate per contraction ``P~`` (:func:`_rests`): a
 ramified Q divides ``P~(f)`` only if it lies over ``P~`` (it puts ``P~`` in
@@ -49,6 +54,7 @@ from .poly import (
     VarTable,
     canonical,
     canonicalize,
+    coeff_div,
     format_poly,
     jacobian,
     weighted_degree,
@@ -114,7 +120,10 @@ def analyze(spec: ExtensionSpec) -> AnalysisReport:
 
     Each index is ``m_Q + 1`` for Q's multiplicity in J, certified with the
     factor pattern by :func:`_rests`; a failed certificate is a
-    :class:`TheoremViolationError` naming the prime and its true index."""
+    :class:`TheoremViolationError` naming the prime and its true index.
+    Without a mixed prime, ``D~ = c*S~`` is exhibited and certified by
+    ``canonical(∏ P~(f)) == R``; with one, the graded solve must find R
+    outside A.  A disagreement is a "characterization mismatch"."""
     r = validate(spec)
     vars = spec.vars
     jac_raw = jacobian(spec.generators, vars)
@@ -149,9 +158,15 @@ def analyze(spec: ExtensionSpec) -> AnalysisReport:
                 " absolutely irreducible)"
             )
 
-    s_poly, r_poly, s_tilde = _products(spec, data, pullbacks)
-    representation = subalgebra_membership(r_poly, spec)
+    s_poly, r_poly, s_tilde, s_tilde_f = _products(spec, data, pullbacks)
     mixed = _mixed_prime(rests)
+    if mixed is None:
+        # every rest is a unit, so S~(f) is R times the unit u it
+        # canonicalizes with: R = S~(f)/u exhibits D~ = S~/u
+        certified_r, u = canonicalize(s_tilde_f, vars)
+        representation = s_tilde / u if certified_r == r_poly else None
+    else:
+        representation = subalgebra_membership(r_poly, spec)
     well = representation is not None
     if well != (mixed is None):
         raise TheoremViolationError(
@@ -190,16 +205,18 @@ def _products(
     spec: ExtensionSpec,
     data: Sequence[RamificationDatum],
     pullbacks: Mapping[Poly, Poly],
-) -> tuple[Poly, Poly, Poly]:
-    """``S = ∏Q``, ``R = ∏Q^e`` and ``S~``, each in canonical form.  The
-    contractions (the keys of ``pullbacks``) are distinct primes of the
-    polynomial ring A, so ``S~``, their lcm, is their product."""
+) -> tuple[Poly, Poly, Poly, Poly]:
+    """``S = ∏Q``, ``R = ∏Q^e`` and ``S~``, each in canonical form, and
+    ``S~(f)``.  The contractions (the keys of ``pullbacks``) are distinct
+    primes of the polynomial ring A, so ``S~``, their lcm, is their product;
+    with ``∏P~ = u*S~``, ``S~(f)`` is the product of the pullbacks over u."""
     vars, tags = spec.vars, tag_table(spec)
     one = Poly.const(vars.n, 1)
     s_poly = math.prod((d.prime for d in data), start=one)
     r_poly = math.prod((d.prime ** d.index for d in data), start=one)
-    s_tilde = math.prod(pullbacks, start=Poly.const(tags.n, 1))
-    return canonical(s_poly, vars), canonical(r_poly, vars), canonical(s_tilde, tags)
+    s_tilde, unit = canonicalize(math.prod(pullbacks, start=Poly.const(tags.n, 1)), tags)
+    s_tilde_f = math.prod(pullbacks.values(), start=one) / unit
+    return canonical(s_poly, vars), canonical(r_poly, vars), s_tilde, s_tilde_f
 
 
 def _rests(
@@ -227,6 +244,16 @@ def _mixed_prime(rests: Mapping[Poly, Poly]) -> tuple[Poly, Poly] | None:
     """The factor-pattern test: the first ``(P~, rest)`` with ``rest`` not
     constant (an unramified factor of ``P~(f)``), or None."""
     return next(((p, rest) for p, rest in rests.items() if not rest.is_constant()), None)
+
+
+def _pull_back(t: Poly, s_tilde: Poly, s_tilde_pullback: Poly, spec: ExtensionSpec) -> Poly:
+    """``T(f)``: ``c*S~(f)`` when ``T = c*S~``, else T composed with f."""
+    if s_tilde:
+        exp, lead = s_tilde.leading()
+        c = coeff_div(t.coefficient(exp), lead)
+        if t == s_tilde * c:
+            return s_tilde_pullback * c
+    return t.compose(spec.generators)
 
 
 def _is_prime(p: Poly, vars: VarTable) -> bool:
@@ -270,7 +297,9 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
     solves for R's membership), re-substitutes every representation,
     re-derives S, R, S~, the factor pattern and the witness from the same
     rests and helpers and compares them with the report, and re-checks the
-    degree identities.  A stored fiber audit must equal
+    degree identities.  ``S~(f)`` is the product of the re-derived pullbacks
+    over S~'s unit, and a ``D~ = c*S~`` pulls back to ``c*S~(f)``; only a
+    tampered S~ or D~ is composed with f.  A stored fiber audit must equal
     :func:`~vrg.fiber.passing_audit` for its own samples and seed.  Returns
     the failed checks (empty when sound).
     """
@@ -337,12 +366,15 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
     for contraction in pullbacks:
         check("contraction irreducible", _is_prime(contraction, tags))
 
-    s_poly, r_poly, s_tilde = _products(spec, data, pullbacks)
+    s_poly, r_poly, s_tilde, s_tilde_f = _products(spec, data, pullbacks)
     check("ramified product", s_poly == report.S)
     check("discriminant candidate", r_poly == report.R)
     check("S_tilde lcm", s_tilde == report.S_tilde)
 
-    s_tilde_pullback = report.S_tilde.compose(spec.generators)
+    if s_tilde == report.S_tilde:
+        s_tilde_pullback = s_tilde_f
+    else:
+        s_tilde_pullback = report.S_tilde.compose(spec.generators)
     check(
         "S_tilde pullback",
         not s_tilde_pullback.is_zero()
@@ -356,7 +388,9 @@ def verify_report(report: AnalysisReport, spec: ExtensionSpec) -> VerificationRe
     if not certified:  # no factor pattern to compare
         return VerificationResult(False, tuple(failures))
     mixed = _mixed_prime(rests)
-    composed = report.discriminant and report.discriminant[1].compose(spec.generators)
+    composed = report.discriminant and _pull_back(
+        report.discriminant[1], report.S_tilde, s_tilde_pullback, spec
+    )
     well = composed == report.R or subalgebra_membership(report.R, spec) is not None
     check("characterizations agree", well == (mixed is None))
     check("well-ramified verdict", report.well_ramified == well)

@@ -200,7 +200,9 @@ def subalgebra_membership(p: Poly, spec: ExtensionSpec) -> Poly | None:
 
     On success the returned polynomial g in the tag variables satisfies
     g(f_1, ..., f_n) == p exactly.  p is reduced against the rows of every
-    degree it has; a leading term without a row proves p is not in A.
+    degree it has; a leading term without a row proves p is not in A.  The
+    analysis needs it for that proof: it shows a well-ramified R in A by
+    exhibiting ``D~ = c*S~`` instead.
     """
     tags = tag_table(spec)
     image = _power_images(spec, lambda g: g)

@@ -1,6 +1,6 @@
 import pytest
 
-from vrg import ExtensionSpec, VarTable, parse
+from vrg import ExtensionSpec, Poly, VarTable, parse
 
 
 @pytest.fixture
@@ -31,3 +31,27 @@ def mixed_spec(xy12) -> ExtensionSpec:
 @pytest.fixture
 def sym2_spec(xy11) -> ExtensionSpec:
     return ExtensionSpec(xy11, (parse("X+Y", xy11), parse("X*Y", xy11)))
+
+
+@pytest.fixture
+def break_membership(monkeypatch):
+    """``apply(well)`` makes membership of R disagree with the factor pattern
+    in analyze: for a mixed spec (``well`` false) the graded solve returns a
+    representation; for a well one a pullback picks up a variable after the
+    rests are taken, so the product of the pullbacks no longer certifies
+    ``D~ = c*S~``."""
+    import vrg.analyzer as analyzer_mod
+
+    def apply(well: bool) -> None:
+        if not well:
+            monkeypatch.setattr(analyzer_mod, "subalgebra_membership", lambda p, spec: p)
+            return
+        real = analyzer_mod._products
+
+        def scaled(spec, data, pullbacks):
+            p, pullback = next(iter(pullbacks.items()))
+            return real(spec, data, {**pullbacks, p: pullback * Poly.variable(spec.n, 0)})
+
+        monkeypatch.setattr(analyzer_mod, "_products", scaled)
+
+    return apply

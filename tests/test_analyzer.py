@@ -46,8 +46,9 @@ from vrg.reportio import dump_report
 from corpus import CORPUS, spec_of
 
 
+ROOT = Path(__file__).resolve().parent.parent
 # weights 1, 2, 3 and a mixed-prime witness
-MIXEDW = load_spec(Path(__file__).resolve().parent.parent / "perfbench/specs/mixedw.json")[0]
+MIXEDW = load_spec(ROOT / "perfbench/specs/mixedw.json")[0]
 
 
 def assoc(p, q, vars):
@@ -185,6 +186,10 @@ def test_analyze_unramified_linear_change(xy11):
     assert report.well_ramified
     assert report.S == parse("1", xy11)
     assert report.R == parse("1", xy11)
+    # no prime and no contraction: the empty products are 1, and D~ = S~ = 1
+    one = Poly.const(spec.n, 1)
+    assert report.S_tilde == one and report.discriminant == (one, one)
+    assert verify_report(report, spec).ok
 
 
 def test_analyze_cyclic_quadrics():
@@ -385,17 +390,25 @@ def test_verify_lets_a_bug_in_validation_through(sym2_spec, monkeypatch):
         verify_report(report, sym2_spec)
 
 
-def test_characterizations_that_disagree_raise(sym2_spec, monkeypatch):
-    # membership says "not well-ramified" while the factor pattern says it is
-    import importlib
-
-    analyzer_mod = importlib.import_module("vrg.analyzer")
-    monkeypatch.setattr(analyzer_mod, "subalgebra_membership", lambda *args: None)
+def _assert_mismatch(spec, well: bool) -> None:
     with pytest.raises(
         TheoremViolationError,
-        match="characterization mismatch: membership of the candidate discriminant says False",
+        match="characterization mismatch: membership of the candidate discriminant"
+        f" says {not well} but the pullback factor pattern says {well}",
     ):
-        analyze(sym2_spec)
+        analyze(spec)
+
+
+def test_characterizations_that_disagree_raise(sym2_spec, break_membership):
+    # the factor pattern says well-ramified, but D~ = c*S~ is not certified
+    break_membership(True)
+    _assert_mismatch(sym2_spec, True)
+
+
+def test_characterizations_that_disagree_raise_on_a_mixed_prime(mixed_spec, break_membership):
+    # the factor pattern finds a mixed prime, but the graded solve puts R in A
+    break_membership(False)
+    _assert_mismatch(mixed_spec, False)
 
 
 def test_tags_fall_back_to_tag_names(tmp_path):
@@ -573,10 +586,8 @@ def test_tampered_representation_fails(cusp_spec):
     def drop_discriminant(data):
         data["discriminant"] = None
 
-    result = verify_report(_tampered(cusp_spec, scale_rep), cusp_spec)
-    assert not result.ok
-    assert "discriminant representation" in result.failures
     for mutate, failure in (
+        (scale_rep, "discriminant representation"),
         (double_both, "discriminant representation"),
         (drop_discriminant, "discriminant present"),
     ):
@@ -629,12 +640,11 @@ def test_tampered_s_tilde_fails(cusp_spec):
     def negate(data):
         data["S_tilde"] = "-(" + data["S_tilde"] + ")"
 
-    result = verify_report(_tampered(cusp_spec, scale), cusp_spec)
-    assert not result.ok
-    assert "S_tilde lcm" in result.failures
-    result = verify_report(_tampered(cusp_spec, negate), cusp_spec)
-    assert not result.ok
-    assert {"S_tilde lcm", "S_tilde membership"} <= set(result.failures)
+    assert verify_report(_tampered(cusp_spec, scale), cusp_spec).failures == ("S_tilde lcm",)
+    assert verify_report(_tampered(cusp_spec, negate), cusp_spec).failures == (
+        "S_tilde lcm",
+        "S_tilde membership",
+    )
 
 
 def test_tampered_quotient_fails(cusp_spec):
@@ -824,7 +834,8 @@ def test_s_tilde_is_the_lcm_of_the_contractions(spec):
 @pytest.mark.parametrize("entry", CORPUS, ids=lambda e: e.name)
 def test_verify_report_takes_r_in_a_from_the_discriminant(entry, monkeypatch):
     # D~(f) = R proves that R is in A, so only a report without a
-    # discriminant runs the membership solve; analyze always runs it once
+    # discriminant runs the membership solve; analyze exhibits D~ = c*S~
+    # when the factor pattern finds no mixed prime and solves only otherwise
     import vrg.analyzer as analyzer_mod
 
     calls = []
@@ -835,10 +846,36 @@ def test_verify_report_takes_r_in_a_from_the_discriminant(entry, monkeypatch):
 
     monkeypatch.setattr(analyzer_mod, "subalgebra_membership", counted)
     report = analyze(entry.spec)
-    assert len(calls) == 1
+    assert len(calls) == (0 if entry.well_ramified else 1)
     calls.clear()
     assert verify_report(report, entry.spec).ok
     assert len(calls) == (0 if entry.well_ramified else 1)
+
+
+# c with D~ = c*S~ where it is not 1, and None for a spec with a mixed prime
+_DISCRIMINANT_FACTORS = {
+    "psum3": Fraction(-1, 6),
+    "B3psum": Fraction(-1, 36),
+    "mixed": None,
+    "mixedw": None,
+}
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((ROOT / "specs").glob("*.json")) + sorted((ROOT / "perfbench/specs").glob("*.json")),
+    ids=lambda path: f"{path.parent.name}/{path.stem}",
+)
+def test_well_ramified_discriminant_is_a_multiple_of_s_tilde(path):
+    # (J) ∩ A = (R) makes S~, the generator of (J) ∩ A, an associate of D~;
+    # the graded solve is the oracle for the representation
+    spec = load_spec(path)[0]
+    report = analyze(spec)
+    c = _DISCRIMINANT_FACTORS.get(path.stem, 1)
+    assert report.well_ramified == (c is not None)
+    if c is not None:
+        assert report.discriminant[1] == report.S_tilde * c
+        assert report.discriminant[1] == subalgebra_membership(report.R, spec)
 
 
 def test_analyze_is_thread_safe(cusp_spec, mixed_spec, sym2_spec):

@@ -1,4 +1,3 @@
-import importlib
 import json
 import re
 import time
@@ -374,13 +373,21 @@ def test_epilog_lists_every_exit_code():
     assert set(map(int, re.findall(r"\d+", epilog))) == {0, 1, 10} | {c.exit_code for c in classes}
 
 
-def test_characterizations_that_disagree_exit_4(capsys, monkeypatch):
-    analyzer_mod = importlib.import_module("vrg.analyzer")
-    monkeypatch.setattr(analyzer_mod, "subalgebra_membership", lambda *args: None)
-    assert main(["analyze", str(SPEC_DIR / "sym2.json")]) == 4
+def _assert_mismatch_exit_4(spec_name, capsys):
+    assert main(["analyze", str(SPEC_DIR / spec_name)]) == 4
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: characterization mismatch: ")
     assert err.count("\n") == 1
+
+
+def test_characterizations_that_disagree_exit_4(capsys, break_membership):
+    break_membership(True)
+    _assert_mismatch_exit_4("sym2.json", capsys)
+
+
+def test_characterizations_that_disagree_exit_4_on_a_mixed_prime(capsys, break_membership):
+    break_membership(False)
+    _assert_mismatch_exit_4("mixed.json", capsys)
 
 
 def test_inhomogeneous_is_invalid_spec(tmp_path, capsys):
