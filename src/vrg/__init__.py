@@ -9,9 +9,9 @@ from .analyzer import (
 )
 from .errors import VrgError
 from .extension import ExtensionSpec, degree, validate
-from .factor import Factorization, factor, gcd, lcm, squarefree, valuation
+from .factor import Factorization, gcd, lcm, squarefree, valuation
 from .fiber import FiberSample, branch_audit, fiber_count, fiber_points
-from .groebner import GroebnerBasis, groebner, normal_form
+from .groebner import GroebnerBasis, normal_form
 from .ideals import check_finite, contract_prime, subalgebra_membership, tag_table
 from .poly import (
     Poly,
@@ -45,12 +45,10 @@ __all__ = [
     "check_finite",
     "contract_prime",
     "degree",
-    "factor",
     "fiber_count",
     "fiber_points",
     "format_poly",
     "gcd",
-    "groebner",
     "jacobian",
     "lcm",
     "load_report",

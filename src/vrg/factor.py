@@ -91,16 +91,6 @@ def _coeff_in(p: Poly, v: int, k: int) -> Poly:
     return Poly._clean(p.n, out)
 
 
-def _shift(p: Poly, v: int, k: int) -> Poly:
-    """Multiply by v^k."""
-    out = {}
-    for exp, c in p.items():
-        e = list(exp)
-        e[v] += k
-        out[tuple(e)] = c
-    return Poly._clean(p.n, out)
-
-
 def _content_in(p: Poly, v: int) -> Poly:
     """gcd of the coefficients of powers of v."""
     coeffs = [_coeff_in(p, v, k) for k in range(p.degree_in(v) + 1)]
@@ -123,7 +113,7 @@ def _prem(a: Poly, b: Poly, v: int) -> Poly:
     while not r.is_zero() and r.degree_in(v) >= db:
         dr = r.degree_in(v)
         lr = _coeff_in(r, v, dr)
-        r = r * lb - _shift(lr, v, dr - db) * b
+        r = r * lb - lr * Poly.variable(r.n, v) ** (dr - db) * b
         steps -= 1
     return r * lb**steps
 
@@ -189,6 +179,7 @@ def _heuristic_gcd(f: Poly, g: Poly) -> Poly | None:
 
 def _specialize(p: Poly, v: int, value: int) -> Poly:
     """p with ``value`` put for variable v."""
+    # not compose: an algebra and a fiber pass make 234 calls, 1.4 ms here, 11 ms so (2-core x86-64)
     out: dict = {}
     for exp, c in p.items():
         e = exp[:v] + (0,) + exp[v + 1 :]
@@ -362,6 +353,7 @@ def _on_line(f: Poly, j: int, x) -> list:
     """f on the line where x_j is free and each other variable x_k is
     ``x[k]``, for x a list or a dict by variable index: its coefficients in
     x_j, lowest degree first."""
+    # not p.compose: this gives the coefficient list that vrg._zfactor works on
     out = [0] * (f.degree_in(j) + 1)
     for exp, c in f.items():
         for k, e in enumerate(exp):
@@ -380,35 +372,20 @@ def _points(m: int):
         yield tuple(rng.choice((-1, 1)) * rng.randint(1, bound) for _ in range(m))
 
 
-def _translate(terms: dict, shift: dict[int, int]) -> dict:
-    """Terms of the polynomial with ``X_j + shift[j]`` put for each ``X_j``."""
-    out: dict = {}
-    for exp, c in terms.items():
-        expanded = {exp: c}
-        for j, s in shift.items():
-            nxt: dict = {}
-            for e, v in expanded.items():
-                k = e[j]
-                for i in range(k + 1):
-                    t = e[:j] + (i,) + e[j + 1 :]
-                    nxt[t] = nxt.get(t, 0) + v * math.comb(k, i) * s ** (k - i)
-            expanded = nxt
-        for e, v in expanded.items():
-            out[e] = out.get(e, 0) + v
-    return out
-
-
 def _lift_and_recombine(f: Poly, x: int, ys: list[int], a: tuple, factors) -> list[Poly]:
     m = len(ys)
     shift = dict(zip(ys, a))
+    # the series are in y - a: p(y + a) goes in, and s(y - a) comes out
+    there, back = (
+        [Poly.variable(f.n, j) + sign * shift.get(j, 0) for j in range(f.n)] for sign in (1, -1)
+    )
 
     def series(p: Poly) -> dict:
         out: dict = {}
-        for exp, c in _translate(p.terms_dict(), shift).items():
-            if c:
-                coeffs = out.setdefault(tuple(exp[j] for j in ys), [])
-                coeffs.extend([0] * (exp[x] + 1 - len(coeffs)))
-                coeffs[exp[x]] = c
+        for exp, c in p.compose(there).items():
+            coeffs = out.setdefault(tuple(exp[j] for j in ys), [])
+            coeffs.extend([0] * (exp[x] + 1 - len(coeffs)))
+            coeffs[exp[x]] = c
         return out
 
     def from_series(s: dict) -> Poly:
@@ -420,7 +397,7 @@ def _lift_and_recombine(f: Poly, x: int, ys: list[int], a: tuple, factors) -> li
                 for j, ej in zip(ys, e):
                     exp[j] = ej
                 terms[tuple(exp)] = c
-        return Poly(f.n, _translate(terms, {j: -s for j, s in shift.items()}))
+        return Poly(f.n, terms).compose(back)
 
     def y_degree(p: Poly) -> int:
         return max(sum(exp[j] for j in ys) for exp, _ in p.items())

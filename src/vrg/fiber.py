@@ -84,10 +84,11 @@ from .ideals import (
     _eliminate_mod,
     _graded_piece,
     _power_images,
+    _reduce_pair,
     _standard_monomials,
     tag_table,
 )
-from .poly import Exponent, Poly, _Residue, evaluator, format_poly, reduce_leading, residue
+from .poly import Exponent, Poly, _Residue, coeff_div, evaluator, format_poly, residue
 
 DEFAULT_DPS = 50
 
@@ -215,16 +216,15 @@ def _tables(spec: ExtensionSpec) -> _Tables:
                 " B is not free over A on the origin basis"
             )
         for g in (g for g in border if spec.vars.wdeg(g) == d):
-            rest, tag = {g: 1}, {}
-            reduce_leading(rest, tag, rows.get)
+            rest, tag = _reduce_pair(({g: 1}, {None: 1}), rows)
             if rest:
                 raise TheoremViolationError(
                     f"the border monomial {format_poly(Poly._clean(n, {g: 1}), spec.vars)}"
                     " is not in the span of the origin basis over A: B is not free over A on it"
                 )
-            coordinates: dict = {}
-            for (a, l), c in tag.items():  # g - tag(f, b) == rest == 0
-                coordinates.setdefault(l, {})[a] = -c
+            marker, coordinates = tag.pop(None), {}
+            for (a, l), c in tag.items():  # marker*g + tag(f, b) == rest == 0
+                coordinates.setdefault(l, {})[a] = coeff_div(-c, marker)
             table[g] = {l: Poly._clean(n, terms) for l, terms in coordinates.items()}
     products = [[tuple(map(add, bk, bl)) for bl in basis] for bk in basis]
     nf = _normal_forms(basis, table, [Poly.variable(n, j) for j in range(n)])

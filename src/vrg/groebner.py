@@ -9,9 +9,10 @@ Lex (plain tuple order on exponents, the first variable largest) is the
 only monomial order.  Bases serve two jobs, and any order would do for
 both: the finiteness test, and the standard monomials that the fiber
 tables take as a free basis of B over A.  So no order key is threaded
-through: normal forms and exact division share
-:func:`~vrg.poly.reduce_leading`, and row elimination
-(:func:`~vrg.ideals._eliminate`) runs its own integer loop; both lead by ``max``.
+through: normal forms, Buchberger's reductions and exact division share the
+one division loop, :func:`~vrg.poly.reduce_leading`, which takes the basis
+as its divisors, and row reduction runs its own fraction-free step
+(:func:`~vrg.ideals._reduce_pair`); both lead by ``max``.
 
 The total degree of every input and intermediate polynomial is capped
 (:func:`~vrg.poly.max_degree_cap`, the environment variable
@@ -22,7 +23,6 @@ machine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, sub
 from typing import Sequence
 
 from .errors import DegreeCapExceededError
@@ -68,16 +68,8 @@ def _monic(p: Poly) -> Poly:
 def _reduce(p: Poly, basis: list[tuple[Exponent, Poly]]) -> Poly:
     """Full normal form of p modulo the listed (leading exponent, poly) pairs;
     a lead that no leading exponent divides moves to the remainder."""
-
-    def row_for(exp: Exponent):
-        for lt, g in basis:
-            if _divides_exp(lt, exp):
-                shift = tuple(map(sub, exp, lt))
-                return {tuple(map(add, shift, e)): v for e, v in g.items()}, {}
-        return None
-
     work, out = p.terms_dict(), {}
-    while (lead := reduce_leading(work, {}, row_for)) is not None:
+    while (lead := reduce_leading(work, basis, {})) is not None:
         out[lead] = work.pop(lead)
     return Poly._clean(p.n, out)
 

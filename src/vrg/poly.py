@@ -111,27 +111,35 @@ def coeff_div(a: Coeff, b: Coeff) -> Coeff:
     return a / b
 
 
-def reduce_leading(work: dict, tag: dict, row_for: Callable) -> Exponent | None:
-    """The one reducer of exact division and normal forms, and of a vector
-    against the pivot rows of :func:`~vrg.ideals._eliminate` (which runs its
-    own fraction-free loop to make them): while ``row_for(max(work))`` gives
-    a pair ``(row, row_tag)`` whose row has that leading key, subtract
-    ``c*row`` from ``work`` and ``c*row_tag`` from ``tag`` in place, ``c``
-    cancelling the lead.  Returns the lead that no row reduces, or None once
-    work is zero."""
+def reduce_leading(
+    work: dict, divisors: Sequence[tuple[Exponent, Poly]], quotient: dict
+) -> Exponent | None:
+    """The one loop of division, shared by exact division and normal forms:
+    while the lead exponent ``lt`` of some divisor ``g`` (the pairs
+    ``(lt, g)`` are tried in order) divides ``lead = max(work)``, subtract
+    ``c*x^d*g`` from ``work`` in place and set ``quotient[d] = c``, where
+    ``d = lead - lt`` and ``c`` cancels the lead.  Returns the lead that no
+    divisor's lead divides, or None once work is zero.  With one divisor,
+    quotient holds the quotient so far.
+
+    Row reduction in the graded pieces of A is the other kernel; it runs its
+    own fraction-free step, :func:`~vrg.ideals._reduce_pair`."""
     while work:
-        pair = row_for(lead := max(work))
-        if pair is None:
+        lead = max(work)
+        for lt, g in divisors:
+            d = tuple(map(sub, lead, lt))
+            if min(d) >= 0:
+                break
+        else:
             return lead
-        row, row_tag = pair
-        c = coeff_div(work[lead], row[lead])
-        for target, part in (work, row), (tag, row_tag):
-            for e, v in part.items():
-                s = target.get(e, 0) - c * v
-                if s:
-                    target[e] = s
-                else:
-                    del target[e]
+        c = quotient[d] = coeff_div(work[lead], g._terms[lt])
+        for e, v in g._terms.items():
+            e = tuple(map(add, d, e))
+            s = work.get(e, 0) - c * v
+            if s:
+                work[e] = s
+            else:
+                del work[e]
     return None
 
 
@@ -419,17 +427,8 @@ class Poly:
             raise ValueError("exact_div expects a polynomial over the same variables")
         if q.is_zero():
             raise ZeroDivisionError("exact division by the zero polynomial")
-        q_exp, q_terms = q.leading()[0], q._terms.items()
-
-        def shifted(lead: Exponent):
-            # q times the quotient monomial d, tagged -d so the tag is +quotient
-            d = tuple(map(sub, lead, q_exp))
-            if min(d) < 0:
-                return None
-            return {tuple(map(add, d, e)): v for e, v in q_terms}, {d: -1}
-
         quot: dict[Exponent, Coeff] = {}
-        if reduce_leading(dict(self._terms), quot, shifted) is not None:
+        if reduce_leading(dict(self._terms), [(q.leading()[0], q)], quot) is not None:
             raise NotDivisibleError("not divisible")
         return Poly._clean(self.n, quot)
 

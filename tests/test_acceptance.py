@@ -13,7 +13,6 @@ from vrg import (
     analyze,
     branch_audit,
     canonical,
-    factor,
     parse,
     report_from_dict,
     report_to_dict,
@@ -24,6 +23,7 @@ from vrg import (
     weighted_degree,
 )
 from vrg.extension import generator_weights
+from vrg.factor import factor
 from vrg.poly import VarTable
 
 from corpus import CORPUS, spec_of

@@ -18,7 +18,6 @@ from vrg import (
     canonical,
     contract_prime,
     degree,
-    factor,
     format_poly,
     jacobian,
     lcm,
@@ -40,6 +39,7 @@ from vrg.errors import (
     TheoremViolationError,
     VrgError,
 )
+from vrg.factor import factor
 
 from vrg.reportio import dump_report
 
@@ -504,11 +504,9 @@ def test_jacobian_exponents_by_certificate(entry, monkeypatch):
     # per ramified prime, with no zero of Q over Q[s]/(m)
     import collections
     import dataclasses
-    import importlib
 
     import vrg.analyzer as analyzer_mod
-
-    factor_mod = importlib.import_module("vrg.factor")  # vrg.factor is also a function
+    import vrg.factor as factor_mod
 
     spec = entry.spec
     report = analyze(spec)

@@ -1,15 +1,26 @@
 import json
 import re
+import shlex
 import time
 from pathlib import Path
 
 import pytest
 
-from vrg import errors, load_spec, report_from_dict, report_to_dict, verify_report
+from vrg import (
+    Poly,
+    errors,
+    format_poly,
+    load_spec,
+    report_from_dict,
+    report_to_dict,
+    tag_table,
+    verify_report,
+)
 from vrg.cli import build_parser, main
 from vrg.errors import InputError, NotFiniteError, VrgError
 
-SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
+ROOT = Path(__file__).resolve().parent.parent
+SPEC_DIR = ROOT / "specs"
 DATA_DIR = Path(__file__).resolve().parent / "data"
 
 
@@ -36,6 +47,40 @@ def test_analyze_mixed_text(capsys):
     assert "well-ramified: no" in out
     assert "witness prime P~ = y1" in out
     assert "pullback factor Y: unramified" in out
+
+
+def test_readme_examples_do_what_their_comments_say(tmp_path, capsys, monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    commands = re.search(r"Examples \(spec files .*?```sh\n(.*?)```", readme, re.S)
+    monkeypatch.chdir(ROOT)
+    runs = {}
+    for line in commands.group(1).splitlines():
+        command, _, comment = line.partition("#")
+        argv = [str(tmp_path / a) if a == "report.json" else a for a in shlex.split(command)[1:]]
+        rc, runs[comment.strip()] = main(argv), capsys.readouterr().out
+        assert rc == (10 if argv[0] == "wellramified" else 0), line
+    assert "well-ramified: yes" in runs["well-ramified, not an invariant ring"]
+    out = runs["not well-ramified, witness prime y1"]
+    assert "well-ramified: no" in out and "witness prime P~ = y1" in out
+    assert runs['prints "no", exits 10'].splitlines()[0] == "no"
+    assert "count = 2" in runs["counts the fiber over (0, -1)"].splitlines()
+    # the library snippet: each commented value, up to its first comma
+    library = re.search(r"## Library use\n\n```python\n(.*?)```", readme, re.S).group(1)
+    scope: dict = {}
+    exec(library, scope)
+    tags = tag_table(scope["spec"])
+    claims = []
+    for line in library.splitlines():
+        expression, hash_, comment = line.partition("#")
+        if hash_:
+            value = eval(expression, scope)
+            shown = format_poly(value, tags) if isinstance(value, Poly) else str(value)
+            claims.append((expression.strip(), shown, comment.split(",")[0].strip()))
+    assert claims == [
+        ("report.degree", "12", "12"),
+        ("report.well_ramified", "True", "True"),
+        ("report.discriminant[1]", "y1^2*y2 - 4*y2^2", "y1^2*y2 - 4*y2^2"),
+    ]
 
 
 def test_analyze_writes_verifiable_json(tmp_path, capsys):
@@ -448,7 +493,8 @@ def test_power_of_a_constant_exits_4_at_once(tmp_path, capsys):
 
 
 def test_failed_factor_remultiplication_exits_4(capsys, monkeypatch):
-    from vrg import Factorization, factor, parse
+    from vrg import Factorization, parse
+    from vrg.factor import factor
     from vrg.errors import TheoremViolationError
 
     real_expand = Factorization.expand

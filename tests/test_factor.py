@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,6 @@ from vrg import (
     VarTable,
     analyze,
     canonical,
-    factor,
     gcd,
     lcm,
     load_spec,
@@ -18,12 +18,22 @@ from vrg import (
     squarefree,
     valuation,
 )
-from vrg.factor import line_zero
+from vrg.factor import factor, line_zero
 from vrg.poly import _Residue
 
 from corpus import CORPUS
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_the_package_does_not_shadow_the_factor_and_groebner_modules():
+    # the package exports neither function of that name, so the names
+    # vrg.factor and vrg.groebner are the submodules
+    import vrg.factor as factor_module
+    import vrg.groebner as groebner_module
+
+    assert factor_module is sys.modules["vrg.factor"]
+    assert groebner_module is sys.modules["vrg.groebner"]
 
 
 def test_gcd_difference_of_squares(xy11):
@@ -99,9 +109,8 @@ def test_gcd_when_an_image_vanishes(xy11):
 def test_gcd_by_the_remainder_sequence_alone(monkeypatch):
     # the subresultant sequence is what gcd falls back on when the heuristic
     # gives up; with the heuristic switched off it must give the same gcds
-    import importlib
+    import vrg.factor as factor_module
 
-    factor_module = importlib.import_module("vrg.factor")
     vars = VarTable(("X", "Y", "Z"), (1, 1, 1))
     rng = random.Random(31)
     pool = [parse(t, vars) for t in ("X - Y", "X^2 + Y*Z", "Y^3 - 2*Z^3", "X + 3*Z", "Z")]

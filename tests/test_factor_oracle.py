@@ -18,7 +18,8 @@ from sympy import QQ
 from sympy.polys.rings import ring
 
 import vrg.analyzer as analyzer_mod
-from vrg import Poly, VarTable, analyze, canonical, factor, load_spec, parse, verify_report
+from vrg import Poly, VarTable, analyze, canonical, load_spec, parse, verify_report
+from vrg.factor import factor
 
 from corpus import CORPUS
 

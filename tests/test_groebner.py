@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vrg import Poly, VarTable, canonical, groebner, normal_form, parse
+from vrg import Poly, VarTable, canonical, normal_form, parse
+from vrg.groebner import groebner
 from vrg.errors import DegreeCapExceededError
 
 

@@ -19,9 +19,7 @@ from vrg import (
     check_finite,
     contract_prime,
     degree,
-    factor,
     gcd,
-    groebner,
     jacobian,
     normal_form,
     parse,
@@ -31,6 +29,8 @@ from vrg import (
 )
 from vrg import ideals
 from vrg.errors import ContractionError
+from vrg.factor import factor
+from vrg.groebner import groebner
 from vrg.poly import content
 from vrg.reportio import load_spec
 
@@ -163,19 +163,38 @@ def _combination(tag: dict, rows: list) -> dict:
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(_sparse_rows())
-def test_eliminator_keeps_integer_pairs_that_combine_the_input_rows(rows):
+@given(_sparse_rows(), st.dictionaries(st.integers(0, 8), _entry.filter(bool), max_size=2))
+def test_eliminator_keeps_integer_pairs_that_combine_the_input_rows(rows, extra):
     # each row i enters with the tag {i: 1}: a pivot's tag combines the
-    # input rows to the pivot row, and a kernel tag combines them to zero
+    # input rows to the pivot row, and a kernel tag combines them to zero;
+    # each pair comes out with its content divided out
     pivots, kernel = ideals._eliminate((dict(row), {i: 1}) for i, row in enumerate(rows))
     assert len(pivots) + len(kernel) == len(rows)
     for lead, (row, tag) in pivots.items():
         assert row and max(row) == lead
         assert _combination(tag, rows) == row
         assert all(type(v) is int for v in (*row.values(), *tag.values()))
+        assert math.gcd(*row.values(), *tag.values()) == 1
     for tag in kernel:
         assert tag and _combination(tag, rows) == {}
         assert all(type(v) is int for v in tag.values())
+        assert math.gcd(*tag.values()) == 1
+    # a target, in the span of the rows when extra is empty, reduced by the
+    # same step with the marker tag {"t": 1}
+    target = _combination({i: i - 1 for i in range(len(rows))}, rows)
+    for j, v in extra.items():
+        target[j] = target.get(j, 0) + v
+    target = {j: v for j, v in target.items() if v}
+    work, tag = ideals._reduce_pair((target, {"t": 1}), pivots)
+    assert all(type(v) is int for v in (*work.values(), *tag.values()))
+    assert math.gcd(*work.values(), *tag.values()) == 1
+    assert not work or max(work) not in pivots
+    assert extra or not work
+    marker = tag.pop("t")
+    assert marker > 0
+    combined = _combination(tag, rows)
+    expected = {j: marker * target.get(j, 0) + combined.get(j, 0) for j in {*target, *combined}}
+    assert work == {j: v for j, v in expected.items() if v}
 
 
 _MERSENNE = 2**61 - 1
